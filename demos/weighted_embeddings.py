@@ -8,7 +8,6 @@ from nclp import (
     ExponentTriple,
     Weight,
     embed,
-    evaluate,
     holder_check,
     kosaki_embed,
     schatten_norm,
@@ -43,7 +42,7 @@ print(f"round trip error: {(back - a).fro_norm():.2e}")
 
 # The trace functional on L^1 recovers the weight.
 print(f"tr(embed(a,1)) = {tr(embed(w, a, 1)):.6f}")
-print(f"phi(a)         = {evaluate(w, a):.6f}")
+print(f"phi(a)         = {w.value(a):.6f}")
 
 # Kosaki's map lowers any exponent to 1, consistently with the embeddings.
 gap = (kosaki_embed(w, embed(w, a, 3)).matrix - embed(w, a, 1).matrix).fro_norm()

@@ -35,7 +35,6 @@ from .matcore import (
     commutator_norm,
     frac_power,
     hermitian_eig,
-    jacobi_eigh,
     polar,
     schatten_norm,
     singular_values,
@@ -46,7 +45,6 @@ from .vnops import (
     SubalgebraBasis,
     Weight,
     centralizer_tests,
-    evaluate,
     generate_algebra,
     in_centralizer,
     locally_absolutely_continuous,

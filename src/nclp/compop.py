@@ -31,7 +31,7 @@ from .jordan import JordanMorphismSpec, Tile, pushforward_density, verify_jordan
 from .matcore import (
     BlockMatrix,
     BlockProfile,
-    jacobi_eigh,
+    _lp_norm,
     schatten_norm,
 )
 from .sampling import generator, hermitian, projection as random_projection
@@ -200,41 +200,24 @@ def _dual_maximizer(z: BlockMatrix, s: Exponent):
     For finite s the norming element is u |z|^{s-1}, normalised (the s = 1
     case degenerates to u times the support projection).  For s = inf the
     mass concentrates on the top singular subspace: u P_top / tr(P_top).
+    Both are written from the SVD z = W S V* as W f(S) V*.
     """
-    blocks_y = []
-    svals = []
-    specs = []
-    for blk in z.blocks:
-        gram = blk.conj().T @ blk
-        lam, v = jacobi_eigh((gram + gram.conj().T) / 2)
-        s_blk = np.sqrt(np.maximum(lam, 0.0))
-        specs.append((blk, s_blk, v))
-        svals.append(s_blk)
-    all_s = np.concatenate(svals)
-    top = float(np.max(all_s)) if all_s.size else 0.0
-    if top == 0.0:
+    svds = [np.linalg.svd(blk) for blk in z.blocks]
+    all_s = np.concatenate([sv for _, sv, _ in svds])
+    norm = _lp_norm(all_s, s)
+    if norm == 0.0:
         return 0.0, None
+    top = float(np.max(all_s))
     if s.is_inf:
-        norm = top
         cut = top * (1.0 - 1e-12)
-        total = sum(float(np.sum(s_blk >= cut)) for _, s_blk, _ in specs)
-        for blk, s_blk, v in specs:
-            sel = (s_blk >= cut).astype(float)
-            inv = np.where(s_blk > 1e-14 * top, 1.0 / np.maximum(s_blk, 1e-300), 0.0)
-            # u P_top = z (v inv v*) (v sel v*) = z v (inv*sel) v*
-            blocks_y.append((blk @ ((v * (inv * sel)) @ v.conj().T)) / total)
-        return norm, BlockMatrix(z.profile, blocks_y, copy=False)
-    sf = float(s)
-    norm = float(top * np.sum((all_s / top) ** sf) ** (1.0 / sf))
-    cutoff = 1e-14 * top
-    for blk, s_blk, v in specs:
-        on = s_blk > cutoff
-        f = np.zeros_like(s_blk)
+        total = float(np.sum(all_s >= cut))
+        f_of_s = [(sv >= cut) / total for _, sv, _ in svds]
+    else:
         # |z|^{s-1} with the support convention covers s == 1
-        f[on] = (s_blk[on] / norm) ** (sf - 1.0)
-        inv = np.zeros_like(s_blk)
-        inv[on] = 1.0 / s_blk[on]
-        blocks_y.append(blk @ ((v * (inv * f)) @ v.conj().T))
+        sf = float(s)
+        f_of_s = [np.where(sv > 1e-14 * top, (sv / norm) ** (sf - 1.0), 0.0)
+                  for _, sv, _ in svds]
+    blocks_y = [(w * f) @ vh for (w, _, vh), f in zip(svds, f_of_s)]
     return norm, BlockMatrix(z.profile, blocks_y, copy=False)
 
 
@@ -403,6 +386,31 @@ def _module_probe_basis(profile: BlockProfile):
                 yield BlockMatrix.matrix_unit(profile, s, i, j)
 
 
+def _recover_multiplier(T: SuperOperator, w: Weight, mul) -> MultiplierRecovery:
+    """Recover c with T(x) = mul(c, x); mul(a, b) is a @ b or b @ a.
+
+    c = mul(T(h^{1/p}), h^{-1/p}); the module property is then checked on
+    mul(h^{1/p}, a) over a spanning basis and the recovery refused
+    (NotModuleMap) if the residual exceeds the tolerance.
+    """
+    w.require_faithful("multiplier recovery")
+    hp = w.power(T.p.reciprocal())
+    hp_inv = w.power(-T.p.reciprocal())
+    c = mul(T.apply(hp), hp_inv)
+    scale = (1.0 + c.fro_norm()) * max(1.0, hp.fro_norm())
+    tolerance = 1e-8 * scale
+    worst = 0.0
+    witness = None
+    for a in _module_probe_basis(w.profile):
+        x = mul(hp, a)
+        res = (T.apply(x) - mul(c, x)).fro_norm()
+        if res > worst:
+            worst, witness = res, a
+    if worst > tolerance:
+        raise NotModuleMap(worst, tolerance, witness=witness)
+    return MultiplierRecovery(multiplier=c, residual=worst, tolerance=tolerance)
+
+
 def recover_left_multiplier(T: SuperOperator, w: Weight) -> MultiplierRecovery:
     """Recover c with T(x) = c x from a right-module homomorphism.
 
@@ -410,42 +418,12 @@ def recover_left_multiplier(T: SuperOperator, w: Weight) -> MultiplierRecovery:
     h^{1/p} a over a spanning basis and the recovery refused (NotModuleMap)
     if the residual exceeds the tolerance.
     """
-    w.require_faithful("multiplier recovery")
-    hp = w.power(T.p.reciprocal())
-    hp_inv = w.power(-T.p.reciprocal())
-    c = T.apply(hp) @ hp_inv
-    scale = (1.0 + c.fro_norm()) * max(1.0, hp.fro_norm())
-    tolerance = 1e-8 * scale
-    worst = 0.0
-    witness = None
-    for a in _module_probe_basis(w.profile):
-        x = hp @ a
-        res = (T.apply(x) - c @ x).fro_norm()
-        if res > worst:
-            worst, witness = res, a
-    if worst > tolerance:
-        raise NotModuleMap(worst, tolerance, witness=witness)
-    return MultiplierRecovery(multiplier=c, residual=worst, tolerance=tolerance)
+    return _recover_multiplier(T, w, lambda a, b: a @ b)
 
 
 def recover_right_multiplier(T: SuperOperator, w: Weight) -> MultiplierRecovery:
     """Recover c with T(x) = x c from a left-module homomorphism."""
-    w.require_faithful("multiplier recovery")
-    hp = w.power(T.p.reciprocal())
-    hp_inv = w.power(-T.p.reciprocal())
-    c = hp_inv @ T.apply(hp)
-    scale = (1.0 + c.fro_norm()) * max(1.0, hp.fro_norm())
-    tolerance = 1e-8 * scale
-    worst = 0.0
-    witness = None
-    for a in _module_probe_basis(w.profile):
-        x = a @ hp
-        res = (T.apply(x) - x @ c).fro_norm()
-        if res > worst:
-            worst, witness = res, a
-    if worst > tolerance:
-        raise NotModuleMap(worst, tolerance, witness=witness)
-    return MultiplierRecovery(multiplier=c, residual=worst, tolerance=tolerance)
+    return _recover_multiplier(T, w, lambda a, b: b @ a)
 
 
 def left_multiplication(profile: BlockProfile, c: BlockMatrix, p, q) -> SuperOperator:
@@ -484,13 +462,13 @@ def _spectral_probes(profile: BlockProfile, count: int, rng):
 
 
 def _rank_of_projection(p_blk: np.ndarray) -> int:
-    lam, _ = jacobi_eigh((p_blk + p_blk.conj().T) / 2)
+    lam = np.linalg.eigvalsh((p_blk + p_blk.conj().T) / 2)
     return int(np.sum(lam > 0.5))
 
 
 def _projection_frame(p_blk: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the range of a (numerical) projection."""
-    lam, v = jacobi_eigh((p_blk + p_blk.conj().T) / 2)
+    lam, v = np.linalg.eigh((p_blk + p_blk.conj().T) / 2)
     return v[:, lam > 0.5]
 
 
@@ -730,6 +708,6 @@ def splitting_inequality_check(hJ: Weight, hz: Weight, h1z: Weight, q) -> Splitt
     inv_q = float(q.reciprocal())
     gap = hz.power(inv_q) + h1z.power(inv_q) - hJ.power(inv_q)
     min_eig = min(
-        float(jacobi_eigh((blk + blk.conj().T) / 2)[0][0]) for blk in gap.blocks
+        float(np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0]) for blk in gap.blocks
     )
     return SplittingReport(min_gap_eigenvalue=min_eig, ok=min_eig >= -1e-9)

@@ -187,10 +187,6 @@ class JordanMorphismSpec:
         )
 
 
-def apply(J: JordanMorphismSpec, a: BlockMatrix) -> BlockMatrix:
-    return J.apply(a)
-
-
 def identity_morphism(profile: BlockProfile) -> JordanMorphismSpec:
     tiles = [Tile(src=i, dst=i, offset=0, kind="H") for i in range(profile.block_count)]
     return JordanMorphismSpec(profile, profile, tiles)

@@ -3,8 +3,9 @@
 Block-diagonal matrices over a fixed block profile are the universal carrier
 for algebra elements, L^p elements, densities and projections.  This module
 supplies the spectral calculus everything else is built on: Hermitian
-eigendecomposition (cyclic Jacobi), fractional powers with the support
-convention 0^t = 0, Schatten norms and polar decomposition.
+eigendecomposition (numpy.linalg.eigh), fractional powers with the support
+convention 0^t = 0, and Schatten norms and polar decomposition from
+numpy.linalg.svd.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from .errors import (
 )
 from .exponents import coerce as coerce_exponent
 
-_JACOBI_FRO_FACTOR = 1e-13
-_JACOBI_MAX_SWEEPS = 60
-_SUPPORT_CUTOFF = 1e-12
-_PSD_TOL = 1e-10
+SUPPORT_CUTOFF = 1e-12
+PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -204,91 +203,12 @@ class BlockMatrix:
         return f"BlockMatrix(profile={self.profile.dims})"
 
 
-# ---------------------------------------------------------------------------
-# Hermitian eigendecomposition: cyclic Jacobi with exact 2x2 subproblems.
-# ---------------------------------------------------------------------------
-
-
-def _two_by_two_eig(app: float, aqq: float, apq: complex):
-    """Exact eigensystem of [[app, apq], [conj(apq), aqq]] (app, aqq real).
-
-    Returns (lam1, lam2, U) with U unitary, U* B U = diag(lam1, lam2).
-    """
-    mid = 0.5 * (app + aqq)
-    delta = 0.5 * (app - aqq)
-    r = np.hypot(delta, abs(apq))
-    lam1 = mid + r
-    lam2 = mid - r
-    # Eigenvector for lam1, picking the representation that avoids cancellation.
-    if delta >= 0:
-        v = np.array([r + delta, np.conj(apq)], dtype=complex)
-    else:
-        v = np.array([apq, r - delta], dtype=complex)
-    nrm = np.linalg.norm(v)
-    if nrm == 0.0:
-        return app, aqq, np.eye(2, dtype=complex)
-    v /= nrm
-    u = np.empty((2, 2), dtype=complex)
-    u[:, 0] = v
-    u[0, 1] = -np.conj(v[1])
-    u[1, 1] = np.conj(v[0])
-    return lam1, lam2, u
-
-
-def jacobi_eigh(h: np.ndarray, fro_factor: float = _JACOBI_FRO_FACTOR,
-                max_sweeps: int = _JACOBI_MAX_SWEEPS):
-    """Eigendecomposition of a single dense Hermitian matrix by cyclic Jacobi.
-
-    Sweeps all (p, q) pairs, each time diagonalising the 2x2 principal
-    submatrix exactly, until the off-diagonal Frobenius mass falls below
-    fro_factor * ||h||_F.  Returns (ascending real eigenvalues, unitary V)
-    with h = V diag(lam) V*.
-    """
-    n = h.shape[0]
-    if n == 1:
-        return np.array([h[0, 0].real]), np.eye(1, dtype=complex)
-    if n == 2:
-        # one exact rotation; lam1 >= lam2 by construction, so reorder ascending
-        lam1, lam2, u = _two_by_two_eig(h[0, 0].real, h[1, 1].real,
-                                        0.5 * (h[0, 1] + np.conj(h[1, 0])))
-        return np.array([lam2, lam1]), u[:, ::-1].copy()
-    a = np.array(h, dtype=complex)
-    v = np.eye(n, dtype=complex)
-    fro = np.linalg.norm(a)
-    if fro == 0.0:
-        return np.zeros(n), v
-    thresh = fro_factor * fro
-    skip = thresh / (2.0 * n)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diagonal(a)))
-        if off <= thresh:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                lam1, lam2, u = _two_by_two_eig(a[p, p].real, a[q, q].real, apq)
-                rows = a[[p, q], :]
-                a[[p, q], :] = u.conj().T @ rows
-                cols = a[:, [p, q]]
-                a[:, [p, q]] = cols @ u
-                a[p, p] = lam1
-                a[q, q] = lam2
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                v[:, [p, q]] = v[:, [p, q]] @ u
-    lam = np.real(np.diagonal(a)).copy()
-    order = np.argsort(lam, kind="stable")
-    return lam[order], v[:, order]
-
-
 def hermitian_eig(H: BlockMatrix, tol: float = 1e-8):
     """Per-block eigensystem of a Hermitian block matrix.
 
     The Hermiticity test allows `tol` absolute plus 1e-10 relative defect
-    (embeddings compound rounding); the input is symmetrised before the
-    Jacobi sweeps.  Returns (list of ascending eigenvalue arrays, unitary V).
+    (embeddings compound rounding); the input is symmetrised before
+    numpy.linalg.eigh.  Returns (list of ascending eigenvalue arrays, unitary V).
     """
     defect = (H - H.adjoint()).fro_norm()
     if defect > tol + 1e-10 * H.fro_norm():
@@ -296,21 +216,42 @@ def hermitian_eig(H: BlockMatrix, tol: float = 1e-8):
     eigenvalues = []
     vectors = []
     for blk in H.hermitized().blocks:
-        lam, v = jacobi_eigh(blk)
+        lam, v = np.linalg.eigh(blk)
         eigenvalues.append(lam)
         vectors.append(v)
     return eigenvalues, BlockMatrix(H.profile, vectors, copy=False)
 
 
-def _power_from_spectrum(lam: np.ndarray, t: float, cutoff: float):
-    """Eigenvalue power with the support convention 0^t = 0."""
-    out = np.zeros_like(lam)
-    on = lam > cutoff
-    if t == 0:
-        out[on] = 1.0
-    else:
-        out[on] = lam[on] ** t
-    return out
+def _from_spectrum(profile: BlockProfile, values, vectors) -> BlockMatrix:
+    """V diag(f) V* block by block, from per-block values f and unitaries V.
+
+    Real values give a Hermitian matrix, symmetrised against rounding.
+    """
+    blocks = []
+    for f, v in zip(values, vectors):
+        blk = (v * f) @ v.conj().T
+        if np.isrealobj(f):
+            blk = (blk + blk.conj().T) / 2
+        blocks.append(blk)
+    return BlockMatrix(profile, blocks, copy=False)
+
+
+def _spectral_power(profile: BlockProfile, lams, vectors, t: float) -> BlockMatrix:
+    """V Lambda^t V* for a positive semidefinite spectrum, with 0^t = 0.
+
+    Eigenvalues at or below SUPPORT_CUTOFF times the largest count as zero,
+    so t = 0 gives the support projection; t < 0 needs none of them.
+    """
+    cutoff = SUPPORT_CUTOFF * max(max(float(l[-1]) for l in lams), 0.0)
+    if t < 0 and any(np.any(l <= cutoff) for l in lams):
+        raise SingularNegativePower("negative power of a singular positive matrix")
+    values = []
+    for lam in lams:
+        out = np.zeros_like(lam)
+        on = lam > cutoff
+        out[on] = 1.0 if t == 0 else lam[on] ** t
+        values.append(out)
+    return _from_spectrum(profile, values, vectors)
 
 
 def frac_power(P: BlockMatrix, t) -> BlockMatrix:
@@ -319,68 +260,45 @@ def frac_power(P: BlockMatrix, t) -> BlockMatrix:
     t >= 0 uses the support convention (zero eigenvalues map to zero, so
     P^0 is the support projection); t < 0 requires P positive definite.
     """
-    t = float(t)
     lams, V = hermitian_eig(P)
     top = max(float(l[-1]) for l in lams)
-    floor = -_PSD_TOL * max(1.0, top)
+    floor = -PSD_TOL * max(1.0, top)
     if any(float(l[0]) < floor for l in lams):
         worst = min(float(l[0]) for l in lams)
         raise NotPSD(f"minimum eigenvalue {worst:.3e} below PSD tolerance")
-    cutoff = _SUPPORT_CUTOFF * max(top, 0.0)
-    if t < 0 and any(np.any(l <= cutoff) for l in lams):
-        raise SingularNegativePower("negative power of a singular positive matrix")
-    blocks = []
-    for lam, v in zip(lams, V.blocks):
-        powered = _power_from_spectrum(np.maximum(lam, 0.0), t, cutoff)
-        blk = (v * powered) @ v.conj().T
-        blocks.append((blk + blk.conj().T) / 2)
-    return BlockMatrix(P.profile, blocks, copy=False)
+    return _spectral_power(P.profile, lams, V.blocks, float(t))
 
 
 def singular_values(x: BlockMatrix):
-    """Per-block ascending singular values, via the spectrum of x* x."""
-    out = []
-    for blk in x.blocks:
-        gram = blk.conj().T @ blk
-        lam, _ = jacobi_eigh((gram + gram.conj().T) / 2)
-        out.append(np.sqrt(np.maximum(lam, 0.0)))
-    return out
+    """Per-block ascending singular values, from numpy.linalg.svd."""
+    return [np.linalg.svd(blk, compute_uv=False)[::-1] for blk in x.blocks]
+
+
+def _lp_norm(values: np.ndarray, p) -> float:
+    """l^p norm of nonnegative values, the largest factored out so large p cannot overflow."""
+    top = float(np.max(values)) if values.size else 0.0
+    if p.is_inf or top == 0.0:
+        return top
+    pf = float(p)
+    return float(top * np.sum((values / top) ** pf) ** (1.0 / pf))
 
 
 def schatten_norm(x: BlockMatrix, p) -> float:
     """Schatten p-norm: the l^p norm of all singular values across blocks."""
-    p = coerce_exponent(p)
-    svals = np.concatenate(singular_values(x))
-    if p.is_inf:
-        return float(np.max(svals)) if svals.size else 0.0
-    top = float(np.max(svals)) if svals.size else 0.0
-    if top == 0.0:
-        return 0.0
-    pf = float(p)
-    # factor out the largest value so large p cannot overflow
-    return float(top * np.sum((svals / top) ** pf) ** (1.0 / pf))
+    return _lp_norm(np.concatenate(singular_values(x)), coerce_exponent(p))
 
 
 def polar(x: BlockMatrix):
-    """Polar decomposition x = u |x| with u a partial isometry, u*u = supp|x|."""
-    u_blocks = []
-    abs_blocks = []
-    for blk in x.blocks:
-        gram = blk.conj().T @ blk
-        lam, v = jacobi_eigh((gram + gram.conj().T) / 2)
-        s = np.sqrt(np.maximum(lam, 0.0))
-        top = float(s[-1]) if s.size else 0.0
-        cutoff = _SUPPORT_CUTOFF * top
-        inv = np.zeros_like(s)
-        on = s > cutoff
-        inv[on] = 1.0 / s[on]
-        absx = (v * s) @ v.conj().T
-        u_blocks.append(blk @ ((v * inv) @ v.conj().T))
-        abs_blocks.append((absx + absx.conj().T) / 2)
-    return (
-        BlockMatrix(x.profile, u_blocks, copy=False),
-        BlockMatrix(x.profile, abs_blocks, copy=False),
-    )
+    """Polar decomposition x = u |x| with u a partial isometry, u*u = supp|x|.
+
+    From the SVD x = W S V* per block: |x| = V S V*, and u = W P V* with P
+    keeping the singular values above SUPPORT_CUTOFF times the block's largest.
+    """
+    svds = [np.linalg.svd(blk) for blk in x.blocks]
+    u_blocks = [(w * (s > SUPPORT_CUTOFF * s[0])) @ vh for w, s, vh in svds]
+    absx = _from_spectrum(x.profile, [s for _, s, _ in svds],
+                          [vh.conj().T for _, _, vh in svds])
+    return BlockMatrix(x.profile, u_blocks, copy=False), absx
 
 
 def support_of(P: BlockMatrix) -> BlockMatrix:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import BlockMatrix, BlockProfile, jacobi_eigh
+from .matcore import BlockMatrix, BlockProfile
 
 
 def generator(seed) -> np.random.Generator:
@@ -60,7 +60,7 @@ def projection(profile: BlockProfile, rng: np.random.Generator) -> BlockMatrix:
     for d in profile:
         g = _ginibre(d, rng)
         h = (g + g.conj().T) / 2
-        lam, v = jacobi_eigh(h)
+        lam, v = np.linalg.eigh(h)
         if d == 1:
             keep = np.array([rng.random() < 0.5])
         else:

@@ -17,15 +17,16 @@ import numpy as np
 
 from .errors import NoConvergence, NotFaithful, NotPSD, ProfileMismatch
 from .matcore import (
+    PSD_TOL,
+    SUPPORT_CUTOFF,
     BlockMatrix,
     BlockProfile,
+    _from_spectrum,
+    _spectral_power,
     commutator_norm,
     hermitian_eig,
     support_of,
 )
-
-_FAITHFUL_CUTOFF = 1e-12
-_PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class Weight:
         rho = rho.hermitized()
         object.__setattr__(self, "profile", rho.profile)
         object.__setattr__(self, "rho", rho)
-        if self._min_eig < -_PSD_TOL * max(1.0, self._max_eig):
+        if self._min_eig < -PSD_TOL * max(1.0, self._max_eig):
             raise NotPSD(f"density has eigenvalue {self._min_eig:.3e}")
 
     def __setattr__(self, name, value):
@@ -115,7 +116,7 @@ class Weight:
     @property
     def is_faithful(self) -> bool:
         top = self._max_eig
-        return top > 0.0 and self._min_eig > _FAITHFUL_CUTOFF * top
+        return top > 0.0 and self._min_eig > SUPPORT_CUTOFF * top
 
     def require_faithful(self, what: str = "operation"):
         if not self.is_faithful:
@@ -134,34 +135,17 @@ class Weight:
     def power(self, t) -> BlockMatrix:
         """rho^t by spectral calculus, support convention for t >= 0."""
         t = float(t)
-        lams, V = self._spectral
-        top = self._max_eig
-        cutoff = _FAITHFUL_CUTOFF * top
         if t < 0 and not self.is_faithful:
             raise NotFaithful("negative power of a non-faithful density")
-        blocks = []
-        for lam, v in zip(lams, V.blocks):
-            vals = np.zeros_like(lam)
-            on = lam > cutoff
-            vals[on] = 1.0 if t == 0 else lam[on] ** t
-            blk = (v * vals) @ v.conj().T
-            blocks.append((blk + blk.conj().T) / 2)
-        return BlockMatrix(self.profile, blocks, copy=False)
+        lams, V = self._spectral
+        return _spectral_power(self.profile, lams, V.blocks, t)
 
     def imaginary_power(self, t: float) -> BlockMatrix:
         """The unitary rho^{it} (faithful weights only)."""
         self.require_faithful("rho^{it}")
         lams, V = self._spectral
-        blocks = []
-        for lam, v in zip(lams, V.blocks):
-            phases = np.exp(1j * t * np.log(lam))
-            blocks.append((v * phases) @ v.conj().T)
-        return BlockMatrix(self.profile, blocks, copy=False)
-
-
-def evaluate(w: Weight, a: BlockMatrix) -> complex:
-    """phi(a) = sum_i tr(rho_i a_i)."""
-    return w.value(a)
+        phases = [np.exp(1j * t * np.log(lam)) for lam in lams]
+        return _from_spectrum(self.profile, phases, V.blocks)
 
 
 def support_projection(w: Weight) -> Projection:

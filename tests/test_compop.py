@@ -3,6 +3,7 @@ import pytest
 
 from nclp.compop import (
     SuperOperator,
+    _dual_maximizer,
     build_composition,
     change_of_weights,
     change_of_weights_scale,
@@ -34,7 +35,7 @@ from nclp.jordan import (
 )
 from nclp.matcore import BlockMatrix, BlockProfile, schatten_norm
 from nclp.sampling import element, generator, hermitian, psd, unitary
-from nclp.vnops import Weight, evaluate
+from nclp.vnops import Weight
 
 PROF2 = BlockProfile([2])
 PROF23 = BlockProfile([2, 3])
@@ -222,6 +223,25 @@ def test_norm_rank_one_map_exact():
     assert est.lower_bound == pytest.approx(2.5, abs=1e-8)
 
 
+def test_dual_maximizer_rank_deficient():
+    # profile [1, 2, 3] with a zero block and a rank-1 block; in the second
+    # element the top singular value 3 has multiplicity 2
+    rng = generator(12)
+    cases = [([[0.0], [0.5, 2.0], [0.0, 0.0, 3.0]], (1, "3/2", 2, "inf")),
+             ([[0.0], [0.5, 3.0], [0.0, 0.0, 3.0]], ("inf",))]
+    for svals, exponents in cases:
+        z = BlockMatrix(BlockProfile([1, 2, 3]), [
+            (unitary(len(sv), rng) * np.array(sv)) @ unitary(len(sv), rng).conj().T
+            for sv in svals
+        ])
+        for s in exponents:
+            s = Exponent(s)
+            norm, y = _dual_maximizer(z, s)
+            assert norm == pytest.approx(schatten_norm(z, s), rel=1e-12)
+            assert schatten_norm(y, s.conjugate()) == pytest.approx(1.0, rel=1e-12)
+            assert y.hs_inner(z).real == pytest.approx(norm, rel=1e-12)
+
+
 def test_change_of_weights_scale():
     h = Weight.diagonal(PROF2, [0.5, 0.5])
     k = Weight.diagonal(PROF2, [0.8, 0.2])
@@ -296,7 +316,7 @@ def test_trace_dual_density_identity():
                     a = BlockMatrix.matrix_unit(spec.profile1, s, i, j)
                     lhs = (b @ embed(w1, a, r).matrix).trace()
                     tr_c = C.apply(embed(w1, a, r).matrix).trace()
-                    rhs = evaluate(k, a)
+                    rhs = k.value(a)
                     assert abs(lhs - rhs) < 1e-8 * (1 + abs(rhs))
                     assert abs(tr_c - rhs) < 1e-8 * (1 + abs(rhs))
 

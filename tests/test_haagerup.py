@@ -15,7 +15,7 @@ from nclp.haagerup import (
 )
 from nclp.matcore import BlockMatrix, BlockProfile, schatten_norm
 from nclp.sampling import element, generator, hermitian, psd
-from nclp.vnops import Weight, evaluate
+from nclp.vnops import Weight
 
 PROF2 = BlockProfile([2])
 PROF23 = BlockProfile([2, 3])
@@ -110,7 +110,7 @@ def test_tr_embed_equals_evaluate():
     for _ in range(10):
         w = Weight(psd(PROF23, rng, eps=0.1))
         a = element(PROF23, rng)
-        assert abs(tr(embed(w, a, 1)) - evaluate(w, a)) < 1e-10 * (1 + abs(evaluate(w, a)))
+        assert abs(tr(embed(w, a, 1)) - w.value(a)) < 1e-10 * (1 + abs(w.value(a)))
 
 
 def test_holder_check_equality_case():

@@ -17,7 +17,7 @@ from nclp.jordan import (
 )
 from nclp.matcore import BlockMatrix, BlockProfile
 from nclp.sampling import element, generator, psd, unitary
-from nclp.vnops import Weight, evaluate, generate_algebra, weights_commute
+from nclp.vnops import Weight, generate_algebra, weights_commute
 
 PROF2 = BlockProfile([2])
 PROF23 = BlockProfile([2, 3])
@@ -153,8 +153,8 @@ def test_pushforward_matches_on_random_elements():
         w2 = faithful(spec.profile2, rng)
         k = pushforward_density(spec, w2)
         a = element(spec.profile1, rng)
-        assert abs(evaluate(k, a) - evaluate(w2, spec.apply(a))) < 1e-9 * (
-            1 + abs(evaluate(w2, spec.apply(a)))
+        assert abs(k.value(a) - w2.value(spec.apply(a))) < 1e-9 * (
+            1 + abs(w2.value(spec.apply(a)))
         )
 
 

@@ -7,14 +7,25 @@ from nclp.matcore import (
     BlockProfile,
     frac_power,
     hermitian_eig,
-    jacobi_eigh,
     polar,
     schatten_norm,
+    singular_values,
     support_of,
 )
-from nclp.sampling import block_unitary, element, generator, hermitian, psd
+from nclp.sampling import block_unitary, element, generator, hermitian, psd, unitary
 
 PROFILES = [BlockProfile([1]), BlockProfile([3]), BlockProfile([2, 3]), BlockProfile([4, 1, 2])]
+
+# profile [1, 2, 3]: a zero block, a full-rank block and a rank-1 block
+RANK_DEFICIENT_SVALS = [[0.0], [0.5, 2.0], [0.0, 0.0, 3.0]]
+
+
+def from_singular_values(svals, rng):
+    """Block matrix U diag(s) V* with random unitaries U, V in each block."""
+    profile = BlockProfile([len(s) for s in svals])
+    return BlockMatrix(profile, [
+        (unitary(len(s), rng) * np.array(s)) @ unitary(len(s), rng).conj().T for s in svals
+    ])
 
 
 def test_profile_validation():
@@ -62,13 +73,17 @@ def test_eig_reconstruction_random():
             assert np.linalg.norm(vb @ vb.conj().T - np.eye(len(lam))) < 1e-10
 
 
-def test_eig_matches_lapack():
+def test_eig_recovers_known_spectrum():
     rng = generator(1)
     for n in (2, 3, 5, 8):
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (g + g.conj().T) / 2
-        lam, _ = jacobi_eigh(h)
-        assert np.allclose(lam, np.linalg.eigvalsh(h), atol=1e-11)
+        lam = np.linspace(-1.0, 2.0, n)
+        lam[-2] = lam[-1]  # one repeated eigenvalue
+        u = unitary(n, rng)
+        h = BlockMatrix(BlockProfile([n]), [(u * lam) @ u.conj().T])
+        lams, v = hermitian_eig(h)
+        assert np.allclose(lams[0], lam, rtol=0.0, atol=1e-11)
+        vb = v.blocks[0]
+        assert np.linalg.norm((vb * lams[0]) @ vb.conj().T - h.blocks[0]) < 1e-11
 
 
 def test_eig_rejects_non_hermitian():
@@ -109,6 +124,14 @@ def test_power_laws():
                 lhs = frac_power(p, s) @ frac_power(p, t)
                 rhs = frac_power(p, s + t)
                 assert (lhs - rhs).fro_norm() < 1e-9
+
+
+def test_singular_values_rank_deficient():
+    x = from_singular_values(RANK_DEFICIENT_SVALS, generator(8))
+    svals = singular_values(x)
+    for got, expected in zip(svals, RANK_DEFICIENT_SVALS):
+        assert np.all(np.diff(got) >= 0)
+        assert np.allclose(got, expected, rtol=0.0, atol=1e-12)
 
 
 def test_schatten_examples():
@@ -192,3 +215,12 @@ def test_polar_random_reconstruction():
         # u*u is the support of |x|
         uu = u.adjoint() @ u
         assert uu.allclose(support_of(absx), tol=1e-9)
+
+
+def test_polar_rank_deficient():
+    x = from_singular_values(RANK_DEFICIENT_SVALS, generator(9))
+    u, absx = polar(x)
+    assert (u @ absx - x).fro_norm() < 1e-12 * x.fro_norm()
+    uu = u.adjoint() @ u
+    assert uu.allclose(support_of(absx), tol=1e-12)
+    assert [round(np.trace(b).real) for b in uu.blocks] == [0, 2, 1]

@@ -8,7 +8,6 @@ from nclp.vnops import (
     Projection,
     Weight,
     centralizer_tests,
-    evaluate,
     generate_algebra,
     in_centralizer,
     locally_absolutely_continuous,
@@ -42,18 +41,18 @@ def test_evaluate_examples():
     w_tr = Weight(BlockMatrix.identity(PROF23))
     rng = generator(0)
     a = element(PROF23, rng)
-    assert evaluate(w_tr, a) == pytest.approx(a.trace(), abs=1e-12)
+    assert w_tr.value(a) == pytest.approx(a.trace(), abs=1e-12)
     w = Weight.diagonal(PROF2, [0.7, 0.3])
-    assert evaluate(w, BlockMatrix.diagonal(PROF2, [1.0, 2.0])) == pytest.approx(1.3)
+    assert w.value(BlockMatrix.diagonal(PROF2, [1.0, 2.0])) == pytest.approx(1.3)
     # faithfulness: phi(p* p) > 0 for p != 0
     p = element(PROF2, rng)
-    assert evaluate(w, p.adjoint() @ p).real > 0
+    assert w.value(p.adjoint() @ p).real > 0
 
 
 def test_evaluate_profile_mismatch():
     w = Weight.diagonal(PROF2, [0.5, 0.5])
     with pytest.raises(ProfileMismatch):
-        evaluate(w, BlockMatrix.identity(PROF23))
+        w.value(BlockMatrix.identity(PROF23))
 
 
 def test_positivity_and_support_nullity():
@@ -61,12 +60,12 @@ def test_positivity_and_support_nullity():
     for _ in range(20):
         w = Weight(psd(PROF23, rng))
         a = element(PROF23, rng)
-        val = evaluate(w, a.adjoint() @ a)
+        val = w.value(a.adjoint() @ a)
         assert val.real >= -1e-12 and abs(val.imag) < 1e-12
     # phi(a* a) = 0 forces a e = 0 on the support e
     w = Weight.diagonal(PROF2, [1.0, 0.0])
     a = BlockMatrix.matrix_unit(PROF2, 0, 0, 1)  # a rho^(1/2) = 0
-    assert abs(evaluate(w, a.adjoint() @ a)) < 1e-14
+    assert abs(w.value(a.adjoint() @ a)) < 1e-14
     e = support_projection(w).matrix
     assert (a @ e).fro_norm() < 1e-8
 
@@ -127,7 +126,7 @@ def test_modular_preserves_weight():
         a = element(PROF23, rng)
         for t in (0.4, 2.1):
             moved = modular_conjugate(w, t, a)
-            assert abs(evaluate(w, moved) - evaluate(w, a)) < 1e-9 * (1 + abs(evaluate(w, a)))
+            assert abs(w.value(moved) - w.value(a)) < 1e-9 * (1 + abs(w.value(a)))
 
 
 def test_in_centralizer_examples():
