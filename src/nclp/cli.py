@@ -568,7 +568,10 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.restarts < 1:
+        parser.error(f"--restarts must be at least 1, got {args.restarts}")
     try:
         spec = SpecDocument.load(args.spec)
         report, code = _HANDLERS[args.command](spec, args)

@@ -153,7 +153,11 @@ class SuperOperator:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A lower bound on an operator norm; certified only via the (2,2) oracle."""
+    """A lower bound on an operator norm; certified only via the (2,2) oracle.
+
+    `iterations` is summed over the restarts, so it equals
+    restarts * max_iter exactly when every restart hit the cap.
+    """
 
     lower_bound: float
     certified: bool
@@ -194,31 +198,48 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
 # ---------------------------------------------------------------------------
 
 
-def _dual_maximizer(z: BlockMatrix, s: Exponent):
-    """(norm, y) with ||y||_{s*} = 1 and Re tr(y* z) = ||z||_s.
+def _dual_maximizer(profile: BlockProfile, cols: np.ndarray, s: Exponent):
+    """Per-column (norms, ys) for flat coordinate columns z_j of shape (coord_dim, k).
 
-    For finite s the norming element is u |z|^{s-1}, normalised (the s = 1
-    case degenerates to u times the support projection).  For s = inf the
-    mass concentrates on the top singular subspace: u P_top / tr(P_top).
-    Both are written from the SVD z = W S V* as W f(S) V*.
+    Column j of ys is a norming element y_j for z_j: ||y_j||_{s*} = 1 and
+    Re tr(y_j* z_j) = ||z_j||_s; a zero column gets norm 0 and y_j = 0.  For
+    finite s, y_j is u |z_j|^{s-1} normalised (the s = 1 case degenerates to
+    u times the support projection).  For s = inf the mass concentrates on
+    the top singular subspace: u P_top / tr(P_top).  Both are written from
+    the SVD z = W S V* as W f(S) V*, with one svd call per block on the
+    (k, d, d) stack of all columns.
     """
-    svds = [np.linalg.svd(blk) for blk in z.blocks]
-    all_s = np.concatenate([sv for _, sv, _ in svds])
-    norm = _lp_norm(all_s, s)
-    if norm == 0.0:
-        return 0.0, None
-    top = float(np.max(all_s))
+    k = cols.shape[1]
+    svds, at = [], 0
+    for d in profile:
+        svds.append(np.linalg.svd(cols[at : at + d * d].T.reshape(k, d, d)))
+        at += d * d
+    all_s = np.concatenate([sv for _, sv, _ in svds], axis=-1)
+    norms = _lp_norm(all_s, s)
+    live = (norms != 0.0)[:, None]
+    top = np.max(all_s, axis=-1, keepdims=True)
     if s.is_inf:
-        cut = top * (1.0 - 1e-12)
-        total = float(np.sum(all_s >= cut))
-        f_of_s = [(sv >= cut) / total for _, sv, _ in svds]
+        on = (all_s >= top * (1.0 - 1e-12)) & live
+        f_of_s = on / np.maximum(np.sum(on, axis=-1, keepdims=True), 1)
     else:
         # |z|^{s-1} with the support convention covers s == 1
-        sf = float(s)
-        f_of_s = [np.where(sv > 1e-14 * top, (sv / norm) ** (sf - 1.0), 0.0)
-                  for _, sv, _ in svds]
-    blocks_y = [(w * f) @ vh for (w, _, vh), f in zip(svds, f_of_s)]
-    return norm, BlockMatrix(z.profile, blocks_y, copy=False)
+        scale = np.where(live, norms[:, None], 1.0)
+        f_of_s = np.where(all_s > 1e-14 * top, (all_s / scale) ** (float(s) - 1.0), 0.0)
+    ys, at = [], 0
+    for w, sv, vh in svds:
+        d = sv.shape[-1]
+        ys.append(((w * f_of_s[:, None, at : at + d]) @ vh).reshape(k, d * d).T)
+        at += d
+    return norms, np.concatenate(ys)
+
+
+def _random_start(profile: BlockProfile, stream) -> np.ndarray:
+    """Flat coordinates of a complex Gaussian element drawn from one seed stream."""
+    rng = np.random.default_rng(stream)
+    return np.concatenate([
+        (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))).ravel()
+        for d in profile
+    ])
 
 
 def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
@@ -231,9 +252,19 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     balls, with duality-aligned updates on both sides; the objective is
     monotone, the result is the best stationary value over seeded restarts
     and is reported as an uncertified lower bound.
+
+    The restarts start from seed streams SeedSequence(seed).spawn(restarts)
+    and advance together as the columns of one (coord_dim, restarts) array
+    of flat block coordinates.  Each restart stops on its own, after
+    max_iter steps, on a gain below 1e-10 or on a zero dual; only the
+    columns still running are multiplied.
     """
     if method not in ("auto", "exact", "alternating"):
         raise ValueError(f"unknown method {method!r}")
+    if restarts < 1 or max_iter < 1:
+        raise ValueError(
+            f"need restarts >= 1 and max_iter >= 1, got {restarts} and {max_iter}"
+        )
     exact_ok = C.p == _TWO and C.q == _TWO
     if method == "exact" and not exact_ok:
         raise ExponentOrder("the exact oracle needs p = q = 2")
@@ -244,38 +275,28 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     mat = C.matrix()
     mat_h = mat.conj().T
     p_star = C.p.conjugate()
-    best = 0.0
+    X = np.stack([_random_start(C.domain_profile, stream)
+                  for stream in np.random.SeedSequence(seed).spawn(restarts)], axis=1)
+    xn, _ = _dual_maximizer(C.domain_profile, X, C.p)
+    active = np.flatnonzero(xn != 0.0)
+    X = X[:, active] * (1.0 / xn[active])
+    current = np.zeros(restarts)
     total_iters = 0
-    streams = np.random.SeedSequence(seed).spawn(restarts)
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        x = BlockMatrix(
-            C.domain_profile,
-            [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-             for d in C.domain_profile],
-            copy=False,
-        )
-        xn = schatten_norm(x, C.p)
-        if xn == 0.0:
-            continue
-        x = x * (1.0 / xn)
-        current = 0.0
-        for _ in range(max_iter):
-            total_iters += 1
-            z = BlockMatrix.unflat(C.codomain_profile, mat @ x.flat())
-            val, y = _dual_maximizer(z, C.q)
-            if y is None:
-                break
-            g = BlockMatrix.unflat(C.domain_profile, mat_h @ y.flat())
-            val2, x_new = _dual_maximizer(g, p_star)
-            gain = max(val, val2) - current
-            current = max(val, val2, current)
-            if x_new is None or gain < 1e-10:
-                break
-            x = x_new
-        best = max(best, current)
-    return NormEstimate(lower_bound=best, certified=False, iterations=total_iters,
-                        restarts=restarts, seed=seed)
+    for _ in range(max_iter):
+        if not active.size:
+            break
+        total_iters += active.size
+        val, Y = _dual_maximizer(C.codomain_profile, mat @ X, C.q)
+        live = val != 0.0
+        active, val, Y = active[live], val[live], Y[:, live]
+        val2, X = _dual_maximizer(C.domain_profile, mat_h @ Y, p_star)
+        best = np.maximum(val, val2)
+        gain = best - current[active]
+        current[active] = np.maximum(best, current[active])
+        going = (val2 != 0.0) & ~(gain < 1e-10)
+        active, X = active[going], X[:, going]
+    return NormEstimate(lower_bound=float(np.max(current)), certified=False,
+                        iterations=total_iters, restarts=restarts, seed=seed)
 
 
 # ---------------------------------------------------------------------------

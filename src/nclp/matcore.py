@@ -274,18 +274,22 @@ def singular_values(x: BlockMatrix):
     return [np.linalg.svd(blk, compute_uv=False)[::-1] for blk in x.blocks]
 
 
-def _lp_norm(values: np.ndarray, p) -> float:
-    """l^p norm of nonnegative values, the largest factored out so large p cannot overflow."""
-    top = float(np.max(values)) if values.size else 0.0
-    if p.is_inf or top == 0.0:
+def _lp_norm(values: np.ndarray, p):
+    """l^p norm of nonnegative values along the last axis.
+
+    The largest value is factored out so large p cannot overflow.
+    """
+    top = np.max(values, axis=-1, initial=0.0)
+    if p.is_inf:
         return top
     pf = float(p)
-    return float(top * np.sum((values / top) ** pf) ** (1.0 / pf))
+    scale = np.where(top == 0.0, 1.0, top)[..., None]
+    return top * np.sum((values / scale) ** pf, axis=-1) ** (1.0 / pf)
 
 
 def schatten_norm(x: BlockMatrix, p) -> float:
     """Schatten p-norm: the l^p norm of all singular values across blocks."""
-    return _lp_norm(np.concatenate(singular_values(x)), coerce_exponent(p))
+    return float(_lp_norm(np.concatenate(singular_values(x)), coerce_exponent(p)))
 
 
 def polar(x: BlockMatrix):

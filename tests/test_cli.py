@@ -93,6 +93,16 @@ def test_norm_refuses_reversed_exponents(spec_path):
     assert main(["norm", spec_path, "--p", "1", "--q", "2"]) == 2
 
 
+def test_norm_zero_restarts_is_a_usage_error(spec_path, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for restarts in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["norm", spec_path, "--restarts", restarts, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--restarts" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_accept_and_reject(tmp_path):
     prof = BlockProfile([2])
     w1 = Weight.diagonal(prof, [0.5, 0.5])

@@ -147,6 +147,94 @@ def test_norm_deterministic_given_seed():
     assert a.lower_bound == b.lower_bound
 
 
+def test_norm_refuses_empty_runs():
+    ident = identity_operator(PROF2, 3)
+    for kwargs in ({"restarts": 0}, {"restarts": -1}, {"max_iter": 0}):
+        with pytest.raises(ValueError):
+            operator_norm(ident, **kwargs)
+
+
+def _reference_dual(z, s):
+    """The one-element dual maximiser: (norm, y), y None for z = 0."""
+    svds = [np.linalg.svd(blk) for blk in z.blocks]
+    all_s = np.concatenate([sv for _, sv, _ in svds])
+    norm = schatten_norm(z, s)
+    if norm == 0.0:
+        return 0.0, None
+    top = float(np.max(all_s))
+    if s.is_inf:
+        cut = top * (1.0 - 1e-12)
+        total = float(np.sum(all_s >= cut))
+        f_of_s = [(sv >= cut) / total for _, sv, _ in svds]
+    else:
+        f_of_s = [np.where(sv > 1e-14 * top, (sv / norm) ** (float(s) - 1.0), 0.0)
+                  for _, sv, _ in svds]
+    return norm, BlockMatrix(z.profile, [(w * f) @ vh for (w, _, vh), f in zip(svds, f_of_s)])
+
+
+def _reference_norm(C, restarts, max_iter, seed):
+    """One restart at a time on BlockMatrix elements.
+
+    Returns (best value, total iterations, list of per-restart iterations).
+    """
+    mat = C.matrix()
+    mat_h = mat.conj().T
+    p_star = C.p.conjugate()
+    best, steps = 0.0, []
+    for stream in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(stream)
+        x = BlockMatrix(C.domain_profile, [
+            rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for d in C.domain_profile
+        ])
+        x = x * (1.0 / schatten_norm(x, C.p))
+        current, k = 0.0, 0
+        for _ in range(max_iter):
+            k += 1
+            val, y = _reference_dual(BlockMatrix.unflat(C.codomain_profile, mat @ x.flat()), C.q)
+            if y is None:
+                break
+            val2, x_new = _reference_dual(BlockMatrix.unflat(C.domain_profile, mat_h @ y.flat()),
+                                          p_star)
+            gain = max(val, val2) - current
+            current = max(val, val2, current)
+            if x_new is None or gain < 1e-10:
+                break
+            x = x_new
+        best = max(best, current)
+        steps.append(k)
+    return best, sum(steps), steps
+
+
+def test_batched_restarts_match_one_at_a_time():
+    rng = generator(31)
+    max_iter = 35
+    mixed = 0
+    for dom, cod in (([3, 2], [2, 1]), ([2, 1], [3, 2])):
+        dom, cod = BlockProfile(dom), BlockProfile(cod)
+        for p, q in (("inf", 2), (3, "3/2")):
+            for seed in range(3):
+                mat = (rng.standard_normal((cod.coord_dim, dom.coord_dim))
+                       + 1j * rng.standard_normal((cod.coord_dim, dom.coord_dim)))
+                S = SuperOperator.from_matrix(dom, cod, p, q, mat)
+                best, total, steps = _reference_norm(S, 5, max_iter, seed)
+                est = operator_norm(S, restarts=5, max_iter=max_iter, seed=seed)
+                assert est.iterations == total
+                assert est.lower_bound == pytest.approx(best, rel=1e-12)
+                mixed += 0 < steps.count(max_iter) < len(steps)
+    # the comparison covers calls where restarts that stop early run next to
+    # restarts that hit max_iter
+    assert mixed >= 3
+
+
+def test_norm_of_zero_operator():
+    S = SuperOperator.from_matrix(BlockProfile([3, 2]), BlockProfile([2, 1]), 3, "3/2",
+                                  np.zeros((5, 13)))
+    est = operator_norm(S, restarts=4, seed=2)
+    assert est.lower_bound == 0.0
+    assert est.iterations == 4
+
+
 # -- change of weights ------------------------------------------------------
 
 
@@ -223,7 +311,7 @@ def test_norm_rank_one_map_exact():
     assert est.lower_bound == pytest.approx(2.5, abs=1e-8)
 
 
-def test_dual_maximizer_rank_deficient():
+def _rank_deficient_elements():
     # profile [1, 2, 3] with a zero block and a rank-1 block; in the second
     # element the top singular value 3 has multiplicity 2
     rng = generator(12)
@@ -234,12 +322,38 @@ def test_dual_maximizer_rank_deficient():
             (unitary(len(sv), rng) * np.array(sv)) @ unitary(len(sv), rng).conj().T
             for sv in svals
         ])
+        yield z, exponents
+
+
+def test_dual_maximizer_rank_deficient():
+    for z, exponents in _rank_deficient_elements():
         for s in exponents:
             s = Exponent(s)
-            norm, y = _dual_maximizer(z, s)
+            norms, ys = _dual_maximizer(z.profile, z.flat()[:, None], s)
+            norm, y = norms[0], BlockMatrix.unflat(z.profile, ys[:, 0])
             assert norm == pytest.approx(schatten_norm(z, s), rel=1e-12)
             assert schatten_norm(y, s.conjugate()) == pytest.approx(1.0, rel=1e-12)
             assert y.hs_inner(z).real == pytest.approx(norm, rel=1e-12)
+
+
+def test_dual_maximizer_stacked_columns():
+    # the zero element, the rank-deficient element and the s = inf element
+    # with a doubled top singular value, side by side: every column must come
+    # out as it does alone, so the top, the cut and the support count stay
+    # per column
+    (z1, _), (z2, _) = _rank_deficient_elements()
+    zero = BlockMatrix.zeros(z1.profile)
+    cols = np.stack([zero.flat(), z1.flat(), z2.flat()], axis=1)
+    for s in (1, "3/2", 2, "inf"):
+        s = Exponent(s)
+        norms, ys = _dual_maximizer(z1.profile, cols, s)
+        assert norms.shape == (3,) and ys.shape == cols.shape
+        for j in range(3):
+            alone_norm, alone_y = _dual_maximizer(z1.profile, cols[:, j:j + 1], s)
+            assert norms[j] == pytest.approx(alone_norm[0], rel=1e-14, abs=0.0)
+            np.testing.assert_allclose(ys[:, j], alone_y[:, 0], rtol=0.0, atol=1e-14)
+        assert norms[0] == 0.0
+        assert not np.any(ys[:, 0])
 
 
 def test_change_of_weights_scale():
