@@ -428,6 +428,7 @@ def cmd_classify(spec: SpecDocument, args) -> tuple[Report, int]:
                                                 seed=args.seed)
     report.put("verdict", result.verdict)
     report.put("max_projection_residual", result.max_projection_residual)
+    report.put("probes_used", result.probes)
     if result.accepted:
         report.put("tiles", _tiles_out(result.morphism))
         return report, 0
@@ -543,9 +544,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--p", default=None, help='domain exponent ("2", "1.5", "inf")')
         sp.add_argument("--q", default=None, help="codomain exponent")
         sp.add_argument("--r", default=None, help="ratio p/q for scale mode")
-        sp.add_argument("--restarts", type=int, default=16)
+        sp.add_argument("--restarts", type=int, default=16,
+                        help="maximiser restarts, at least 1 (used by norm only)")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=100)
+        sp.add_argument("--samples", type=int, default=100,
+                        help="random probes, at least 1 (used by check-jordan only)")
         sp.add_argument("--t", type=float, nargs="+", default=None,
                         help="modular group parameters")
         sp.add_argument("--out", default=None, help="write the report to a file")
@@ -572,6 +575,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.restarts < 1:
         parser.error(f"--restarts must be at least 1, got {args.restarts}")
+    if args.samples < 1:
+        parser.error(f"--samples must be at least 1, got {args.samples}")
     try:
         spec = SpecDocument.load(args.spec)
         report, code = _HANDLERS[args.command](spec, args)

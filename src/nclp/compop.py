@@ -10,7 +10,6 @@ preservation of embedded projections.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +26,19 @@ from .errors import (
 )
 from .exponents import Exponent, coerce, ratio, require_order
 from .haagerup import ExponentTriple
-from .jordan import JordanMorphismSpec, Tile, pushforward_density, verify_jordan
+from .jordan import (
+    JordanMorphismSpec,
+    Tile,
+    materialise,
+    pushforward_density,
+    verify_jordan,
+)
 from .matcore import (
     BlockMatrix,
     BlockProfile,
     _lp_norm,
+    block_stacks,
+    flat_columns,
     schatten_norm,
 )
 from .sampling import generator, hermitian, projection as random_projection
@@ -84,13 +91,7 @@ class SuperOperator:
     def matrix(self) -> np.ndarray:
         """Materialised matrix on block coordinates (cached)."""
         if self._matrix is None:
-            cols = []
-            for s, size in enumerate(self.domain_profile.dims):
-                for i in range(size):
-                    for j in range(size):
-                        unit = BlockMatrix.matrix_unit(self.domain_profile, s, i, j)
-                        cols.append(self.apply(unit).flat())
-            mat = np.array(cols).T
+            mat, _ = materialise(self.apply, self.domain_profile)
             mat.setflags(write=False)
             object.__setattr__(self, "_matrix", mat)
         return self._matrix
@@ -209,11 +210,7 @@ def _dual_maximizer(profile: BlockProfile, cols: np.ndarray, s: Exponent):
     the SVD z = W S V* as W f(S) V*, with one svd call per block on the
     (k, d, d) stack of all columns.
     """
-    k = cols.shape[1]
-    svds, at = [], 0
-    for d in profile:
-        svds.append(np.linalg.svd(cols[at : at + d * d].T.reshape(k, d, d)))
-        at += d * d
+    svds = [np.linalg.svd(stack) for stack in block_stacks(profile, cols)]
     all_s = np.concatenate([sv for _, sv, _ in svds], axis=-1)
     norms = _lp_norm(all_s, s)
     live = (norms != 0.0)[:, None]
@@ -228,9 +225,9 @@ def _dual_maximizer(profile: BlockProfile, cols: np.ndarray, s: Exponent):
     ys, at = [], 0
     for w, sv, vh in svds:
         d = sv.shape[-1]
-        ys.append(((w * f_of_s[:, None, at : at + d]) @ vh).reshape(k, d * d).T)
+        ys.append((w * f_of_s[:, None, at : at + d]) @ vh)
         at += d
-    return norms, np.concatenate(ys)
+    return norms, flat_columns(ys)
 
 
 def _random_start(profile: BlockProfile, stream) -> np.ndarray:
@@ -458,28 +455,47 @@ def left_multiplication(profile: BlockProfile, c: BlockMatrix, p, q) -> SuperOpe
 
 @dataclass(frozen=True)
 class ClassifyResult:
+    """Verdict of the classifier.
+
+    `probes` counts the projection probes tested up to the verdict (diagonal
+    patterns first, then spectral probes, up to and including a failing
+    one); 0 when not recorded.
+    """
+
     accepted: bool
     morphism: JordanMorphismSpec | None
     witness: tuple | None  # (probe projection, image, residual) on rejection
     max_projection_residual: float
+    probes: int = 0
 
     @property
     def verdict(self) -> str:
         return "ACCEPT" if self.accepted else "REJECT"
 
 
-def _diagonal_patterns(profile: BlockProfile, limit: int = 4096):
-    """All 0/1 diagonal projections (capped; the cap is far above desk sizes)."""
+def _diagonal_patterns(profile: BlockProfile, limit: int = 4096) -> np.ndarray:
+    """0/1 diagonal projections as flat coordinate columns, one per mask.
+
+    Diagonal entry i of column m is bit i of m.  Only the first `limit`
+    masks are built: past total_dim = log2(limit) (12 at the default) the
+    family is truncated, not all 2^total_dim patterns.
+    """
     n = profile.total_dim
     count = min(2 ** n, limit)
-    for mask in range(count):
-        bits = [(mask >> i) & 1 for i in range(n)]
-        yield BlockMatrix.diagonal(profile, np.array(bits, dtype=float))
+    starts = np.cumsum([0] + [d * d for d in profile.dims[:-1]])
+    rows = np.concatenate([at + np.arange(d) * (d + 1) for at, d in zip(starts, profile.dims)])
+    cols = np.zeros((profile.coord_dim, count), dtype=complex)
+    cols[rows] = (np.arange(count) >> np.arange(n)[:, None]) & 1
+    return cols
 
 
-def _spectral_probes(profile: BlockProfile, count: int, rng):
-    for _ in range(count):
-        yield random_projection(profile, rng)
+def _projection_residuals(profile: BlockProfile, F: np.ndarray) -> np.ndarray:
+    """max(||f - f*||_2, ||f^2 - f||_2) / max(1, ||f||_2) for every column f of F."""
+    adj = sq = 0.0
+    for f in block_stacks(profile, F):
+        adj = adj + np.sum(np.abs(f - f.conj().swapaxes(1, 2)) ** 2, axis=(1, 2))
+        sq = sq + np.sum(np.abs(f @ f - f) ** 2, axis=(1, 2))
+    return np.sqrt(np.maximum(adj, sq)) / np.maximum(1.0, np.linalg.norm(F, axis=0))
 
 
 def _rank_of_projection(p_blk: np.ndarray) -> int:
@@ -493,21 +509,24 @@ def _projection_frame(p_blk: np.ndarray) -> np.ndarray:
     return v[:, lam > 0.5]
 
 
-def _reconstruct_tiles(j0, profile1: BlockProfile, profile2: BlockProfile, tol: float):
+def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockProfile,
+                       tol: float):
     """Factor a verified Jordan map into tiles plus per-destination unitaries.
 
-    The multiplicative and antimultiplicative parts of the image of each
-    source block are separated with the extractors J(E_ii) J(E_ij) and
-    J(E_ij) J(E_ii) built from images of matrix units; matched orthonormal
-    frames then realise every copy as an H or A tile under one unitary per
-    destination block.
+    J0 is the materialised map: its columns are the images of the matrix
+    units in flat order.  The multiplicative and antimultiplicative parts
+    of the image of each source block are separated with the extractors
+    J(E_ii) J(E_ij) and J(E_ij) J(E_ii) built from those images; matched
+    orthonormal frames then realise every copy as an H or A tile under one
+    unitary per destination block.
     """
-    unit_images = {}
+    unit_images, at = {}, 0
     for s, size in enumerate(profile1.dims):
         unit_images[s] = [
-            [j0(BlockMatrix.matrix_unit(profile1, s, i, j)) for j in range(size)]
+            [BlockMatrix.unflat(profile2, J0[:, at + i * size + j]) for j in range(size)]
             for i in range(size)
         ]
+        at += size * size
     # copies[d] collects (src, kind, frame columns) in placement order
     copies = {d: [] for d in range(profile2.block_count)}
     for s, size in enumerate(profile1.dims):
@@ -590,14 +609,26 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
     """Decide whether S is the composition operator of some Jordan *-morphism.
 
     The candidate J0(a) = unembed(w2, S(embed(w1, a))) is probed on a family
-    of projections (spectral projections of random self-adjoint elements plus
-    all diagonal 0/1 patterns): a composition operator must send embedded
-    projections to embedded projections.  Survivors are checked for the
-    Jordan laws and factored back into an explicit tile morphism.
+    of projections (all diagonal 0/1 patterns, then `probes` spectral
+    projections of random self-adjoint elements): a composition operator
+    must send embedded projections to embedded projections.  Survivors are
+    checked for the Jordan laws and factored back into an explicit tile
+    morphism.
+
+    J0 is linear, so it is materialised once from its images of the matrix
+    units; each probe family is one array of flat coordinate columns pushed
+    through that matrix in one product.  The first column over tolerance is
+    the witness, and max_projection_residual and `probes` cover the columns
+    up to it, as a probe-by-probe loop would.  verify_jordan still probes
+    linearity through J0 itself, and the tiles are rebuilt from, and checked
+    against, the columns of the matrix.
 
     The projection tolerance 1e-7 is looser than the algebra tolerance
-    because two embeddings compound their rounding.
+    because two embeddings compound their rounding.  `probes` must be at
+    least 0.
     """
+    if probes < 0:
+        raise ValueError(f"need probes >= 0, got {probes}")
     p = S.p if p is None else coerce(p)
     q = S.q if q is None else coerce(q)
     w1.require_faithful("classifier (domain weight)")
@@ -609,19 +640,25 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
         return post @ S.apply(pre @ a @ pre) @ post
 
     tol = 1e-7
-    rng = generator(seed)
-    worst = 0.0
-    for e in itertools.chain(
-        _diagonal_patterns(w1.profile), _spectral_probes(w1.profile, probes, rng)
-    ):
-        f = j0(e)
-        scale = max(1.0, f.fro_norm())
-        residual = max((f - f.adjoint()).fro_norm(), (f @ f - f).fro_norm()) / scale
-        worst = max(worst, residual)
-        if residual > tol:
+    J0, _ = materialise(j0, w1.profile)
+    worst, used = 0.0, 0
+    # the spectral family is drawn only once every diagonal pattern passed
+    for draw_family in (lambda: _diagonal_patterns(w1.profile),
+                        lambda: random_projection(w1.profile, generator(seed), probes)):
+        E = draw_family()
+        F = J0 @ E
+        residuals = _projection_residuals(w2.profile, F)
+        over = np.flatnonzero(residuals > tol)
+        stop = int(over[0]) + 1 if over.size else E.shape[1]
+        worst = max(worst, float(np.max(residuals[:stop], initial=0.0)))
+        used += stop
+        if over.size:
+            k = over[0]
             return ClassifyResult(
                 accepted=False, morphism=None,
-                witness=(e, f, residual), max_projection_residual=worst,
+                witness=(BlockMatrix.unflat(w1.profile, E[:, k]),
+                         BlockMatrix.unflat(w2.profile, F[:, k]), float(residuals[k])),
+                max_projection_residual=worst, probes=used,
             )
     verification = verify_jordan(j0, samples=80, seed=seed + 1,
                                  profile=w1.profile, tol=tol)
@@ -631,23 +668,24 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
         return ClassifyResult(
             accepted=False, morphism=None,
             witness=(a, j0(a), verification.max_residual),
-            max_projection_residual=worst,
+            max_projection_residual=worst, probes=used,
         )
-    spec = _reconstruct_tiles(j0, w1.profile, w2.profile, tol)
+    spec = _reconstruct_tiles(J0, w1.profile, w2.profile, tol)
     # the reconstruction must reproduce the candidate exactly on a basis
-    for s, size in enumerate(w1.profile.dims):
-        for i in range(size):
-            for j in range(size):
-                unit = BlockMatrix.matrix_unit(w1.profile, s, i, j)
-                gap = (spec.apply(unit) - j0(unit)).fro_norm()
-                if gap > 1e-8 * max(1.0, j0(unit).fro_norm()):
-                    return ClassifyResult(
-                        accepted=False, morphism=None,
-                        witness=(unit, j0(unit), gap),
-                        max_projection_residual=worst,
-                    )
+    rebuilt, _ = materialise(spec.apply, w1.profile)
+    gaps = np.linalg.norm(rebuilt - J0, axis=0)
+    off = np.flatnonzero(gaps > 1e-8 * np.maximum(1.0, np.linalg.norm(J0, axis=0)))
+    if off.size:
+        k = off[0]
+        return ClassifyResult(
+            accepted=False, morphism=None,
+            witness=(BlockMatrix.unflat(w1.profile, np.eye(w1.profile.coord_dim)[k]),
+                     BlockMatrix.unflat(w2.profile, J0[:, k]), float(gaps[k])),
+            max_projection_residual=worst, probes=used,
+        )
     return ClassifyResult(
         accepted=True, morphism=spec, witness=None, max_projection_residual=worst,
+        probes=used,
     )
 
 
@@ -682,10 +720,10 @@ def contraction_inclusion(wB: Weight, w2: Weight, inclusion: JordanMorphismSpec,
     constant = schatten_norm(m, "inf")
     if not np.isfinite(constant):
         raise DominationFails("no finite domination constant")
-    rng = generator(11)
-    probes = list(_diagonal_patterns(wB.profile, limit=256))
-    probes += [e for e in _spectral_probes(wB.profile, 25, rng)]
-    for e in probes:
+    probes = np.concatenate([_diagonal_patterns(wB.profile, limit=256),
+                             random_projection(wB.profile, generator(11), 25)], axis=1)
+    for col in probes.T:
+        e = BlockMatrix.unflat(wB.profile, col)
         lhs = w2.value(inclusion.apply(e)).real
         rhs = constant * wB.value(e).real
         if lhs > rhs + 1e-9 * max(1.0, rhs):

@@ -274,6 +274,24 @@ def singular_values(x: BlockMatrix):
     return [np.linalg.svd(blk, compute_uv=False)[::-1] for blk in x.blocks]
 
 
+def block_stacks(profile: BlockProfile, cols: np.ndarray) -> list:
+    """Per-block (k, d, d) stacks of k flat coordinate columns (coord_dim, k).
+
+    The stacks are views where numpy allows; flat_columns is the inverse.
+    """
+    k = cols.shape[1]
+    stacks, at = [], 0
+    for d in profile:
+        stacks.append(cols[at : at + d * d].T.reshape(k, d, d))
+        at += d * d
+    return stacks
+
+
+def flat_columns(stacks) -> np.ndarray:
+    """Flat coordinate columns (coord_dim, k) from per-block (k, d, d) stacks."""
+    return np.concatenate([s.reshape(s.shape[0], s.shape[1] * s.shape[2]).T for s in stacks])
+
+
 def _lp_norm(values: np.ndarray, p):
     """l^p norm of nonnegative values along the last axis.
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import BlockMatrix, BlockProfile
+from .matcore import BlockMatrix, BlockProfile, flat_columns
 
 
 def generator(seed) -> np.random.Generator:
@@ -54,18 +54,31 @@ def block_unitary(profile: BlockProfile, rng: np.random.Generator) -> BlockMatri
     return BlockMatrix(profile, [unitary(d, rng) for d in profile], copy=False)
 
 
-def projection(profile: BlockProfile, rng: np.random.Generator) -> BlockMatrix:
-    """Random spectral projection of a random Hermitian element."""
-    blocks = []
-    for d in profile:
-        g = _ginibre(d, rng)
-        h = (g + g.conj().T) / 2
-        lam, v = np.linalg.eigh(h)
+def projection(profile: BlockProfile, rng: np.random.Generator, count: int) -> np.ndarray:
+    """Random spectral projections of random Hermitian elements, as flat columns.
+
+    Returns the (coord_dim, count) flat block coordinates of `count` probes.
+    Probe by probe and block by block, the generator gives a Ginibre matrix
+    g and then one uniform u; the block keeps the eigenvectors of
+    h = (g + g*)/2 whose eigenvalues lie above lam_min + u (lam_max - lam_min),
+    or, for a 1x1 block, the whole block when u < 0.5.  All draws come
+    first, in that order, then one batched eigh per block, so the columns
+    equal `count` draws of one probe each.
+    """
+    dims = profile.dims
+    gs = [np.empty((count, d, d), dtype=complex) for d in dims]
+    us = np.empty((len(dims), count))
+    for k in range(count):
+        for b, d in enumerate(dims):
+            gs[b][k] = _ginibre(d, rng)
+            us[b, k] = rng.random()
+    stacks = []
+    for d, g, u in zip(dims, gs, us):
+        lam, v = np.linalg.eigh((g + g.conj().swapaxes(1, 2)) / 2)
         if d == 1:
-            keep = np.array([rng.random() < 0.5])
+            keep = u[:, None] < 0.5
         else:
-            theta = rng.uniform(lam[0], lam[-1])
-            keep = lam > theta
-        p = (v * keep.astype(float)) @ v.conj().T
-        blocks.append((p + p.conj().T) / 2)
-    return BlockMatrix(profile, blocks, copy=False)
+            keep = lam > lam[:, :1] + (lam[:, -1:] - lam[:, :1]) * u[:, None]
+        p = (v * keep[:, None, :].astype(float)) @ v.conj().swapaxes(1, 2)
+        stacks.append((p + p.conj().swapaxes(1, 2)) / 2)
+    return flat_columns(stacks)

@@ -103,6 +103,16 @@ def test_norm_zero_restarts_is_a_usage_error(spec_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_check_jordan_zero_samples_is_a_usage_error(spec_path, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    for samples in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check-jordan", spec_path, "--samples", samples, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "--samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_classify_accept_and_reject(tmp_path):
     prof = BlockProfile([2])
     w1 = Weight.diagonal(prof, [0.5, 0.5])
@@ -117,6 +127,7 @@ def test_classify_accept_and_reject(tmp_path):
     assert code == 0
     assert report["results"]["verdict"] == "ACCEPT"
     assert report["results"]["tiles"][0]["kind"] == "A"
+    assert report["results"]["probes_used"] == 2 ** 2 + 200
 
     perturbed = np.array(mat) + 0.05 * np.eye(4)
     spec["superoperator"] = {"matrix": [[c2(z) for z in row] for row in perturbed]}
@@ -126,6 +137,7 @@ def test_classify_accept_and_reject(tmp_path):
     assert code2 == 2
     assert report2["results"]["verdict"] == "REJECT"
     assert report2["results"]["witness_residual"] > 1e-7
+    assert 1 <= report2["results"]["probes_used"] <= 2 ** 2 + 200
 
 
 def test_classify_dimension_error(tmp_path):

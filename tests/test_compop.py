@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from nclp.compop import (
     SuperOperator,
     _dual_maximizer,
+    _reconstruct_tiles,
     build_composition,
     change_of_weights,
     change_of_weights_scale,
@@ -34,7 +37,7 @@ from nclp.jordan import (
     transpose_morphism,
 )
 from nclp.matcore import BlockMatrix, BlockProfile, schatten_norm
-from nclp.sampling import element, generator, hermitian, psd, unitary
+from nclp.sampling import element, generator, hermitian, projection, psd, unitary
 from nclp.vnops import Weight
 
 PROF2 = BlockProfile([2])
@@ -510,6 +513,148 @@ def test_classifier_handles_kills_and_multiplicity():
                 u = BlockMatrix.matrix_unit(PROF23, s, i, j)
                 worst = max(worst, (res.morphism.apply(u) - spec.apply(u)).fro_norm())
     assert worst < 1e-8
+
+
+def _reference_projection(profile, rng):
+    """One spectral probe, drawn block by block (normals, then one uniform)."""
+    blocks = []
+    for d in profile:
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        lam, v = np.linalg.eigh((g + g.conj().T) / 2)
+        if d == 1:
+            keep = np.array([rng.random() < 0.5])
+        else:
+            keep = lam > rng.uniform(lam[0], lam[-1])
+        blk = (v * keep.astype(float)) @ v.conj().T
+        blocks.append((blk + blk.conj().T) / 2)
+    return BlockMatrix(profile, blocks, copy=False)
+
+
+def _reference_classify(S, w1, w2, probes, seed):
+    """The projection test one probe at a time through the candidate callable.
+
+    Returns (witness probe or None, its residual, worst residual, probes
+    used, materialised candidate).
+    """
+    pre = w1.power(S.p.reciprocal() / 2)
+    post = w2.power(-S.q.reciprocal() / 2)
+
+    def j0(a):
+        return post @ S.apply(pre @ a @ pre) @ post
+
+    n = w1.profile.total_dim
+    diagonal = (BlockMatrix.diagonal(w1.profile, [(m >> i) & 1 for i in range(n)])
+                for m in range(min(2 ** n, 4096)))
+    rng = generator(seed)
+    spectral = (_reference_projection(w1.profile, rng) for _ in range(probes))
+    units = [BlockMatrix.matrix_unit(w1.profile, s, i, j)
+             for s, d in enumerate(w1.profile.dims) for i in range(d) for j in range(d)]
+    J0 = np.array([j0(u).flat() for u in units]).T
+    worst, used = 0.0, 0
+    for e in itertools.chain(diagonal, spectral):
+        used += 1
+        f = j0(e)
+        residual = max((f - f.adjoint()).fro_norm(), (f @ f - f).fro_norm()) / max(1.0, f.fro_norm())
+        worst = max(worst, residual)
+        if residual > 1e-7:
+            return e, residual, worst, used, J0
+    return None, None, worst, used, J0
+
+
+def _diagonal_compressed(spec, w1, w2, p, q):
+    """x -> embed(w2, J(E(unembed(w1, x)))), E the diagonal expectation."""
+    pre = w1.power(-Exponent(p).reciprocal() / 2)
+    post = w2.power(Exponent(q).reciprocal() / 2)
+
+    def action(x):
+        y = pre @ x @ pre
+        diag = BlockMatrix(y.profile, [np.diag(np.diagonal(b)) for b in y.blocks])
+        return post @ spec.apply(diag) @ post
+
+    return SuperOperator(spec.profile1, spec.profile2, p, q, action, check=False)
+
+
+def test_projection_batch_matches_single_draws():
+    for dims in ([2], [1, 2], [4, 3], [1, 1, 3]):
+        profile = BlockProfile(dims)
+        for seed in range(4):
+            rng, ref_rng = generator(seed), generator(seed)
+            cols = projection(profile, rng, 30)
+            assert cols.shape == (profile.coord_dim, 30)
+            for k in range(30):
+                assert np.array_equal(cols[:, k], _reference_projection(profile, ref_rng).flat())
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_batched_classifier_matches_probe_loop():
+    rng = generator(47)
+    cases = []
+    for dims in ([2], [1, 2], [2, 2], [2, 3]):
+        profile = BlockProfile(dims)
+        for p, q in ((2, 2), (2, 1), (3, "3/2"), ("inf", 2)):
+            spec = random_morphism(rng, profile1=profile)
+            w1, w2 = faithful(profile, rng), faithful(spec.profile2, rng)
+            cases.append(("accept", build_composition(spec, w1, w2, p, q), w1, w2))
+        spec = random_morphism(rng, profile1=profile)
+        w1, w2 = faithful(profile, rng), faithful(spec.profile2, rng)
+        mat = np.array(build_composition(spec, w1, w2, 2, 1).matrix())
+        noise = 0.05 * (rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape))
+        cases.append(("noise", SuperOperator.from_matrix(profile, spec.profile2, 2, 1,
+                                                         mat + noise), w1, w2))
+        # a diagonal-compressed map passes every diagonal pattern, so it
+        # must fail on a spectral probe; J covers every block so that it is
+        # not a composition operator again
+        spec = random_morphism(rng, profile1=profile, allow_partial=False)
+        w1, w2 = faithful(profile, rng), faithful(spec.profile2, rng)
+        cases.append(("diagonal", _diagonal_compressed(spec, w1, w2, 2, 1), w1, w2))
+    for seed, (kind, S, w1, w2) in enumerate(cases):
+        e, residual, worst, used, J0 = _reference_classify(S, w1, w2, 200, seed)
+        res = classify_characteristic_preserving(S, w1, w2, seed=seed)
+        assert res.accepted == (kind == "accept") == (e is None)
+        assert res.probes == used
+        assert res.max_projection_residual == pytest.approx(worst, rel=0.0, abs=1e-12)
+        n_diag = 2 ** w1.profile.total_dim
+        if kind == "diagonal":
+            assert used == n_diag + 1
+        if e is None:
+            assert used == n_diag + 200
+            ref = _reconstruct_tiles(J0, w1.profile, w2.profile, 1e-7)
+            assert [(t.src, t.dst, t.offset, t.kind) for t in res.morphism.tiles] == \
+                [(t.src, t.dst, t.offset, t.kind) for t in ref.tiles]
+            for u, v in zip(res.morphism.block_unitaries, ref.block_unitaries):
+                np.testing.assert_allclose(u, v, rtol=0.0, atol=1e-12)
+        else:
+            probe, _, got = res.witness
+            assert (probe - e).fro_norm() <= 1e-12
+            assert got == pytest.approx(residual, rel=0.0, abs=1e-12)
+
+
+def test_classifier_refuses_negative_probe_count():
+    w = Weight.diagonal(PROF2, [0.5, 0.5])
+    C = build_composition(identity_morphism(PROF2), w, w, 2, 1)
+    with pytest.raises(ValueError):
+        classify_characteristic_preserving(C, w, w, probes=-1)
+    res = classify_characteristic_preserving(C, w, w, probes=0)
+    assert res.accepted and res.probes == 2 ** 2
+
+
+def test_classifier_rejects_conjugate_linear_operator():
+    # x -> C(conj x) sends projections to projections and its matrix on the
+    # (real) matrix units is that of C, so only the linearity probe through
+    # the operator itself can refuse it
+    profile = BlockProfile([1, 2])
+    w1 = Weight.diagonal(profile, [0.3, 0.5, 0.2])
+    spec = random_morphism(generator(48), profile1=profile)
+    w2 = Weight.diagonal(spec.profile2, np.linspace(0.5, 1.5, spec.profile2.total_dim))
+    C = build_composition(spec, w1, w2, 2, 1)
+    S = SuperOperator(profile, spec.profile2, 2, 1,
+                      lambda x: C.apply(BlockMatrix(x.profile, [b.conj() for b in x.blocks])),
+                      check=False)
+    res = classify_characteristic_preserving(S, w1, w2)
+    assert not res.accepted
+    assert res.probes == 2 ** profile.total_dim + 200
+    assert res.max_projection_residual < 1e-7
+    assert res.witness[2] > 1e-7
 
 
 # -- contraction inclusion --------------------------------------------------

@@ -9,6 +9,7 @@ from nclp.jordan import (
     decompose,
     identity_morphism,
     is_modular_invariant,
+    materialise,
     pushforward_density,
     random_morphism,
     random_onto_morphism,
@@ -67,6 +68,33 @@ def test_verify_jordan_pass_and_fail():
     # explicit witness: a = e12 + e21 squares to the identity
     a = BlockMatrix(PROF2, [np.array([[0.0, 1.0], [1.0, 0.0]])])
     assert (diag_part(a @ a) - diag_part(a) @ diag_part(a)).fro_norm() > 1.0
+
+
+def test_verify_jordan_catches_conjugate_linear_map():
+    # x -> J(conj x) has the matrix of J on the (real) matrix units, so only
+    # the linearity probe through the map itself can catch it
+    spec = random_morphism(generator(9), profile1=PROF23)
+
+    def conj_linear(x):
+        return spec.apply(BlockMatrix(x.profile, [b.conj() for b in x.blocks]))
+
+    assert np.array_equal(materialise(conj_linear, PROF23)[0], materialise(spec.apply, PROF23)[0])
+    assert verify_jordan(spec, samples=20).passed
+    report = verify_jordan(conj_linear, samples=20, profile=PROF23)
+    assert not report.passed
+    assert report.max_residual > 1e-3
+    assert report.failures
+
+
+def test_verify_jordan_refuses_empty_runs():
+    def conj_linear(x):
+        return BlockMatrix(x.profile, [b.conj() for b in x.blocks])
+
+    for samples in (0, -3):
+        with pytest.raises(ValueError):
+            verify_jordan(conj_linear, samples=samples, profile=PROF2)
+        with pytest.raises(ValueError):
+            verify_jordan(identity_morphism(PROF2), samples=samples)
 
 
 def test_random_morphisms_verify():

@@ -5,6 +5,8 @@ from nclp.errors import BadExponent, NotHermitian, NotPSD, SingularNegativePower
 from nclp.matcore import (
     BlockMatrix,
     BlockProfile,
+    block_stacks,
+    flat_columns,
     frac_power,
     hermitian_eig,
     polar,
@@ -224,3 +226,17 @@ def test_polar_rank_deficient():
     uu = u.adjoint() @ u
     assert uu.allclose(support_of(absx), tol=1e-12)
     assert [round(np.trace(b).real) for b in uu.blocks] == [0, 2, 1]
+
+
+def test_block_stacks_round_trip():
+    rng = generator(12)
+    for profile in PROFILES:
+        elements = [element(profile, rng) for _ in range(3)]
+        cols = np.stack([x.flat() for x in elements], axis=1)
+        stacks = block_stacks(profile, cols)
+        for b, d in enumerate(profile.dims):
+            assert stacks[b].shape == (3, d, d)
+            for k, x in enumerate(elements):
+                assert np.array_equal(stacks[b][k], x.blocks[b])
+        assert np.array_equal(flat_columns(stacks), cols)
+        assert flat_columns(block_stacks(profile, cols[:, :0])).shape == (profile.coord_dim, 0)
