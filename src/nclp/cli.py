@@ -33,13 +33,14 @@ from .compop import (
     SuperOperator,
     build_composition,
     change_of_weights,
+    change_of_weights_bound_if_onto,
     change_of_weights_scale,
     classify_characteristic_preserving,
     operator_norm,
 )
 from .errors import NclpError, SpecFileError
 from .exponents import Exponent
-from .jordan import JordanMorphismSpec, Tile, pushforward_density, verify_jordan
+from .jordan import JordanMorphismSpec, Tile, verify_jordan
 from .matcore import BlockMatrix, BlockProfile, commutator_norm
 from .vnops import Weight, in_centralizer, modular_conjugate, weights_commute
 
@@ -366,26 +367,6 @@ def cmd_check_jordan(spec: SpecDocument, args) -> tuple[Report, int]:
     return report, 0 if result.passed else 2
 
 
-def _cw_bound_if_clean(morphism, w1, w2, p, q):
-    """Change-of-weights bound for C_J when it provably dominates the norm.
-
-    That is the case when the morphism is a blockwise *-iso/antiiso onto the
-    codomain: one tile per source block, every block covered on both sides.
-    Then C_J factors as the change of weights followed by an isometry.
-    """
-    srcs = [t.src for t in morphism.tiles]
-    if sorted(srcs) != list(range(morphism.profile1.block_count)):
-        return None
-    covered = morphism.unit_image()
-    ident = BlockMatrix.identity(morphism.profile2)
-    if (covered - ident).fro_norm() > 1e-9:
-        return None
-    k = pushforward_density(morphism, w2)
-    if not k.is_faithful:
-        return None
-    return change_of_weights(w1, k, p, q).bound
-
-
 def cmd_norm(spec: SpecDocument, args) -> tuple[Report, int]:
     p = spec.exponent("p", args.p)
     q = spec.exponent("q", args.q)
@@ -404,7 +385,7 @@ def cmd_norm(spec: SpecDocument, args) -> tuple[Report, int]:
     report.put("q", q)
     report.put("norm_lower_bound", estimate.lower_bound)
     report.put("certified", estimate.certified)
-    bound = _cw_bound_if_clean(morphism, w1, w2, p, q)
+    bound = change_of_weights_bound_if_onto(morphism, w1, w2, p, q)
     if bound is not None:
         report.put("change_of_weights_bound", bound)
         report.put("within_bound", estimate.lower_bound <= bound + 1e-6)

@@ -3,9 +3,9 @@
 Builds the operator C_J : x -> embed(w2, J(unembed(w1, x))), estimates
 L^p -> L^q operator norms by alternating duality alignment (with an exact
 singular-value oracle at p = q = 2), solves the bounded change-of-weights
-problem, recovers one-sided multipliers from module homomorphisms, and
-classifies which raw operators are composition operators by testing
-preservation of embedded projections.
+problem (exact norm, attaining witness), recovers one-sided multipliers
+from module homomorphisms, and classifies which raw operators are
+composition operators by testing preservation of embedded projections.
 """
 
 from __future__ import annotations
@@ -36,9 +36,12 @@ from .jordan import (
 from .matcore import (
     BlockMatrix,
     BlockProfile,
+    _from_spectrum,
     _lp_norm,
+    _spectral_power,
     block_stacks,
     flat_columns,
+    hermitian_eig,
     schatten_norm,
 )
 from .sampling import generator, hermitian, projection as random_projection
@@ -154,10 +157,10 @@ class SuperOperator:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A lower bound on an operator norm; certified only via the (2,2) oracle.
+    """A lower bound on an operator norm, certified when exact (the (2,2) oracle, a witness).
 
-    `iterations` is summed over the restarts, so it equals
-    restarts * max_iter exactly when every restart hit the cap.
+    `iterations` is summed over the restarts (0 for exact values), so it
+    equals restarts * max_iter exactly when every restart hit the cap.
     """
 
     lower_bound: float
@@ -303,24 +306,26 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
 
 @dataclass(frozen=True)
 class ChangeOfWeights:
-    """Connecting element, norm bound and the induced map for a change of weights."""
+    """Connecting element, exact norm, induced map and the witness attaining the norm."""
 
     d: BlockMatrix
     bound: float
     operator: SuperOperator
     norm_estimate: NormEstimate
+    witness: BlockMatrix
     triple: ExponentTriple
 
 
-def change_of_weights(w: Weight, w0: Weight, p, q,
-                      check_restarts: int = 2, check_iters: int = 40) -> ChangeOfWeights:
+def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     """Solve the change-of-weights problem from w (density h) to w0 (density k).
 
     The connecting element d = k^{1/(2q)} h^{-1/(2p)} satisfies
     |d h^{1/(2p)}|^2 = k^{1/q} exactly, and the induced map
-    embed_p(w, a) -> embed_q(w0, eae) (e the support of w0) has norm at most
-    ||  |d|^2 ||_r = ||d||_{2r}^2 for the Holder complement r.  A light
-    alternating-maximisation run asserts the bound empirically.
+    x -> d x d* (embed_p(w, a) -> embed_q(w0, eae), e the support of w0)
+    has norm ||  |d|^2 ||_r = ||d||_{2r}^2 for the Holder complement r,
+    attained at x = (d*d)^{r/p} (support convention: the support projection
+    at p = inf), or at r = inf on one top eigenvector of d*d.  NoConvergence
+    if the witness falls 1e-9 relative below the bound or 1e-6 above it.
     """
     p, q = coerce(p), coerce(q)
     require_order(p, q)
@@ -331,18 +336,43 @@ def change_of_weights(w: Weight, w0: Weight, p, q,
     half_out = w0.power(q.reciprocal() / 2)   # k^{1/(2q)}; support proj at q = inf
     half_in = w.power(-p.reciprocal() / 2)    # h^{-1/(2p)}; identity at p = inf
     d = half_out @ half_in
-    bound = schatten_norm(d.adjoint() @ d, triple.r)
+    dd = d.adjoint() @ d
+    bound = schatten_norm(dd, triple.r)
     op = SuperOperator(
         w.profile, w.profile, p, q,
         lambda x: half_out @ (half_in @ x @ half_in) @ half_out,
         check=False,
     )
-    est = operator_norm(op, restarts=check_restarts, max_iter=check_iters, seed=7)
-    if est.lower_bound > bound + 1e-6:
-        raise NoConvergence(
-            f"measured norm {est.lower_bound:.9f} exceeds the bound {bound:.9f}"
-        )
-    return ChangeOfWeights(d=d, bound=bound, operator=op, norm_estimate=est, triple=triple)
+    lams, V = hermitian_eig(dd)
+    if triple.r.is_inf:
+        values = [np.zeros_like(lam) for lam in lams]
+        values[int(np.argmax([lam[-1] for lam in lams]))][-1] = 1.0
+        witness = _from_spectrum(w.profile, values, V.blocks)
+    else:
+        witness = _spectral_power(w.profile, lams, V.blocks,
+                                  float(triple.r.fraction * p.reciprocal()))
+    value = schatten_norm(op.apply(witness), q) / schatten_norm(witness, p) if bound else 0.0
+    if value > bound + 1e-6 or value < bound * (1.0 - 1e-9):
+        raise NoConvergence(f"witness attains {value:.15g}, the bound is {bound:.15g}")
+    est = NormEstimate(lower_bound=value, certified=True, iterations=0, restarts=0, seed=0)
+    return ChangeOfWeights(d=d, bound=bound, operator=op, norm_estimate=est,
+                           witness=witness, triple=triple)
+
+
+def change_of_weights_bound_if_onto(J: JordanMorphismSpec, w1: Weight, w2: Weight,
+                                    p, q) -> float | None:
+    """Change-of-weights bound for C_J when it provably dominates the norm, else None.
+
+    J must be a blockwise *-iso/antiiso onto the codomain (one tile per source
+    block, every block covered on both sides); then C_J is the change of weights
+    from w1 to the pushforward of w2 followed by an isometry.
+    """
+    if sorted(t.src for t in J.tiles) != list(range(J.profile1.block_count)):
+        return None
+    if (J.unit_image() - BlockMatrix.identity(J.profile2)).fro_norm() > 1e-9:
+        return None
+    k = pushforward_density(J, w2)
+    return change_of_weights(w1, k, p, q).bound if k.is_faithful else None
 
 
 @dataclass(frozen=True)
@@ -368,7 +398,8 @@ def change_of_weights_scale(w: Weight, w0: Weight, r, sample_pairs) -> ScaleRepo
     """Run the change of weights along a whole scale of pairs with p/q fixed.
 
     Every pair must realise the ratio exactly; each entry reports the bound
-    and the measured lower bound (finite bounds are automatic here).
+    and the value its witness attains, so `measured` equals `bound` to
+    rounding (finite bounds are automatic here).
     """
     r = coerce(r)
     entries = []

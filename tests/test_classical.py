@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,8 @@ from nclp.classical import (
     rn_derivative,
 )
 from nclp.errors import ExponentOrder, ProfileMismatch, TooLarge
-from nclp.matcore import BlockMatrix
+from nclp.exponents import Exponent
+from nclp.matcore import BlockMatrix, schatten_norm
 from nclp.sampling import generator
 
 
@@ -137,6 +140,71 @@ def test_bound_attained_for_constant_derivative():
         crit = criterion(T, m1, m2, p, 1)
         measured = exact_diagonal_norm(T, m1, m2, p, 1)
         assert measured == pytest.approx(crit.bound, abs=1e-6)
+
+
+PAIRS = [(2, 1), (3, "3/2"), (2, 2), (4, 2), ("inf", 2), ("inf", 1), (1, 1),
+         ("inf", "inf")]
+
+
+def _reference_search(T, m1, m2, p, q):
+    """The best Lagrange profile over every support subset, by enumeration."""
+    p, q = Exponent(p), Exponent(q)
+    f = rn_derivative(T, m1, m2)
+    masses = np.array(m1.mass)
+    pos = np.where(f > 0)[0]
+    if pos.size == 0:
+        return 0.0
+    pf, qf = float(p), float(q)
+
+    def value_on(support):
+        g = np.zeros_like(f)
+        if p == q:
+            g[max(support, key=lambda i: f[i])] = 1.0
+        else:
+            g[list(support)] = f[list(support)] ** (1.0 / (pf - qf))
+        num = float(np.sum(masses * f * g ** qf)) ** (1.0 / qf)
+        den = float(np.sum(masses * g ** pf)) ** (1.0 / pf)
+        return num / den if den > 0 else 0.0
+
+    candidates = [tuple(pos)]
+    for k in range(1, pos.size + 1):
+        candidates.extend(itertools.combinations(pos, k))
+    return max(value_on(s) for s in candidates)
+
+
+def test_closed_form_matches_support_search():
+    rng = generator(31)
+    cases = [random_space_pair(rng) for _ in range(30)]
+    cases.append((PointMap({}),) + running_example()[1:])
+    for T, m1, m2 in cases:
+        for p, q in PAIRS:
+            closed = exact_diagonal_norm(T, m1, m2, p, q)
+            searched = _reference_search(T, m1, m2, p, q)
+            assert abs(closed - searched) <= 1e-15 * searched
+
+
+def test_witness_attains_exact_norm():
+    # g = f^{1/(p-q)} on the support of f (the indicator of the largest f at
+    # p = q), pushed through the operator in embedded coordinates
+    rng = generator(32)
+    for _ in range(10):
+        T, m1, m2 = random_space_pair(rng)
+        f = rn_derivative(T, m1, m2)
+        if not np.any(f > 0):
+            continue
+        for p, q in PAIRS:
+            p, q = Exponent(p), Exponent(q)
+            g = np.zeros_like(f)
+            if p == q:
+                g[np.argmax(f)] = 1.0
+            else:
+                g[f > 0] = f[f > 0] ** (1.0 / (float(p) - float(q)))
+            x = BlockMatrix.diagonal(m1.profile(), g * np.array(m1.mass) ** float(p.reciprocal()))
+            C = build_classical(T, m1, m2, p, q, cross_check=False)
+            value = schatten_norm(C.apply(x), q) / schatten_norm(x, p)
+            assert value == pytest.approx(exact_diagonal_norm(T, m1, m2, p, q), rel=1e-12)
+            if not p.is_inf:
+                assert value == pytest.approx(criterion(T, m1, m2, p, q).bound, rel=1e-12)
 
 
 def test_pipeline_running_example():

@@ -9,6 +9,7 @@ from nclp.compop import (
     _reconstruct_tiles,
     build_composition,
     change_of_weights,
+    change_of_weights_bound_if_onto,
     change_of_weights_scale,
     classify_characteristic_preserving,
     contraction_inclusion,
@@ -33,6 +34,7 @@ from nclp.jordan import (
     JordanMorphismSpec,
     Tile,
     identity_morphism,
+    pushforward_density,
     random_morphism,
     transpose_morphism,
 )
@@ -302,6 +304,60 @@ def test_change_of_weights_sup_domain_corners():
     # at (inf, 1) the bound is the total mass of the target weight
     cw1 = change_of_weights(w, v, "inf", 1)
     assert cw1.bound == pytest.approx(v.total(), rel=1e-10)
+
+
+CW_PAIRS = [(2, 1), (3, "3/2"), (2, 2), (1, 1), ("inf", 1), ("inf", 2), ("inf", "inf")]
+
+
+def _singular_target(profile, rng):
+    # a random density with the smallest eigenvalue of its last block set to 0
+    blocks = []
+    for i, d in enumerate(profile):
+        lam = rng.uniform(0.2, 2.0, d)
+        if i == profile.block_count - 1:
+            lam[0] = 0.0
+        u = unitary(d, rng)
+        blocks.append((u * lam) @ u.conj().T)
+    return Weight(BlockMatrix(profile, blocks))
+
+
+def test_change_of_weights_witness_attains_bound():
+    rng = generator(23)
+    for dims in ([1], [2], [3, 2], [4, 1, 2]):
+        profile = BlockProfile(dims)
+        targets = [faithful(profile, rng), Weight(BlockMatrix.zeros(profile))]
+        if profile.total_dim > 1:
+            targets.append(_singular_target(profile, rng))
+        for target in targets:
+            h = faithful(profile, rng)
+            for p, q in CW_PAIRS:
+                cw = change_of_weights(h, target, p, q)
+                assert cw.norm_estimate.certified
+                if target.total() == 0.0:
+                    assert cw.bound == 0.0 and cw.norm_estimate.lower_bound == 0.0
+                    continue
+                x = cw.witness
+                value = schatten_norm(cw.operator.apply(x), q) / schatten_norm(x, p)
+                assert value == pytest.approx(cw.bound, rel=1e-12)
+                assert cw.norm_estimate.lower_bound == pytest.approx(cw.bound, rel=1e-12)
+
+
+def test_change_of_weights_bound_if_onto():
+    rng = generator(25)
+    w1, w2 = faithful(PROF23, rng), faithful(PROF23, rng)
+    onto = transpose_morphism(PROF23)
+    bound = change_of_weights_bound_if_onto(onto, w1, w2, 3, "3/2")
+    assert bound == change_of_weights(w1, pushforward_density(onto, w2), 3, "3/2").bound
+    est = operator_norm(build_composition(onto, w1, w2, 3, "3/2"), restarts=4, seed=0)
+    assert est.lower_bound <= bound + 1e-6
+    # two copies of one source block fill the codomain; a corner misses part of it
+    prof1, prof3 = BlockProfile([1]), BlockProfile([3])
+    doubled = JordanMorphismSpec(prof1, PROF2, [Tile(0, 0, 0, "H"), Tile(0, 0, 1, "H")])
+    corner = JordanMorphismSpec(PROF2, prof3, [Tile(0, 0, 0, "H")])
+    assert change_of_weights_bound_if_onto(
+        doubled, faithful(prof1, rng), faithful(PROF2, rng), 2, 1) is None
+    assert change_of_weights_bound_if_onto(
+        corner, faithful(PROF2, rng), faithful(prof3, rng), 2, 1) is None
 
 
 def test_norm_rank_one_map_exact():
