@@ -175,11 +175,26 @@ def identity_operator(profile: BlockProfile, p, q=None) -> SuperOperator:
     return SuperOperator(profile, profile, p, q, lambda x: x, check=False)
 
 
+def _sandwich_matrix(b: BlockMatrix) -> np.ndarray:
+    """Matrix of x -> b x b on flat block coordinates: blockdiag(kron(b_i, b_i^T))."""
+    profile = b.profile
+    mat = np.zeros((profile.coord_dim, profile.coord_dim), dtype=complex)
+    at = 0
+    for d, blk in zip(profile.dims, b.blocks):
+        mat[at : at + d * d, at : at + d * d] = np.kron(blk, blk.T)
+        at += d * d
+    return mat
+
+
 def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> SuperOperator:
     """The composition operator embed_q(w2) o J o unembed_p(w1).
 
     Exact at finite dimension because the symmetric embedding is bijective
     for a faithful weight.  Requires q <= p; the reversed regime is refused.
+    The operator is built from its matrix, a product of closed forms:
+    x -> post x post and x -> pre x pre are blockdiag(kron(b_i, b_i^T)) for
+    post = k^{1/(2q)} and pre = h^{-1/(2p)}, and J is `J.matrix()`; no
+    closure is called.
     """
     p, q = coerce(p), coerce(q)
     require_order(p, q)
@@ -190,11 +205,8 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
     # h^0 = identity for faithful weights, so the p or q = inf cases need no branch
     pre = w1.power(-p.reciprocal() / 2)
     post = w2.power(q.reciprocal() / 2)
-    return SuperOperator(
-        J.profile1, J.profile2, p, q,
-        lambda x: post @ J.apply(pre @ x @ pre) @ post,
-        check=False,
-    )
+    mat = _sandwich_matrix(post) @ J.matrix() @ _sandwich_matrix(pre)
+    return SuperOperator.from_matrix(J.profile1, J.profile2, p, q, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +502,9 @@ class ClassifyResult:
 
     `probes` counts the projection probes tested up to the verdict (diagonal
     patterns first, then spectral probes, up to and including a failing
-    one); 0 when not recorded.
+    one); 0 when not recorded.  `patterns_truncated` is true when the
+    diagonal family held only the first 4096 of the 2^total_dim 0/1
+    patterns (total_dim > 12).
     """
 
     accepted: bool
@@ -498,10 +512,16 @@ class ClassifyResult:
     witness: tuple | None  # (probe projection, image, residual) on rejection
     max_projection_residual: float
     probes: int = 0
+    patterns_truncated: bool = False
 
     @property
     def verdict(self) -> str:
         return "ACCEPT" if self.accepted else "REJECT"
+
+
+# spectral probes drawn, decomposed and tested per batch: a reject stops at
+# the first batch that holds a failing probe
+_SPECTRAL_CHUNK = 25
 
 
 def _diagonal_patterns(profile: BlockProfile, limit: int = 4096) -> np.ndarray:
@@ -648,11 +668,15 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
 
     J0 is linear, so it is materialised once from its images of the matrix
     units; each probe family is one array of flat coordinate columns pushed
-    through that matrix in one product.  The first column over tolerance is
-    the witness, and max_projection_residual and `probes` cover the columns
-    up to it, as a probe-by-probe loop would.  verify_jordan still probes
-    linearity through J0 itself, and the tiles are rebuilt from, and checked
-    against, the columns of the matrix.
+    through that matrix in one product: the diagonal patterns, then the
+    spectral probes in batches of _SPECTRAL_CHUNK drawn from one generator,
+    stopping at the first batch that holds a failing probe.  The first
+    column over tolerance is the witness, and max_projection_residual and
+    `probes` cover the columns up to it, as a probe-by-probe loop would.
+    verify_jordan gets J0 with its matrix, so it probes linearity through
+    J0 itself but materialises nothing again; the tiles are rebuilt from the
+    columns of the matrix and their closed-form `matrix()` is checked
+    against it.
 
     The projection tolerance 1e-7 is looser than the algebra tolerance
     because two embeddings compound their rounding.  `probes` must be at
@@ -672,11 +696,24 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
 
     tol = 1e-7
     J0, _ = materialise(j0, w1.profile)
+    J0.setflags(write=False)
+    diagonal = _diagonal_patterns(w1.profile)
+    truncated = diagonal.shape[1] < 2 ** w1.profile.total_dim
     worst, used = 0.0, 0
-    # the spectral family is drawn only once every diagonal pattern passed
-    for draw_family in (lambda: _diagonal_patterns(w1.profile),
-                        lambda: random_projection(w1.profile, generator(seed), probes)):
-        E = draw_family()
+
+    def reject(witness):
+        return ClassifyResult(accepted=False, morphism=None, witness=witness,
+                              max_projection_residual=worst, probes=used,
+                              patterns_truncated=truncated)
+
+    def families():
+        # the spectral probes are drawn only once every diagonal pattern passed
+        yield diagonal
+        rng = generator(seed)
+        for start in range(0, probes, _SPECTRAL_CHUNK):
+            yield random_projection(w1.profile, rng, min(_SPECTRAL_CHUNK, probes - start))
+
+    for E in families():
         F = J0 @ E
         residuals = _projection_residuals(w2.profile, F)
         over = np.flatnonzero(residuals > tol)
@@ -685,38 +722,27 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
         used += stop
         if over.size:
             k = over[0]
-            return ClassifyResult(
-                accepted=False, morphism=None,
-                witness=(BlockMatrix.unflat(w1.profile, E[:, k]),
-                         BlockMatrix.unflat(w2.profile, F[:, k]), float(residuals[k])),
-                max_projection_residual=worst, probes=used,
-            )
-    verification = verify_jordan(j0, samples=80, seed=seed + 1,
-                                 profile=w1.profile, tol=tol)
+            return reject((BlockMatrix.unflat(w1.profile, E[:, k]),
+                           BlockMatrix.unflat(w2.profile, F[:, k]), float(residuals[k])))
+    # J0 with its matrix: verify_jordan probes linearity through j0 but
+    # takes the adjoint and square residuals from J0
+    candidate = SuperOperator(w1.profile, w2.profile, p, q, j0, check=False)
+    object.__setattr__(candidate, "_matrix", J0)
+    verification = verify_jordan(candidate, samples=80, seed=seed + 1, tol=tol)
     if not verification.passed:
-        rng2 = generator(seed + 2)
-        a = hermitian(w1.profile, rng2)
-        return ClassifyResult(
-            accepted=False, morphism=None,
-            witness=(a, j0(a), verification.max_residual),
-            max_projection_residual=worst, probes=used,
-        )
+        a = hermitian(w1.profile, generator(seed + 2))
+        return reject((a, j0(a), verification.max_residual))
     spec = _reconstruct_tiles(J0, w1.profile, w2.profile, tol)
     # the reconstruction must reproduce the candidate exactly on a basis
-    rebuilt, _ = materialise(spec.apply, w1.profile)
-    gaps = np.linalg.norm(rebuilt - J0, axis=0)
+    gaps = np.linalg.norm(spec.matrix() - J0, axis=0)
     off = np.flatnonzero(gaps > 1e-8 * np.maximum(1.0, np.linalg.norm(J0, axis=0)))
     if off.size:
         k = off[0]
-        return ClassifyResult(
-            accepted=False, morphism=None,
-            witness=(BlockMatrix.unflat(w1.profile, np.eye(w1.profile.coord_dim)[k]),
-                     BlockMatrix.unflat(w2.profile, J0[:, k]), float(gaps[k])),
-            max_projection_residual=worst, probes=used,
-        )
+        return reject((BlockMatrix.unflat(w1.profile, np.eye(w1.profile.coord_dim)[k]),
+                       BlockMatrix.unflat(w2.profile, J0[:, k]), float(gaps[k])))
     return ClassifyResult(
         accepted=True, morphism=spec, witness=None, max_projection_residual=worst,
-        probes=used,
+        probes=used, patterns_truncated=truncated,
     )
 
 

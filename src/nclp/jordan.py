@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidMorphism, NoConvergence, ProfileMismatch
 from .matcore import BlockMatrix, BlockProfile, block_stacks, commutator_norm, flat_columns
-from .sampling import generator, hermitian
+from .sampling import generator, hermitian_columns
 from .vnops import (
     Projection,
     SubalgebraBasis,
@@ -53,9 +53,13 @@ def _as_unitary(u, dim, what):
 
 
 class JordanMorphismSpec:
-    """A normal Jordan *-morphism between block profiles, stored as tiles."""
+    """A normal Jordan *-morphism between block profiles, stored as tiles.
 
-    __slots__ = ("profile1", "profile2", "tiles", "block_unitaries")
+    `matrix()` gives the map on flat block coordinates in closed form from
+    the tiles; the construction check (`verify=True`) runs on that matrix.
+    """
+
+    __slots__ = ("profile1", "profile2", "tiles", "block_unitaries", "_matrix")
 
     def __init__(self, profile1: BlockProfile, profile2: BlockProfile, tiles,
                  block_unitaries=None, verify: bool = True):
@@ -92,6 +96,8 @@ class JordanMorphismSpec:
                     )
         bus = None
         if block_unitaries is not None:
+            if len(block_unitaries) != profile2.block_count:
+                raise ProfileMismatch("one block unitary slot per destination block")
             bus = []
             for d, u in enumerate(block_unitaries):
                 if u is None:
@@ -100,13 +106,12 @@ class JordanMorphismSpec:
                     w = _as_unitary(u, profile2.dims[d], f"block unitary {d}")
                     w.setflags(write=False)
                     bus.append(w)
-            if len(bus) != profile2.block_count:
-                raise ProfileMismatch("one block unitary slot per destination block")
             bus = tuple(bus)
         object.__setattr__(self, "profile1", profile1)
         object.__setattr__(self, "profile2", profile2)
         object.__setattr__(self, "tiles", tuple(norm_tiles))
         object.__setattr__(self, "block_unitaries", bus)
+        object.__setattr__(self, "_matrix", None)
         if verify:
             self._self_check()
 
@@ -114,21 +119,56 @@ class JordanMorphismSpec:
         raise AttributeError("JordanMorphismSpec is immutable")
 
     def _self_check(self):
-        """Adjoint/square preservation on a small spanning family, and J(1) = projection."""
+        """Adjoint/square preservation on four Hermitian draws, and J(1) = projection.
+
+        The draws are flat columns pushed through `matrix()`; each residual
+        is relative to max(1, ||a||_2)^2.
+        """
         rng = generator(20_211_114)
-        for _ in range(4):
-            a = hermitian(self.profile1, rng)
-            ja = self.apply(a)
-            scale = max(1.0, a.fro_norm()) ** 2
-            if (self.apply(a @ a) - ja @ ja).fro_norm() > 1e-9 * scale:
+        A = hermitian_columns(self.profile1,
+                              rng.standard_normal((4, 2 * self.profile1.coord_dim)))
+        _, r_adj, r_sq = _jordan_residuals(self.matrix(), self.profile1, self.profile2, A)
+        scale = np.maximum(1.0, np.linalg.norm(A, axis=0)) ** 2
+        for k in range(4):
+            if r_sq[k] > 1e-9 * scale[k]:
                 raise InvalidMorphism("tile data does not define a Jordan morphism (squares)")
-            if (ja - ja.adjoint()).fro_norm() > 1e-9 * scale:
+            if r_adj[k] > 1e-9 * scale[k]:
                 raise InvalidMorphism("tile data does not define a Jordan morphism (adjoints)")
         j1 = self.unit_image()
         if (j1 @ j1 - j1).fro_norm() > 1e-9:
             raise InvalidMorphism("image of the unit is not a projection")
 
     # -- action ---------------------------------------------------------
+
+    def matrix(self) -> np.ndarray:
+        """Read-only matrix of J on flat block coordinates (cached).
+
+        Built in closed form, not by calling `apply`: with W the unitary of
+        the tile's destination block (identity if none), U the tile unitary
+        (identity if none), n the source block size and
+        E = W[:, offset:offset+n] U, a tile sends x to E x E* (E x^T E* for
+        an A tile).  In C-order flat coordinates that is kron(E, conj E),
+        with the columns permuted (i, j) -> (j, i) for an A tile; the tiles'
+        terms are summed into the (destination, source) block of the matrix.
+        """
+        if self._matrix is None:
+            p1, p2 = self.profile1, self.profile2
+            src_at = np.cumsum([0] + [d * d for d in p1.dims])
+            dst_at = np.cumsum([0] + [d * d for d in p2.dims])
+            mat = np.zeros((p2.coord_dim, p1.coord_dim), dtype=complex)
+            for t in self.tiles:
+                n, m = p1.dims[t.src], p2.dims[t.dst]
+                w = None if self.block_unitaries is None else self.block_unitaries[t.dst]
+                e = (np.eye(m, dtype=complex) if w is None else w)[:, t.offset : t.offset + n]
+                if t.conj_unitary is not None:
+                    e = e @ t.conj_unitary
+                k = np.kron(e, e.conj())
+                if t.kind == "A":
+                    k = k.reshape(m * m, n, n).swapaxes(1, 2).reshape(m * m, n * n)
+                mat[dst_at[t.dst] : dst_at[t.dst + 1], src_at[t.src] : src_at[t.src + 1]] += k
+            mat.setflags(write=False)
+            object.__setattr__(self, "_matrix", mat)
+        return self._matrix
 
     def apply(self, a: BlockMatrix) -> BlockMatrix:
         if a.profile != self.profile1:
@@ -224,49 +264,58 @@ def materialise(fn, profile: BlockProfile):
     return np.array([im.flat() for im in images]).T, images[0].profile
 
 
+def _jordan_residuals(M: np.ndarray, profile1: BlockProfile, profile2: BlockProfile,
+                      A: np.ndarray):
+    """(M A, ||J(a) - J(a)*||_2, ||J(a^2) - J(a)^2||_2) per flat column a of A, J = M."""
+    JA = M @ A
+    ja = block_stacks(profile2, JA)
+    r_adj = np.linalg.norm(flat_columns([x - x.conj().swapaxes(1, 2) for x in ja]), axis=0)
+    squares = flat_columns([x @ x for x in block_stacks(profile1, A)])
+    r_sq = np.linalg.norm(M @ squares - flat_columns([x @ x for x in ja]), axis=0)
+    return JA, r_adj, r_sq
+
+
 def verify_jordan(morphism, samples: int = 60, seed: int = 0,
                   profile: BlockProfile | None = None,
                   tol: float = 1e-9) -> JordanVerification:
     """Check adjoint preservation, square preservation and linearity on random probes.
 
-    `morphism` may be a JordanMorphismSpec, a SuperOperator-like object with
-    .apply and .domain_profile, or a bare callable (then `profile` is needed).
+    `morphism` may be a JordanMorphismSpec, a SuperOperator (anything with
+    .apply, .matrix(), .domain_profile and .codomain_profile) or a bare
+    callable (then `profile` is needed).
 
-    Sample k draws Hermitian a and b, then a complex alpha, from the seed.
-    The map is materialised once (`materialise`), and the adjoint and
-    square residuals of all samples come from that matrix M, the samples
-    being the columns of flat coordinate arrays.  Linearity is probed
-    through the map itself, one call per sample: fn(alpha a + b) against
-    alpha M a + M b.  A check through M alone would pass the conjugate-linear
-    x -> J(conj x), whose matrix is that of J.  Each residual is relative to
-    max(1, ||a||_2)^2; `samples` must be at least 1.
+    Sample k draws Hermitian a and b, then a complex alpha: all samples come
+    from one standard_normal((samples, 4 coord_dim + 2)) call, the numbers
+    and the final generator state of drawing them sample by sample.  The
+    adjoint and square residuals of all samples come from the map's matrix
+    M, the samples being the columns of flat coordinate arrays: the
+    closed-form `matrix()` of a spec, the cached `.matrix()` of an operator,
+    and only for a bare callable one materialisation (`materialise`).
+    Linearity is probed through the map itself, one call per sample:
+    fn(alpha a + b) against alpha M a + M b.  A check through M alone would
+    pass the conjugate-linear x -> J(conj x), whose matrix is that of J.
+    Each residual is relative to max(1, ||a||_2)^2; `samples` must be at
+    least 1.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if isinstance(morphism, JordanMorphismSpec):
-        fn = morphism.apply
-        profile = morphism.profile1
+        fn, profile = morphism.apply, morphism.profile1
+        M, profile2 = morphism.matrix(), morphism.profile2
     elif hasattr(morphism, "apply") and hasattr(morphism, "domain_profile"):
-        fn = morphism.apply
-        profile = morphism.domain_profile
+        fn, profile = morphism.apply, morphism.domain_profile
+        M, profile2 = morphism.matrix(), morphism.codomain_profile
     else:
         fn = morphism
         if profile is None:
             raise ProfileMismatch("a bare callable needs an explicit source profile")
-    M, profile2 = materialise(fn, profile)
-    rng = generator(seed)
-    A = np.empty((profile.coord_dim, samples), dtype=complex)
-    B = np.empty_like(A)
-    alpha = np.empty(samples, dtype=complex)
-    for k in range(samples):
-        A[:, k] = hermitian(profile, rng).flat()
-        B[:, k] = hermitian(profile, rng).flat()
-        alpha[k] = complex(rng.standard_normal(), rng.standard_normal())
-    JA = M @ A
-    ja = block_stacks(profile2, JA)
-    r_adj = np.linalg.norm(flat_columns([x - x.conj().swapaxes(1, 2) for x in ja]), axis=0)
-    squares = flat_columns([x @ x for x in block_stacks(profile, A)])
-    r_sq = np.linalg.norm(M @ squares - flat_columns([x @ x for x in ja]), axis=0)
+        M, profile2 = materialise(fn, profile)
+    cd = profile.coord_dim
+    z = generator(seed).standard_normal((samples, 4 * cd + 2))
+    A = hermitian_columns(profile, z[:, : 2 * cd])
+    B = hermitian_columns(profile, z[:, 2 * cd : 4 * cd])
+    alpha = z[:, -2] + 1j * z[:, -1]
+    JA, r_adj, r_sq = _jordan_residuals(M, profile, profile2, A)
     expected = alpha * JA + M @ B
     r_lin = np.array([
         np.linalg.norm(fn(BlockMatrix.unflat(profile, alpha[k] * A[:, k] + B[:, k])).flat()

@@ -54,31 +54,57 @@ def block_unitary(profile: BlockProfile, rng: np.random.Generator) -> BlockMatri
     return BlockMatrix(profile, [unitary(d, rng) for d in profile], copy=False)
 
 
+def _hermitian_stack(normals: np.ndarray, d: int) -> np.ndarray:
+    """(k, d, d) stack of (g + g*)/2, g = re + i im from k rows of 2 d^2 normals (re, then im)."""
+    k = normals.shape[0]
+    g = normals[:, : d * d].reshape(k, d, d) + 1j * normals[:, d * d :].reshape(k, d, d)
+    return (g + g.conj().swapaxes(1, 2)) / 2
+
+
+def hermitian_columns(profile: BlockProfile, normals: np.ndarray) -> np.ndarray:
+    """Flat columns (coord_dim, k) of Hermitian elements from k rows of standard normals.
+
+    Row j holds 2 coord_dim normals: block by block, the real and then the
+    imaginary part of a Ginibre matrix g, in C order; column j is the flat
+    (g + g*)/2.  Rows taken from one standard_normal((k, 2 coord_dim)) call
+    hold the numbers that k calls of `hermitian` would draw, so the columns
+    equal those elements bitwise.
+    """
+    stacks, at = [], 0
+    for d in profile:
+        stacks.append(_hermitian_stack(normals[:, at : at + 2 * d * d], d))
+        at += 2 * d * d
+    return flat_columns(stacks)
+
+
 def projection(profile: BlockProfile, rng: np.random.Generator, count: int) -> np.ndarray:
     """Random spectral projections of random Hermitian elements, as flat columns.
 
     Returns the (coord_dim, count) flat block coordinates of `count` probes.
-    Probe by probe and block by block, the generator gives a Ginibre matrix
-    g and then one uniform u; the block keeps the eigenvectors of
-    h = (g + g*)/2 whose eigenvalues lie above lam_min + u (lam_max - lam_min),
-    or, for a 1x1 block, the whole block when u < 0.5.  All draws come
-    first, in that order, then one batched eigh per block, so the columns
-    equal `count` draws of one probe each.
+    Probe by probe and block by block, the generator gives the 2 d^2
+    normals of a Ginibre matrix g (one standard_normal call, real parts
+    and then imaginary parts) and then one uniform u; the block keeps the
+    eigenvectors of h = (g + g*)/2 whose eigenvalues lie above
+    lam_min + u (lam_max - lam_min), or, for a 1x1 block, the whole block
+    when u < 0.5 (no eigensolve needed).  All draws come first, in that
+    order, then one batched eigh per block of size 2 or more, so the
+    columns equal `count` draws of one probe each, and successive calls on
+    one generator continue the same stream.
     """
     dims = profile.dims
-    gs = [np.empty((count, d, d), dtype=complex) for d in dims]
+    zs = [np.empty((count, 2 * d * d)) for d in dims]
     us = np.empty((len(dims), count))
     for k in range(count):
-        for b, d in enumerate(dims):
-            gs[b][k] = _ginibre(d, rng)
+        for b, z in enumerate(zs):
+            rng.standard_normal(out=z[k])
             us[b, k] = rng.random()
     stacks = []
-    for d, g, u in zip(dims, gs, us):
-        lam, v = np.linalg.eigh((g + g.conj().swapaxes(1, 2)) / 2)
+    for d, z, u in zip(dims, zs, us):
         if d == 1:
-            keep = u[:, None] < 0.5
-        else:
-            keep = lam > lam[:, :1] + (lam[:, -1:] - lam[:, :1]) * u[:, None]
+            stacks.append((u < 0.5).astype(complex).reshape(count, 1, 1))
+            continue
+        lam, v = np.linalg.eigh(_hermitian_stack(z, d))
+        keep = lam > lam[:, :1] + (lam[:, -1:] - lam[:, :1]) * u[:, None]
         p = (v * keep[:, None, :].astype(float)) @ v.conj().swapaxes(1, 2)
         stacks.append((p + p.conj().swapaxes(1, 2)) / 2)
     return flat_columns(stacks)

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from nclp import compop
 from nclp.compop import (
+    ClassifyResult,
     SuperOperator,
     _dual_maximizer,
     _reconstruct_tiles,
@@ -34,6 +36,7 @@ from nclp.jordan import (
     JordanMorphismSpec,
     Tile,
     identity_morphism,
+    materialise,
     pushforward_density,
     random_morphism,
     transpose_morphism,
@@ -61,6 +64,30 @@ def test_materialisation_matches_action():
     for _ in range(5):
         x = element(PROF23, rng)
         assert (C.apply(x) - C.apply_via_matrix(x)).fro_norm() < 1e-10 * (1 + x.fro_norm())
+
+
+def _reference_composition(J, w1, w2, p, q):
+    """C_J as the closure post @ J.apply(pre @ x @ pre) @ post."""
+    pre = w1.power(-Exponent(p).reciprocal() / 2)
+    post = w2.power(Exponent(q).reciprocal() / 2)
+    return lambda x: post @ J.apply(pre @ x @ pre) @ post
+
+
+def test_composition_matrix_matches_closure():
+    rng = generator(64)
+    for _ in range(6):
+        spec = random_morphism(rng)
+        w1, w2 = faithful(spec.profile1, rng), faithful(spec.profile2, rng)
+        for p, q in ((2, 2), (2, 1), (3, "3/2"), ("inf", 2)):
+            C = build_composition(spec, w1, w2, p, q)
+            closure = _reference_composition(spec, w1, w2, p, q)
+            ref, _ = materialise(closure, spec.profile1)
+            scale = np.linalg.norm(ref)
+            assert np.linalg.norm(C.matrix() - ref) <= 1e-12 * scale
+            for _ in range(3):
+                x = element(spec.profile1, rng)
+                y = closure(x)
+                assert (C.apply(x) - y).fro_norm() <= 1e-12 * max(y.fro_norm(), scale * x.fro_norm())
 
 
 def test_trace_dual_pairing():
@@ -683,6 +710,48 @@ def test_batched_classifier_matches_probe_loop():
             probe, _, got = res.witness
             assert (probe - e).fro_norm() <= 1e-12
             assert got == pytest.approx(residual, rel=0.0, abs=1e-12)
+
+
+def test_classifier_reports_truncated_diagonal_patterns():
+    # past total_dim 12 only the first 4096 of the 2^total_dim 0/1 patterns are tested
+    rng = generator(65)
+    for dims, truncated in (([1] * 11 + [2], True), ([1] * 10 + [2], False)):
+        profile = BlockProfile(dims)
+        w1, w2 = faithful(profile, rng), faithful(profile, rng)
+        C = build_composition(transpose_morphism(profile), w1, w2, 2, 1)
+        res = classify_characteristic_preserving(C, w1, w2)
+        assert profile.total_dim == (13 if truncated else 12)
+        assert res.accepted
+        assert res.patterns_truncated is truncated
+        assert res.probes == 4096 + 200
+    assert ClassifyResult(accepted=True, morphism=None, witness=None,
+                          max_projection_residual=0.0).patterns_truncated is False
+
+
+def test_spectral_chunks_continue_one_stream(monkeypatch):
+    # the chunks together are the probes of one projection call on the
+    # classifier's generator, and a reject on the first spectral probe
+    # draws only the first chunk
+    drawn = []
+
+    def recording(profile, rng, count):
+        cols = projection(profile, rng, count)
+        drawn.append(cols)
+        return cols
+
+    monkeypatch.setattr(compop, "random_projection", recording)
+    rng = generator(66)
+    profile = BlockProfile([1, 2])
+    spec = random_morphism(rng, profile1=profile, allow_partial=False)
+    w1, w2 = faithful(profile, rng), faithful(spec.profile2, rng)
+    res = classify_characteristic_preserving(build_composition(spec, w1, w2, 2, 1), w1, w2, seed=5)
+    assert res.accepted
+    assert len(drawn) > 1
+    assert np.array_equal(np.concatenate(drawn, axis=1), projection(profile, generator(5), 200))
+    drawn.clear()
+    res = classify_characteristic_preserving(_diagonal_compressed(spec, w1, w2, 2, 1), w1, w2, seed=5)
+    assert not res.accepted and res.probes == 2 ** profile.total_dim + 1
+    assert len(drawn) == 1 and drawn[0].shape[1] < 200
 
 
 def test_classifier_refuses_negative_probe_count():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nclp.compop import SuperOperator, build_composition
 from nclp.errors import NotFaithful, ProfileMismatch
 from nclp.haagerup import embed
 from nclp.jordan import (
@@ -17,7 +18,7 @@ from nclp.jordan import (
     verify_jordan,
 )
 from nclp.matcore import BlockMatrix, BlockProfile
-from nclp.sampling import element, generator, psd, unitary
+from nclp.sampling import element, generator, hermitian, hermitian_columns, psd, unitary
 from nclp.vnops import Weight, generate_algebra, weights_commute
 
 PROF2 = BlockProfile([2])
@@ -229,3 +230,118 @@ def test_is_modular_invariant():
     sym = BlockMatrix(PROF2, [np.array([[0.0, 1.0], [1.0, 0.0]])])
     small = generate_algebra([sym])
     assert not is_modular_invariant(small, diag_w, (0.7,))
+
+
+def test_block_unitary_count_must_match_destination_blocks():
+    with pytest.raises(ProfileMismatch, match="one block unitary slot"):
+        JordanMorphismSpec(PROF2, PROF2, [Tile(0, 0, 0, "H")], [None, np.eye(2)])
+    with pytest.raises(ProfileMismatch, match="one block unitary slot"):
+        JordanMorphismSpec(PROF2, BlockProfile([2, 1]), [Tile(0, 0, 0, "H")], [None])
+
+
+def test_spec_matrix_matches_materialised_apply():
+    rng = generator(61)
+    seen = set()
+    for _ in range(40):
+        spec = random_morphism(rng)
+        mat = spec.matrix()
+        ref, _ = materialise(spec.apply, spec.profile1)
+        assert mat.shape == ref.shape
+        assert np.max(np.abs(mat - ref)) <= 1e-14
+        assert spec.matrix() is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+        seen.update(t.kind for t in spec.tiles)
+        if any(t.conj_unitary is not None for t in spec.tiles):
+            seen.add("tile unitary")
+        if spec.block_unitaries is not None and any(w is not None for w in spec.block_unitaries):
+            seen.add("block unitary")
+        if len(spec.covered_src_blocks()) < spec.profile1.block_count:
+            seen.add("partial")
+        if len(spec.tiles) > len(spec.covered_src_blocks()):
+            seen.add("multiplicity 2")
+    assert seen == {"H", "A", "tile unitary", "block unitary", "partial", "multiplicity 2"}
+
+
+def test_batched_draws_match_per_sample_draws():
+    # verify_jordan's one standard_normal call gives the numbers, and leaves
+    # the generator state, of drawing a, b and alpha sample by sample
+    for dims in ([1], [2], [1, 2], [2, 3], [4, 1, 2]):
+        profile = BlockProfile(dims)
+        cd = profile.coord_dim
+        for seed in range(20):
+            rng, ref = generator(seed), generator(seed)
+            z = rng.standard_normal((7, 4 * cd + 2))
+            A = hermitian_columns(profile, z[:, : 2 * cd])
+            B = hermitian_columns(profile, z[:, 2 * cd : 4 * cd])
+            for k in range(7):
+                assert np.array_equal(A[:, k], hermitian(profile, ref).flat())
+                assert np.array_equal(B[:, k], hermitian(profile, ref).flat())
+                assert z[k, -2] + 1j * z[k, -1] == complex(ref.standard_normal(), ref.standard_normal())
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def _reference_verify(fn, profile, samples, seed, tol=1e-9):
+    """verify_jordan one sample at a time, on BlockMatrix draws and a materialised map.
+
+    Returns (passed, failure indices, max residual).
+    """
+    M, profile2 = materialise(fn, profile)
+
+    def through_m(x):
+        return BlockMatrix.unflat(profile2, M @ x.flat())
+
+    rng = generator(seed)
+    res = []
+    for _ in range(samples):
+        a = hermitian(profile, rng)
+        b = hermitian(profile, rng)
+        alpha = complex(rng.standard_normal(), rng.standard_normal())
+        ja = through_m(a)
+        r_adj = (ja - ja.adjoint()).fro_norm()
+        r_sq = (through_m(a @ a) - ja @ ja).fro_norm()
+        r_lin = (fn(alpha * a + b) - (alpha * ja + through_m(b))).fro_norm()
+        res.append(max(r_adj, r_sq, r_lin) / max(1.0, a.fro_norm()) ** 2)
+    worst = max(res)
+    return worst < tol, [k for k, r in enumerate(res) if r >= tol][:5], worst
+
+
+def test_verify_jordan_matches_per_sample_reference():
+    rng = generator(62)
+
+    def diag_part(x):
+        return BlockMatrix(x.profile, [np.diag(np.diagonal(b)) for b in x.blocks])
+
+    cases = []
+    for _ in range(6):
+        spec = random_morphism(rng)
+        cases.append((spec, spec.apply, spec.profile1))
+        w1 = faithful(spec.profile1, rng)
+        w2 = faithful(spec.profile2, rng)
+        op = build_composition(spec, w1, w2, 3, 1.5)   # linear, not Jordan
+        cases.append((op, op.apply, spec.profile1))
+        cases.append((spec.apply, spec.apply, spec.profile1))
+    cases.append((diag_part, diag_part, PROF23))
+    for samples, seed in ((1, 0), (7, 3), (20, 11)):
+        for morphism, fn, profile in cases:
+            report = verify_jordan(morphism, samples=samples, seed=seed, profile=profile)
+            passed, failures, worst = _reference_verify(fn, profile, samples, seed)
+            assert report.passed == passed
+            assert [k for k, _ in report.failures] == failures
+            assert report.max_residual == pytest.approx(worst, rel=1e-12, abs=1e-12)
+    assert any(not verify_jordan(m, samples=7, profile=p).passed for m, _, p in cases)
+
+
+def test_verify_jordan_refuses_conjugate_linear_superoperator():
+    # as a SuperOperator the map brings its own matrix, that of J on the
+    # (real) matrix units; only the linearity probe through .apply refuses it
+    spec = random_morphism(generator(63), profile1=PROF23)
+    op = SuperOperator(PROF23, spec.profile2, 2, 2, spec.apply, check=False)
+    conj_op = SuperOperator(PROF23, spec.profile2, 2, 2,
+                            lambda x: spec.apply(BlockMatrix(x.profile, [b.conj() for b in x.blocks])),
+                            check=False)
+    assert np.array_equal(conj_op.matrix(), op.matrix())
+    assert verify_jordan(op, samples=20).passed
+    report = verify_jordan(conj_op, samples=20)
+    assert not report.passed
+    assert report.max_residual > 1e-3
