@@ -6,6 +6,11 @@ singular-value oracle at p = q = 2), solves the bounded change-of-weights
 problem (exact norm, attaining witness), recovers one-sided multipliers
 from module homomorphisms, and classifies which raw operators are
 composition operators by testing preservation of embedded projections.
+
+An operator is its matrix on flat block coordinates (`SuperOperator`).
+The library builds every matrix in closed form, from `_sandwich_matrix`
+(x -> L x R), the tile matrix of a morphism and matrix products; only a
+user's callable is materialised, once, where it enters.
 """
 
 from __future__ import annotations
@@ -51,71 +56,68 @@ _TWO = Exponent(2)
 
 
 class SuperOperator:
-    """A linear map between block-matrix carriers, tagged with exponents.
+    """A linear map between block-matrix carriers, tagged with exponents, held as its matrix.
 
-    The matrix form acts on per-block matrix-unit coordinates (dimension
-    sum of n_i^2 on each side); those coordinates are orthonormal for the
+    The one representation is a read-only matrix on flat block coordinates
+    (per-block matrix units, dimension sum of n_i^2 on each side): `apply`
+    is x -> unflat(M x.flat()).  Those coordinates are orthonormal for the
     Hilbert-Schmidt inner product, so the 2 -> 2 operator norm is the top
-    singular value of the materialised matrix.
+    singular value of M.
+
+    The callable constructor materialises `fn` once, from its images of
+    the matrix units.  It refuses (ProfileMismatch) images off the codomain
+    profile and an `fn` that disagrees with that matrix on a seeded complex
+    probe, so a nonlinear or conjugate-linear callable never becomes an
+    operator.  `from_matrix` takes the matrix as it is.
     """
 
-    __slots__ = ("domain_profile", "codomain_profile", "p", "q", "_action", "_matrix")
+    __slots__ = ("domain_profile", "codomain_profile", "p", "q", "_matrix")
 
     def __init__(self, domain_profile: BlockProfile, codomain_profile: BlockProfile,
-                 p, q, action, check: bool = True):
-        object.__setattr__(self, "domain_profile", domain_profile)
-        object.__setattr__(self, "codomain_profile", codomain_profile)
-        object.__setattr__(self, "p", coerce(p))
-        object.__setattr__(self, "q", coerce(q))
-        object.__setattr__(self, "_action", action)
-        object.__setattr__(self, "_matrix", None)
-        if check:
-            self._linearity_check()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperOperator is immutable")
-
-    def _linearity_check(self):
+                 p, q, fn):
+        mat, profile = materialise(fn, domain_profile)
+        if profile != codomain_profile:
+            raise ProfileMismatch(
+                f"images lie on {profile.dims}, the codomain profile is {codomain_profile.dims}"
+            )
+        self._set(domain_profile, codomain_profile, p, q, mat)
+        # linearity: fn against its matrix on one seeded complex element
         rng = generator(5_040)
-        x = hermitian(self.domain_profile, rng)
-        y = hermitian(self.domain_profile, rng)
-        alpha = complex(rng.standard_normal(), rng.standard_normal())
-        lhs = self.apply(alpha * x + y)
-        rhs = alpha * self.apply(x) + self.apply(y)
-        scale = max(1.0, lhs.fro_norm(), rhs.fro_norm())
-        if (lhs - rhs).fro_norm() > 1e-10 * scale:
-            raise ProfileMismatch("action is not linear on probe elements")
-
-    def apply(self, x: BlockMatrix) -> BlockMatrix:
-        if x.profile != self.domain_profile:
-            raise ProfileMismatch("input does not match the domain profile")
-        return self._action(x)
-
-    def matrix(self) -> np.ndarray:
-        """Materialised matrix on block coordinates (cached)."""
-        if self._matrix is None:
-            mat, _ = materialise(self.apply, self.domain_profile)
-            mat.setflags(write=False)
-            object.__setattr__(self, "_matrix", mat)
-        return self._matrix
-
-    def apply_via_matrix(self, x: BlockMatrix) -> BlockMatrix:
-        return BlockMatrix.unflat(self.codomain_profile, self.matrix() @ x.flat())
+        x, y = hermitian(domain_profile, rng), hermitian(domain_profile, rng)
+        z = complex(rng.standard_normal(), rng.standard_normal()) * x + y
+        lhs, rhs = fn(z), self.apply(z)
+        if (lhs - rhs).fro_norm() > 1e-10 * max(1.0, lhs.fro_norm(), rhs.fro_norm()):
+            raise ProfileMismatch("the map disagrees with its matrix on a probe: it is not linear")
 
     @classmethod
     def from_matrix(cls, domain_profile, codomain_profile, p, q, mat) -> "SuperOperator":
+        op = cls.__new__(cls)
+        op._set(domain_profile, codomain_profile, p, q, mat)
+        return op
+
+    def _set(self, domain_profile, codomain_profile, p, q, mat):
         mat = np.array(mat, dtype=complex)
         expected = (codomain_profile.coord_dim, domain_profile.coord_dim)
         if mat.shape != expected:
             raise ProfileMismatch(f"matrix shape {mat.shape}, expected {expected}")
         mat.setflags(write=False)
-        op = cls(
-            domain_profile, codomain_profile, p, q,
-            lambda x: BlockMatrix.unflat(codomain_profile, mat @ x.flat()),
-            check=False,
-        )
-        object.__setattr__(op, "_matrix", mat)
-        return op
+        object.__setattr__(self, "domain_profile", domain_profile)
+        object.__setattr__(self, "codomain_profile", codomain_profile)
+        object.__setattr__(self, "p", coerce(p))
+        object.__setattr__(self, "q", coerce(q))
+        object.__setattr__(self, "_matrix", mat)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SuperOperator is immutable")
+
+    def apply(self, x: BlockMatrix) -> BlockMatrix:
+        if x.profile != self.domain_profile:
+            raise ProfileMismatch("input does not match the domain profile")
+        return BlockMatrix.unflat(self.codomain_profile, self._matrix @ x.flat())
+
+    def matrix(self) -> np.ndarray:
+        """The read-only matrix on flat block coordinates."""
+        return self._matrix
 
     def hs_adjoint(self) -> "SuperOperator":
         """Adjoint for the Hilbert-Schmidt inner products on both sides."""
@@ -128,31 +130,36 @@ class SuperOperator:
     def trace_dual(self) -> "SuperOperator":
         """Banach adjoint for the bilinear trace pairing tr(g T(x)).
 
-        Maps L^{q*} to L^{p*}; computed as g -> (T_hs*(g*))*.
+        Maps L^{q*} to L^{p*}.  With Pi the permutation of flat coordinates
+        that transposes every block, tr(g y) = g.flat() . Pi y.flat(), so the
+        matrix is Pi_dom M^T Pi_cod.
         """
-        hs = self.hs_adjoint()
-        return SuperOperator(
+        dom = _transpose_permutation(self.domain_profile)
+        cod = _transpose_permutation(self.codomain_profile)
+        return SuperOperator.from_matrix(
             self.codomain_profile, self.domain_profile,
-            self.q.conjugate(), self.p.conjugate(),
-            lambda g: hs.apply(g.adjoint()).adjoint(),
-            check=False,
+            self.q.conjugate(), self.p.conjugate(), self._matrix.T[dom][:, cod],
         )
 
     def compose(self, inner: "SuperOperator") -> "SuperOperator":
-        """self after inner."""
+        """self after inner: the matrix product."""
         if inner.codomain_profile != self.domain_profile:
             raise ProfileMismatch("composition profiles do not chain")
-        return SuperOperator(
-            inner.domain_profile, self.codomain_profile, inner.p, self.q,
-            lambda x: self.apply(inner.apply(x)),
-            check=False,
-        )
+        return SuperOperator.from_matrix(inner.domain_profile, self.codomain_profile,
+                                         inner.p, self.q, self._matrix @ inner.matrix())
 
     def __repr__(self):
         return (
             f"SuperOperator(L^{self.p}{self.domain_profile.dims} -> "
             f"L^{self.q}{self.codomain_profile.dims})"
         )
+
+
+def _transpose_permutation(profile: BlockProfile) -> np.ndarray:
+    """Indices with x.transpose().flat() == x.flat()[perm]."""
+    starts = np.cumsum([0] + [d * d for d in profile.dims[:-1]])
+    return np.concatenate([at + np.arange(d * d).reshape(d, d).T.ravel()
+                           for at, d in zip(starts, profile.dims)])
 
 
 @dataclass(frozen=True)
@@ -172,16 +179,16 @@ class NormEstimate:
 
 def identity_operator(profile: BlockProfile, p, q=None) -> SuperOperator:
     q = p if q is None else q
-    return SuperOperator(profile, profile, p, q, lambda x: x, check=False)
+    return SuperOperator.from_matrix(profile, profile, p, q, np.eye(profile.coord_dim))
 
 
-def _sandwich_matrix(b: BlockMatrix) -> np.ndarray:
-    """Matrix of x -> b x b on flat block coordinates: blockdiag(kron(b_i, b_i^T))."""
-    profile = b.profile
+def _sandwich_matrix(left: BlockMatrix, right: BlockMatrix) -> np.ndarray:
+    """Matrix of x -> left x right on flat block coordinates: blockdiag(kron(L_i, R_i^T))."""
+    profile = left.profile
     mat = np.zeros((profile.coord_dim, profile.coord_dim), dtype=complex)
     at = 0
-    for d, blk in zip(profile.dims, b.blocks):
-        mat[at : at + d * d, at : at + d * d] = np.kron(blk, blk.T)
+    for d, lb, rb in zip(profile.dims, left.blocks, right.blocks):
+        mat[at : at + d * d, at : at + d * d] = np.kron(lb, rb.T)
         at += d * d
     return mat
 
@@ -192,7 +199,7 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
     Exact at finite dimension because the symmetric embedding is bijective
     for a faithful weight.  Requires q <= p; the reversed regime is refused.
     The operator is built from its matrix, a product of closed forms:
-    x -> post x post and x -> pre x pre are blockdiag(kron(b_i, b_i^T)) for
+    x -> post x post and x -> pre x pre are `_sandwich_matrix` for
     post = k^{1/(2q)} and pre = h^{-1/(2p)}, and J is `J.matrix()`; no
     closure is called.
     """
@@ -205,7 +212,7 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
     # h^0 = identity for faithful weights, so the p or q = inf cases need no branch
     pre = w1.power(-p.reciprocal() / 2)
     post = w2.power(q.reciprocal() / 2)
-    mat = _sandwich_matrix(post) @ J.matrix() @ _sandwich_matrix(pre)
+    mat = _sandwich_matrix(post, post) @ J.matrix() @ _sandwich_matrix(pre, pre)
     return SuperOperator.from_matrix(J.profile1, J.profile2, p, q, mat)
 
 
@@ -350,10 +357,9 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     d = half_out @ half_in
     dd = d.adjoint() @ d
     bound = schatten_norm(dd, triple.r)
-    op = SuperOperator(
+    op = SuperOperator.from_matrix(
         w.profile, w.profile, p, q,
-        lambda x: half_out @ (half_in @ x @ half_in) @ half_out,
-        check=False,
+        _sandwich_matrix(half_out, half_out) @ _sandwich_matrix(half_in, half_in),
     )
     lams, V = hermitian_eig(dd)
     if triple.r.is_inf:
@@ -488,7 +494,10 @@ def recover_right_multiplier(T: SuperOperator, w: Weight) -> MultiplierRecovery:
 
 
 def left_multiplication(profile: BlockProfile, c: BlockMatrix, p, q) -> SuperOperator:
-    return SuperOperator(profile, profile, p, q, lambda x: c @ x, check=False)
+    if c.profile != profile:
+        raise ProfileMismatch("the multiplier does not live on the operator's profile")
+    return SuperOperator.from_matrix(profile, profile, p, q,
+                                     _sandwich_matrix(c, BlockMatrix.identity(profile)))
 
 
 # ---------------------------------------------------------------------------
@@ -673,10 +682,10 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
     stopping at the first batch that holds a failing probe.  The first
     column over tolerance is the witness, and max_projection_residual and
     `probes` cover the columns up to it, as a probe-by-probe loop would.
-    verify_jordan gets J0 with its matrix, so it probes linearity through
-    J0 itself but materialises nothing again; the tiles are rebuilt from the
-    columns of the matrix and their closed-form `matrix()` is checked
-    against it.
+    verify_jordan judges the operator with matrix J0 (S is linear, its
+    constructor saw to that), so it materialises nothing again; the tiles
+    are rebuilt from the columns of the matrix and their closed-form
+    `matrix()` is checked against it.
 
     The projection tolerance 1e-7 is looser than the algebra tolerance
     because two embeddings compound their rounding.  `probes` must be at
@@ -696,7 +705,6 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
 
     tol = 1e-7
     J0, _ = materialise(j0, w1.profile)
-    J0.setflags(write=False)
     diagonal = _diagonal_patterns(w1.profile)
     truncated = diagonal.shape[1] < 2 ** w1.profile.total_dim
     worst, used = 0.0, 0
@@ -724,14 +732,11 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
             k = over[0]
             return reject((BlockMatrix.unflat(w1.profile, E[:, k]),
                            BlockMatrix.unflat(w2.profile, F[:, k]), float(residuals[k])))
-    # J0 with its matrix: verify_jordan probes linearity through j0 but
-    # takes the adjoint and square residuals from J0
-    candidate = SuperOperator(w1.profile, w2.profile, p, q, j0, check=False)
-    object.__setattr__(candidate, "_matrix", J0)
+    candidate = SuperOperator.from_matrix(w1.profile, w2.profile, p, q, J0)
     verification = verify_jordan(candidate, samples=80, seed=seed + 1, tol=tol)
     if not verification.passed:
         a = hermitian(w1.profile, generator(seed + 2))
-        return reject((a, j0(a), verification.max_residual))
+        return reject((a, candidate.apply(a), verification.max_residual))
     spec = _reconstruct_tiles(J0, w1.profile, w2.profile, tol)
     # the reconstruction must reproduce the candidate exactly on a basis
     gaps = np.linalg.norm(spec.matrix() - J0, axis=0)
@@ -762,6 +767,8 @@ def contraction_inclusion(wB: Weight, w2: Weight, inclusion: JordanMorphismSpec,
                           p) -> ContractionInclusion:
     """The map embed_p(wB, a) -> embed_p(w2, inclusion(a)) with its domination data.
 
+    The map is the composition operator of the inclusion at (p, p).
+
     Requires phi2 o inclusion <= C phi_B for a finite C, found spectrally and
     verified on a projection probe basis; the map is bounded with norm
     controlled by C^{1/p} (up to a dimension-level constant).
@@ -787,15 +794,9 @@ def contraction_inclusion(wB: Weight, w2: Weight, inclusion: JordanMorphismSpec,
             raise DominationFails(
                 f"probe projection violates domination: {lhs:.6e} > C*{rhs:.6e}"
             )
-    pre = wB.power(-p.reciprocal() / 2)
-    post = w2.power(p.reciprocal() / 2)
-    op = SuperOperator(
-        wB.profile, w2.profile, p, p,
-        lambda x: post @ inclusion.apply(pre @ x @ pre) @ post,
-        check=False,
-    )
     bound = constant ** float(p.reciprocal())
-    return ContractionInclusion(operator=op, constant=constant, bound=bound)
+    return ContractionInclusion(operator=build_composition(inclusion, wB, w2, p, p),
+                                constant=constant, bound=bound)
 
 
 # ---------------------------------------------------------------------------

@@ -212,13 +212,12 @@ class JordanMorphismSpec:
         return sorted({t.src for t in self.tiles if t.kind == kind})
 
     def image_basis(self) -> SubalgebraBasis:
-        """Basis of the von Neumann algebra generated by the image."""
-        gens = []
-        for s, size in enumerate(self.profile1.dims):
-            for i in range(size):
-                for j in range(size):
-                    gens.append(self.apply(BlockMatrix.matrix_unit(self.profile1, s, i, j)))
-        return generate_algebra(gens)
+        """Basis of the von Neumann algebra generated by the image.
+
+        The generators are the images of the matrix units: the columns of
+        `matrix()`.
+        """
+        return generate_algebra([BlockMatrix.unflat(self.profile2, col) for col in self.matrix().T])
 
     def __repr__(self):
         return (
@@ -257,10 +256,13 @@ def materialise(fn, profile: BlockProfile):
 
     Column k holds the flat coordinates of fn(E_k), E_k the k-th matrix
     unit of `profile` in flat order, so matrix @ x.flat() = fn(x).flat()
-    whenever fn is linear.  Costs coord_dim calls of fn.
+    whenever fn is linear.  Costs coord_dim calls of fn; ProfileMismatch
+    if the images do not all lie on one profile.
     """
     images = [fn(BlockMatrix.matrix_unit(profile, s, i, j))
               for s, d in enumerate(profile.dims) for i in range(d) for j in range(d)]
+    if any(im.profile != images[0].profile for im in images):
+        raise ProfileMismatch("the images of the matrix units lie on different profiles")
     return np.array([im.flat() for im in images]).T, images[0].profile
 
 
@@ -281,17 +283,20 @@ def verify_jordan(morphism, samples: int = 60, seed: int = 0,
     """Check adjoint preservation, square preservation and linearity on random probes.
 
     `morphism` may be a JordanMorphismSpec, a SuperOperator (anything with
-    .apply, .matrix(), .domain_profile and .codomain_profile) or a bare
-    callable (then `profile` is needed).
+    .matrix(), .domain_profile and .codomain_profile) or a bare callable
+    (then `profile` is needed).
 
     Sample k draws Hermitian a and b, then a complex alpha: all samples come
     from one standard_normal((samples, 4 coord_dim + 2)) call, the numbers
     and the final generator state of drawing them sample by sample.  The
     adjoint and square residuals of all samples come from the map's matrix
     M, the samples being the columns of flat coordinate arrays: the
-    closed-form `matrix()` of a spec, the cached `.matrix()` of an operator,
-    and only for a bare callable one materialisation (`materialise`).
-    Linearity is probed through the map itself, one call per sample:
+    closed-form `matrix()` of a spec, the matrix of an operator, and only
+    for a bare callable one materialisation (`materialise`).
+
+    An operator is judged by its matrix alone: its constructor already
+    refused a map that is not linear.  For a spec or a bare callable,
+    linearity is probed through the map itself, one call per sample:
     fn(alpha a + b) against alpha M a + M b.  A check through M alone would
     pass the conjugate-linear x -> J(conj x), whose matrix is that of J.
     Each residual is relative to max(1, ||a||_2)^2; `samples` must be at
@@ -302,8 +307,8 @@ def verify_jordan(morphism, samples: int = 60, seed: int = 0,
     if isinstance(morphism, JordanMorphismSpec):
         fn, profile = morphism.apply, morphism.profile1
         M, profile2 = morphism.matrix(), morphism.profile2
-    elif hasattr(morphism, "apply") and hasattr(morphism, "domain_profile"):
-        fn, profile = morphism.apply, morphism.domain_profile
+    elif hasattr(morphism, "matrix") and hasattr(morphism, "domain_profile"):
+        fn, profile = None, morphism.domain_profile
         M, profile2 = morphism.matrix(), morphism.codomain_profile
     else:
         fn = morphism
@@ -316,12 +321,14 @@ def verify_jordan(morphism, samples: int = 60, seed: int = 0,
     B = hermitian_columns(profile, z[:, 2 * cd : 4 * cd])
     alpha = z[:, -2] + 1j * z[:, -1]
     JA, r_adj, r_sq = _jordan_residuals(M, profile, profile2, A)
-    expected = alpha * JA + M @ B
-    r_lin = np.array([
-        np.linalg.norm(fn(BlockMatrix.unflat(profile, alpha[k] * A[:, k] + B[:, k])).flat()
-                       - expected[:, k])
-        for k in range(samples)
-    ])
+    r_lin = np.zeros(samples)
+    if fn is not None:
+        expected = alpha * JA + M @ B
+        r_lin = np.array([
+            np.linalg.norm(fn(BlockMatrix.unflat(profile, alpha[k] * A[:, k] + B[:, k])).flat()
+                           - expected[:, k])
+            for k in range(samples)
+        ])
     scale = np.maximum(1.0, np.linalg.norm(A, axis=0)) ** 2
     res = np.maximum(np.maximum(r_adj, r_sq), r_lin) / scale
     worst = float(np.max(res))
@@ -362,35 +369,33 @@ def _central_projection(profile: BlockProfile, blocks_on) -> Projection:
     return Projection(BlockMatrix(profile, blocks, copy=False))
 
 
-def _pullback_weight(profile1: BlockProfile, fn) -> Weight:
-    """Density of the functional a -> fn(a) from its values on matrix units."""
-    blocks = []
-    for s, size in enumerate(profile1.dims):
-        rho = np.zeros((size, size), dtype=complex)
-        for k in range(size):
-            for l in range(size):
-                # tr(rho E_lk) = rho[k, l]
-                rho[k, l] = fn(BlockMatrix.matrix_unit(profile1, s, l, k))
-        blocks.append((rho + rho.conj().T) / 2)
-    return Weight(BlockMatrix(profile1, blocks, copy=False))
+def _unit_values(J: JordanMorphismSpec, g: BlockMatrix) -> np.ndarray:
+    """Values of a -> tr(g J(a)) on the matrix units, in flat order.
+
+    tr(g y) = vec(g^T) . vec(y), so they are the row vec(g^T)^T J.matrix().
+    """
+    return g.transpose().flat() @ J.matrix()
+
+
+def _pullback_weight(J: JordanMorphismSpec, g: BlockMatrix) -> Weight:
+    """Density of the functional a -> tr(g J(a)), from one product (`_unit_values`).
+
+    tr(rho E_lk) = rho[k, l], so rho is the transpose of the values laid out
+    as blocks, symmetrised.
+    """
+    return Weight(BlockMatrix.unflat(J.profile1, _unit_values(J, g)).transpose().hermitized())
 
 
 def pushforward_density(J: JordanMorphismSpec, w2: Weight) -> Weight:
     """The weight k on the source algebra with k(a) = w2(J(a)) for all a.
 
     Jordan morphisms keep trace-form weights trace-form, so k always exists;
-    the extraction is verified on a spanning basis.
+    the extraction is verified on every matrix unit: k(E) against w2(J(E)),
+    the values of k being vec(k^T).
     """
     w2.require_faithful("pushforward density")
-    k = _pullback_weight(J.profile1, lambda a: w2.value(J.apply(a)))
-    worst = 0.0
-    for s, size in enumerate(J.profile1.dims):
-        for i in range(size):
-            for j in range(size):
-                unit = BlockMatrix.matrix_unit(J.profile1, s, i, j)
-                worst = max(
-                    worst, abs(k.value(unit) - w2.value(J.apply(unit)))
-                )
+    k = _pullback_weight(J, w2.rho)
+    worst = float(np.max(np.abs(k.rho.transpose().flat() - _unit_values(J, w2.rho))))
     scale = max(1.0, w2.rho.max_abs())
     if worst > 1e-9 * scale:
         raise NoConvergence(f"pushforward density extraction failed (residual {worst:.3e})")
@@ -414,9 +419,9 @@ def decompose(J: JordanMorphismSpec, w2: Weight) -> ZDecomposition:
     e = _central_projection(J.profile1, set(J.covered_src_blocks()))
     e_z = _central_projection(J.profile1, set(J.covered_src_blocks("H")))
     e_1z = _central_projection(J.profile1, set(J.covered_src_blocks("A")))
-    w_total = _pullback_weight(J.profile1, lambda a: w2.value(J.apply(a)))
-    w_hom = _pullback_weight(J.profile1, lambda a: w2.value(z @ J.apply(a)))
-    w_anti = _pullback_weight(J.profile1, lambda a: w2.value((j1 - z) @ J.apply(a)))
+    w_total = _pullback_weight(J, w2.rho)
+    w_hom = _pullback_weight(J, w2.rho @ z)
+    w_anti = _pullback_weight(J, w2.rho @ (j1 - z))
     gap = (w_total.rho - w_hom.rho - w_anti.rho).fro_norm()
     if gap > 1e-9 * max(1.0, w_total.rho.fro_norm()):
         raise NoConvergence(f"density splitting failed (residual {gap:.3e})")

@@ -19,7 +19,8 @@ from nclp.classical import (
 )
 from nclp.errors import ExponentOrder, ProfileMismatch, TooLarge
 from nclp.exponents import Exponent
-from nclp.matcore import BlockMatrix, schatten_norm
+from nclp.jordan import materialise
+from nclp.matcore import BlockMatrix, BlockProfile, schatten_norm
 from nclp.sampling import generator
 
 
@@ -232,6 +233,86 @@ def test_pipeline_random_spaces():
         res = five_step_pipeline(T, m1, m2, 2, 1)
         assert res.composite_residual < 1e-10
         assert res.isometry_residual < 1e-10
+
+
+def _reference_stages(T, m1, m2, p, q):
+    """The classical map and the five stages as the closures they were built from.
+
+    Returns (closure, domain profile) for the direct map, then for stages I-V.
+    """
+    p, q = Exponent(p), Exponent(q)
+    inv_p, inv_q = float(p.reciprocal()), float(q.reciprocal())
+
+    def diag(x):
+        return np.array([blk[0, 0] for blk in x.blocks])
+
+    w1, w2 = np.array(m1.mass) ** inv_p, np.array(m2.mass) ** inv_q
+    idx = {y: m1.index(x) for y, x in T.mapping}
+
+    def direct(x):
+        f = diag(x) / w1
+        out = np.zeros(m2.size, dtype=complex)
+        for j, y in enumerate(m2.atoms):
+            if y in idx:
+                out[j] = w2[j] * f[idx[y]]
+        return BlockMatrix.diagonal(m2.profile(), out)
+
+    pushed, support = pushforward(T, m1, m2)
+    if not support:
+        zero = lambda x: BlockMatrix.zeros(m2.profile())
+        return [(direct, m1.profile())] + [(zero, m1.profile())] * 5
+    part = Partition.from_preimages(T)
+    z_idx = [m1.index(a) for a in support]
+    space_z1 = FiniteMeasureSpace(support, [m1.mass[i] for i in z_idx])
+    space_z_nu = FiniteMeasureSpace(support, [pushed[i] for i in z_idx])
+    block_targets = [T.image_of(blk[0]) for blk in part.blocks]
+    block_mass = [sum(m2.mass_of(y) for y in blk) for blk in part.blocks]
+    y_atoms = tuple(y for y in m2.atoms if y in set(T.domain))
+    y_mass = [m2.mass_of(y) for y in y_atoms]
+    half_out = space_z_nu.weight().power(q.reciprocal() / 2)
+    half_in = space_z1.weight().power(-p.reciprocal() / 2)
+    perm = [support.index(t) for t in block_targets]
+    member = {y: b for b, blk in enumerate(part.blocks) for y in blk}
+    wq_blocks, wq_y = np.array(block_mass) ** inv_q, np.array(y_mass) ** inv_q
+
+    def refinement(x):
+        vals = diag(x) / wq_blocks
+        out = [wq_y[i] * vals[member[y]] for i, y in enumerate(y_atoms)]
+        return BlockMatrix.diagonal(BlockProfile([1] * len(y_atoms)), out)
+
+    def extension(x):
+        out = np.zeros(m2.size, dtype=complex)
+        for i, y in enumerate(y_atoms):
+            out[m2.index(y)] = diag(x)[i]
+        return BlockMatrix.diagonal(m2.profile(), out)
+
+    n = len(support)
+    return [
+        (direct, m1.profile()),
+        (lambda x: BlockMatrix.diagonal(space_z1.profile(), diag(x)[z_idx]), m1.profile()),
+        (lambda x: half_out @ (half_in @ x @ half_in) @ half_out, space_z1.profile()),
+        (lambda x: BlockMatrix.diagonal(BlockProfile([1] * n), diag(x)[perm]),
+         space_z_nu.profile()),
+        (refinement, BlockProfile([1] * n)),
+        (extension, BlockProfile([1] * len(y_atoms))),
+    ]
+
+
+def test_classical_matrices_match_closures():
+    # build_classical and the five stages are index-plus-scale matrices; each
+    # equals the materialisation of the closure it replaced
+    rng = generator(4)
+    cases = [running_example(), (PointMap({}),) + running_example()[1:]]
+    cases += [random_space_pair(rng, max_atoms=6) for _ in range(12)]
+    for T, m1, m2 in cases:
+        for p, q in ((2, 1), (3, "3/2"), (2, 2), ("inf", 2), ("inf", "inf")):
+            res = five_step_pipeline(T, m1, m2, p, q)
+            ops = [build_classical(T, m1, m2, p, q, cross_check=False), res.restriction,
+                   res.change, res.isometry, res.refinement, res.extension]
+            for op, (closure, profile) in zip(ops, _reference_stages(T, m1, m2, p, q)):
+                ref, cod = materialise(closure, profile)
+                assert (op.domain_profile, op.codomain_profile) == (profile, cod)
+                assert np.linalg.norm(op.matrix() - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_eps_delta_examples():

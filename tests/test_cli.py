@@ -113,14 +113,19 @@ def test_check_jordan_zero_samples_is_a_usage_error(spec_path, tmp_path, capsys)
     assert not out.exists()
 
 
-def test_classify_accept_and_reject(tmp_path):
+def classify_spec():
+    """BASE_SPEC with the superoperator of the transpose map at (2, 1), and its matrix."""
     prof = BlockProfile([2])
     w1 = Weight.diagonal(prof, [0.5, 0.5])
     w2 = Weight.diagonal(prof, [0.8, 0.2])
-    C = build_composition(transpose_morphism(prof), w1, w2, 2, 1)
-    mat = C.matrix()
+    mat = build_composition(transpose_morphism(prof), w1, w2, 2, 1).matrix()
     spec = dict(BASE_SPEC)
     spec["superoperator"] = {"matrix": [[c2(z) for z in row] for row in mat]}
+    return spec, mat
+
+
+def test_classify_accept_and_reject(tmp_path):
+    spec, mat = classify_spec()
     path = tmp_path / "cls.json"
     path.write_text(json.dumps(spec))
     code, report = machine_report(tmp_path, ["classify", str(path), "--p", "2", "--q", "1"])
@@ -238,8 +243,11 @@ def test_console_entry_point(spec_path, tmp_path):
 
 
 def test_machine_reports_deterministic(spec_path, tmp_path):
+    classify_path = tmp_path / "cls.json"
+    classify_path.write_text(json.dumps(classify_spec()[0]))
     for command in (
         ["check-jordan", spec_path],
+        ["classify", str(classify_path), "--p", "2", "--q", "1"],
         ["norm", spec_path, "--p", "2", "--q", "1", "--seed", "7"],
         ["change-of-weights", spec_path, "--p", "2", "--q", "1"],
         ["classical", spec_path],

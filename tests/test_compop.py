@@ -28,6 +28,7 @@ from nclp.errors import (
     NotFaithful,
     NotModuleMap,
     NotSummable,
+    ProfileMismatch,
     RatioMismatch,
 )
 from nclp.exponents import Exponent, INF
@@ -54,16 +55,6 @@ def faithful(profile, rng):
 
 
 # -- SuperOperator plumbing -------------------------------------------------
-
-
-def test_materialisation_matches_action():
-    rng = generator(0)
-    w1 = faithful(PROF23, rng)
-    w2 = faithful(PROF23, rng)
-    C = build_composition(transpose_morphism(PROF23), w1, w2, 3, 1.5)
-    for _ in range(5):
-        x = element(PROF23, rng)
-        assert (C.apply(x) - C.apply_via_matrix(x)).fro_norm() < 1e-10 * (1 + x.fro_norm())
 
 
 def _reference_composition(J, w1, w2, p, q):
@@ -103,6 +94,82 @@ def test_trace_dual_pairing():
         lhs = (g @ C.apply(x)).trace()
         rhs = (D.apply(g) @ x).trace()
         assert abs(lhs - rhs) < 1e-10 * (1 + abs(lhs))
+
+
+def _reference_closures(rng):
+    """(operator, the closure it was built from before it was a matrix, domain profile)."""
+    cases = []
+    for dims in ([2], [2, 3], [1, 3]):
+        profile = BlockProfile(dims)
+        w, w0 = faithful(profile, rng), faithful(profile, rng)
+        c = element(profile, rng)
+        cases.append((identity_operator(profile, 3), lambda x: x, profile))
+        cases.append((left_multiplication(profile, c, 2, 1), lambda x, c=c: c @ x, profile))
+        for p, q in ((2, 2), (2, 1), (3, "3/2"), ("inf", 2)):
+            half_out = w0.power(Exponent(q).reciprocal() / 2)
+            half_in = w.power(-Exponent(p).reciprocal() / 2)
+            cases.append((change_of_weights(w, w0, p, q).operator,
+                          lambda x, o=half_out, i=half_in: o @ (i @ x @ i) @ o, profile))
+    for _ in range(4):
+        spec = random_morphism(rng)
+        w1, w2 = faithful(spec.profile1, rng), faithful(spec.profile2, rng)
+        for p in (2, 3, "inf"):
+            pre = w1.power(-Exponent(p).reciprocal() / 2)
+            post = w2.power(Exponent(p).reciprocal() / 2)
+            inc = contraction_inclusion(w1, w2, spec, p)
+            cases.append((inc.operator,
+                          lambda x, J=spec, a=pre, b=post: b @ J.apply(a @ x @ a) @ b,
+                          spec.profile1))
+        C = build_composition(spec, w1, w2, 3, "3/2")
+        hs = C.hs_adjoint()
+        cases.append((C.trace_dual(), lambda g, hs=hs: hs.apply(g.adjoint()).adjoint(),
+                      spec.profile2))
+        L = left_multiplication(spec.profile2, element(spec.profile2, rng), "3/2", 1)
+        cases.append((L.compose(C), lambda x, L=L, C=C: L.apply(C.apply(x)), spec.profile1))
+    return cases
+
+
+def test_closed_forms_match_closures():
+    # every library operator is built as a matrix; each equals the
+    # materialisation of the closure it replaced
+    for op, closure, profile in _reference_closures(generator(67)):
+        ref, cod = materialise(closure, profile)
+        assert (op.domain_profile, op.codomain_profile) == (profile, cod)
+        assert np.linalg.norm(op.matrix() - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert not op.matrix().flags.writeable
+
+
+def test_constructor_refuses_maps_that_are_not_linear():
+    rng = generator(68)
+    spec = random_morphism(rng, profile1=PROF23)
+    profile2 = spec.profile2
+    with pytest.raises(ProfileMismatch):
+        SuperOperator(PROF23, profile2, 2, 2,
+                      lambda x: spec.apply(BlockMatrix(x.profile, [b.conj() for b in x.blocks])))
+    with pytest.raises(ProfileMismatch):
+        SuperOperator(PROF23, PROF23, 2, 2, lambda x: x @ x)
+    # a linear callable is materialised once and then applied through its matrix
+    op = SuperOperator(PROF23, profile2, 2, 2, spec.apply)
+    x = element(PROF23, rng)
+    assert (op.apply(x) - spec.apply(x)).fro_norm() <= 1e-12 * (1 + x.fro_norm())
+
+
+def test_constructor_refuses_images_on_another_profile():
+    with pytest.raises(ProfileMismatch):
+        SuperOperator(BlockProfile([2]), BlockProfile([3]), 2, 2, lambda x: x)
+    spec = random_morphism(generator(69), profile1=PROF23)
+    assert spec.profile2 != PROF23
+    with pytest.raises(ProfileMismatch):
+        SuperOperator(PROF23, PROF23, 2, 2, spec.apply)
+    with pytest.raises(ProfileMismatch):
+        # one image lands on another profile
+        SuperOperator(PROF2, PROF2, 2, 2,
+                      lambda x: x if x.blocks[0][0, 0] == 0 else BlockMatrix.zeros(PROF23))
+
+
+def test_left_multiplication_refuses_a_multiplier_on_another_profile():
+    with pytest.raises(ProfileMismatch):
+        left_multiplication(BlockProfile([2]), BlockMatrix.identity(BlockProfile([3])), 2, 2)
 
 
 # -- build_composition ------------------------------------------------------
@@ -654,7 +721,7 @@ def _diagonal_compressed(spec, w1, w2, p, q):
         diag = BlockMatrix(y.profile, [np.diag(np.diagonal(b)) for b in y.blocks])
         return post @ spec.apply(diag) @ post
 
-    return SuperOperator(spec.profile1, spec.profile2, p, q, action, check=False)
+    return SuperOperator(spec.profile1, spec.profile2, p, q, action)
 
 
 def test_projection_batch_matches_single_draws():
@@ -765,21 +832,17 @@ def test_classifier_refuses_negative_probe_count():
 
 def test_classifier_rejects_conjugate_linear_operator():
     # x -> C(conj x) sends projections to projections and its matrix on the
-    # (real) matrix units is that of C, so only the linearity probe through
-    # the operator itself can refuse it
+    # (real) matrix units is that of C, so the classifier could not tell it
+    # apart; it never becomes an operator, because the constructor's probe
+    # compares the callable with its matrix
     profile = BlockProfile([1, 2])
     w1 = Weight.diagonal(profile, [0.3, 0.5, 0.2])
     spec = random_morphism(generator(48), profile1=profile)
     w2 = Weight.diagonal(spec.profile2, np.linspace(0.5, 1.5, spec.profile2.total_dim))
     C = build_composition(spec, w1, w2, 2, 1)
-    S = SuperOperator(profile, spec.profile2, 2, 1,
-                      lambda x: C.apply(BlockMatrix(x.profile, [b.conj() for b in x.blocks])),
-                      check=False)
-    res = classify_characteristic_preserving(S, w1, w2)
-    assert not res.accepted
-    assert res.probes == 2 ** profile.total_dim + 200
-    assert res.max_projection_residual < 1e-7
-    assert res.witness[2] > 1e-7
+    with pytest.raises(ProfileMismatch):
+        SuperOperator(profile, spec.profile2, 2, 1,
+                      lambda x: C.apply(BlockMatrix(x.profile, [b.conj() for b in x.blocks])))
 
 
 # -- contraction inclusion --------------------------------------------------
