@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -55,12 +56,22 @@ _KNOWN_SECTIONS = {
 # ---------------------------------------------------------------------------
 
 
+def _is_finite_number(value) -> bool:
+    """Whether a JSON value is a finite number; json accepts NaN, Infinity and 1e999."""
+    if not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        return False
+
+
 def _complex_entry(value, path):
     if (not isinstance(value, (list, tuple))) or len(value) != 2:
         raise SpecFileError(path, "complex entries must be [re, im] pairs")
     re_part, im_part = value
-    if not isinstance(re_part, (int, float)) or not isinstance(im_part, (int, float)):
-        raise SpecFileError(path, "complex entry parts must be numbers")
+    if not _is_finite_number(re_part) or not _is_finite_number(im_part):
+        raise SpecFileError(path, "complex entry parts must be finite numbers")
     return complex(re_part, im_part)
 
 
@@ -145,6 +156,14 @@ def _measure_space(value, path):
     for key in ("atoms1", "masses1", "atoms2", "masses2", "map"):
         if key not in value:
             raise SpecFileError(f"{path}.{key}", "missing field")
+    for key in ("atoms1", "masses1", "atoms2", "masses2"):
+        if not isinstance(value[key], list):
+            raise SpecFileError(f"{path}.{key}", "expected a list")
+        for i, item in enumerate(value[key]):
+            if key.startswith("atoms") and isinstance(item, (list, dict)):
+                raise SpecFileError(f"{path}.{key}[{i}]", "atom labels are strings or numbers")
+            if key.startswith("masses") and not _is_finite_number(item):
+                raise SpecFileError(f"{path}.{key}[{i}]", "masses are finite numbers")
     try:
         m1 = FiniteMeasureSpace(value["atoms1"], value["masses1"])
         m2 = FiniteMeasureSpace(value["atoms2"], value["masses2"])

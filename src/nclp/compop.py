@@ -16,6 +16,7 @@ user's callable is materialised, once, where it enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -325,14 +326,23 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
 
 @dataclass(frozen=True)
 class ChangeOfWeights:
-    """Connecting element, exact norm, induced map and the witness attaining the norm."""
+    """Connecting element, exact norm, the witness attaining it and the induced map.
+
+    `operator`, the map x -> d x d*, is built on first read, so a caller
+    that reads only the bound never builds its coord_dim^2 matrix.
+    """
 
     d: BlockMatrix
     bound: float
-    operator: SuperOperator
     norm_estimate: NormEstimate
     witness: BlockMatrix
     triple: ExponentTriple
+
+    @cached_property
+    def operator(self) -> SuperOperator:
+        profile = self.d.profile
+        return SuperOperator.from_matrix(profile, profile, self.triple.p, self.triple.q,
+                                         _sandwich_matrix(self.d, self.d.adjoint()))
 
 
 def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
@@ -357,10 +367,6 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     d = half_out @ half_in
     dd = d.adjoint() @ d
     bound = schatten_norm(dd, triple.r)
-    op = SuperOperator.from_matrix(
-        w.profile, w.profile, p, q,
-        _sandwich_matrix(half_out, half_out) @ _sandwich_matrix(half_in, half_in),
-    )
     lams, V = hermitian_eig(dd)
     if triple.r.is_inf:
         values = [np.zeros_like(lam) for lam in lams]
@@ -369,12 +375,12 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     else:
         witness = _spectral_power(w.profile, lams, V.blocks,
                                   float(triple.r.fraction * p.reciprocal()))
-    value = schatten_norm(op.apply(witness), q) / schatten_norm(witness, p) if bound else 0.0
+    pushed = d @ witness @ d.adjoint()
+    value = schatten_norm(pushed, q) / schatten_norm(witness, p) if bound else 0.0
     if value > bound + 1e-6 or value < bound * (1.0 - 1e-9):
         raise NoConvergence(f"witness attains {value:.15g}, the bound is {bound:.15g}")
     est = NormEstimate(lower_bound=value, certified=True, iterations=0, restarts=0, seed=0)
-    return ChangeOfWeights(d=d, bound=bound, operator=op, norm_estimate=est,
-                           witness=witness, triple=triple)
+    return ChangeOfWeights(d=d, bound=bound, norm_estimate=est, witness=witness, triple=triple)
 
 
 def change_of_weights_bound_if_onto(J: JordanMorphismSpec, w1: Weight, w2: Weight,
@@ -446,35 +452,31 @@ class MultiplierRecovery:
     tolerance: float
 
 
-def _module_probe_basis(profile: BlockProfile):
-    for s, size in enumerate(profile.dims):
-        for i in range(size):
-            for j in range(size):
-                yield BlockMatrix.matrix_unit(profile, s, i, j)
+def _recover_multiplier(T: SuperOperator, w: Weight, sides) -> MultiplierRecovery:
+    """Recover c with T(x) = c' x c''; sides(c) gives (c', c''): (c, 1) or (1, c).
 
-
-def _recover_multiplier(T: SuperOperator, w: Weight, mul) -> MultiplierRecovery:
-    """Recover c with T(x) = mul(c, x); mul(a, b) is a @ b or b @ a.
-
-    c = mul(T(h^{1/p}), h^{-1/p}); the module property is then checked on
-    mul(h^{1/p}, a) over a spanning basis and the recovery refused
-    (NotModuleMap) if the residual exceeds the tolerance.
+    With mul(c, x) = c' x c'', c = mul(T(h^{1/p}), h^{-1/p}).  The module
+    property is then checked on mul(h^{1/p}, E) for every matrix unit E
+    at once: the residuals are the column norms of T.matrix() S - S_c S,
+    where S and S_c are the `_sandwich_matrix` of x -> mul(h^{1/p}, x) and
+    of x -> mul(c, x).  The recovery is refused (NotModuleMap, witness the
+    first unit with the largest residual) if that residual exceeds the
+    tolerance.
     """
     w.require_faithful("multiplier recovery")
     hp = w.power(T.p.reciprocal())
     hp_inv = w.power(-T.p.reciprocal())
-    c = mul(T.apply(hp), hp_inv)
+    left, right = sides(T.apply(hp))
+    c = left @ hp_inv @ right
     scale = (1.0 + c.fro_norm()) * max(1.0, hp.fro_norm())
     tolerance = 1e-8 * scale
-    worst = 0.0
-    witness = None
-    for a in _module_probe_basis(w.profile):
-        x = mul(hp, a)
-        res = (T.apply(x) - mul(c, x)).fro_norm()
-        if res > worst:
-            worst, witness = res, a
+    S = _sandwich_matrix(*sides(hp))
+    residuals = np.linalg.norm(T.matrix() @ S - _sandwich_matrix(*sides(c)) @ S, axis=0)
+    k = int(np.argmax(residuals))
+    worst = float(residuals[k])
     if worst > tolerance:
-        raise NotModuleMap(worst, tolerance, witness=witness)
+        raise NotModuleMap(worst, tolerance,
+                           witness=BlockMatrix.unflat(w.profile, np.eye(w.profile.coord_dim)[k]))
     return MultiplierRecovery(multiplier=c, residual=worst, tolerance=tolerance)
 
 
@@ -482,15 +484,15 @@ def recover_left_multiplier(T: SuperOperator, w: Weight) -> MultiplierRecovery:
     """Recover c with T(x) = c x from a right-module homomorphism.
 
     c = T(h^{1/p}) h^{-1/p}; the right-module property is then checked on
-    h^{1/p} a over a spanning basis and the recovery refused (NotModuleMap)
-    if the residual exceeds the tolerance.
+    h^{1/p} a for every matrix unit a and the recovery refused
+    (NotModuleMap) if the residual exceeds the tolerance.
     """
-    return _recover_multiplier(T, w, lambda a, b: a @ b)
+    return _recover_multiplier(T, w, lambda c: (c, BlockMatrix.identity(c.profile)))
 
 
 def recover_right_multiplier(T: SuperOperator, w: Weight) -> MultiplierRecovery:
     """Recover c with T(x) = x c from a left-module homomorphism."""
-    return _recover_multiplier(T, w, lambda a, b: b @ a)
+    return _recover_multiplier(T, w, lambda c: (BlockMatrix.identity(c.profile), c))
 
 
 def left_multiplication(profile: BlockProfile, c: BlockMatrix, p, q) -> SuperOperator:
@@ -638,27 +640,10 @@ def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockPr
             tiles.append(Tile(src=s, dst=d, offset=offset, kind=kind))
             columns.append(frame)
             offset += size
-        if columns:
-            w = np.column_stack(columns)
-        else:
-            w = np.zeros((dim, 0), dtype=complex)
-        # complete to a unitary with an orthonormal basis of the complement
-        if w.shape[1] < dim:
-            comp = np.eye(dim, dtype=complex)
-            comp = comp - w @ w.conj().T if w.shape[1] else comp
-            q_comp, _ = np.linalg.qr(comp)
-            extra = []
-            for col in q_comp.T:
-                v = col.copy()
-                v -= w @ (w.conj().T @ v) if w.shape[1] else 0.0
-                for e in extra:
-                    v -= e * np.vdot(e, v)
-                nrm = np.linalg.norm(v)
-                if nrm > 1e-8:
-                    extra.append(v / nrm)
-                if w.shape[1] + len(extra) == dim:
-                    break
-            w = np.column_stack([w] + [e[:, None] for e in extra]) if extra else w
+        w = np.column_stack(columns) if columns else np.zeros((dim, 0), dtype=complex)
+        # complete to a unitary: the last columns of a complete QR span the
+        # complement; matrix() reads only the frame columns
+        w = np.column_stack([w, np.linalg.qr(w, mode="complete")[0][:, w.shape[1]:]])
         block_unitaries.append(w)
     return JordanMorphismSpec(profile1, profile2, tiles, block_unitaries)
 
@@ -770,7 +755,8 @@ def contraction_inclusion(wB: Weight, w2: Weight, inclusion: JordanMorphismSpec,
     The map is the composition operator of the inclusion at (p, p).
 
     Requires phi2 o inclusion <= C phi_B for a finite C, found spectrally and
-    verified on a projection probe basis; the map is bounded with norm
+    verified on a projection probe basis (all probes in one matrix product;
+    the first violating probe is reported); the map is bounded with norm
     controlled by C^{1/p} (up to a dimension-level constant).
     """
     p = coerce(p)
@@ -786,14 +772,15 @@ def contraction_inclusion(wB: Weight, w2: Weight, inclusion: JordanMorphismSpec,
         raise DominationFails("no finite domination constant")
     probes = np.concatenate([_diagonal_patterns(wB.profile, limit=256),
                              random_projection(wB.profile, generator(11), 25)], axis=1)
-    for col in probes.T:
-        e = BlockMatrix.unflat(wB.profile, col)
-        lhs = w2.value(inclusion.apply(e)).real
-        rhs = constant * wB.value(e).real
-        if lhs > rhs + 1e-9 * max(1.0, rhs):
-            raise DominationFails(
-                f"probe projection violates domination: {lhs:.6e} > C*{rhs:.6e}"
-            )
+    # phi(x) = tr(rho x) = vec(rho^T) . vec(x), for every probe in one product
+    lhs = (w2.rho.transpose().flat() @ inclusion.matrix() @ probes).real
+    rhs = constant * (wB.rho.transpose().flat() @ probes).real
+    over = np.flatnonzero(lhs > rhs + 1e-9 * np.maximum(1.0, rhs))
+    if over.size:
+        k = over[0]
+        raise DominationFails(
+            f"probe projection violates domination: {lhs[k]:.6e} > C*{rhs[k]:.6e}"
+        )
     bound = constant ** float(p.reciprocal())
     return ContractionInclusion(operator=build_composition(inclusion, wB, w2, p, p),
                                 constant=constant, bound=bound)

@@ -56,13 +56,15 @@ class JordanMorphismSpec:
     """A normal Jordan *-morphism between block profiles, stored as tiles.
 
     `matrix()` gives the map on flat block coordinates in closed form from
-    the tiles; the construction check (`verify=True`) runs on that matrix.
+    the tiles; it is the one place that writes down a tile's action.
+    `apply`, `unit_image` and `hom_projection` act through it, and the
+    construction check runs on it.
     """
 
     __slots__ = ("profile1", "profile2", "tiles", "block_unitaries", "_matrix")
 
     def __init__(self, profile1: BlockProfile, profile2: BlockProfile, tiles,
-                 block_unitaries=None, verify: bool = True):
+                 block_unitaries=None):
         norm_tiles = []
         for t in tiles:
             if not 0 <= t.src < profile1.block_count:
@@ -112,8 +114,7 @@ class JordanMorphismSpec:
         object.__setattr__(self, "tiles", tuple(norm_tiles))
         object.__setattr__(self, "block_unitaries", bus)
         object.__setattr__(self, "_matrix", None)
-        if verify:
-            self._self_check()
+        self._self_check()
 
     def __setattr__(self, name, value):
         raise AttributeError("JordanMorphismSpec is immutable")
@@ -171,40 +172,24 @@ class JordanMorphismSpec:
         return self._matrix
 
     def apply(self, a: BlockMatrix) -> BlockMatrix:
+        """J(a) = unflat(matrix() @ a.flat())."""
         if a.profile != self.profile1:
             raise ProfileMismatch("element does not match the source profile")
-        out = [np.zeros((d, d), dtype=complex) for d in self.profile2]
-        for t in self.tiles:
-            sub = a.blocks[t.src]
-            if t.kind == "A":
-                sub = sub.T
-            if t.conj_unitary is not None:
-                sub = t.conj_unitary @ sub @ t.conj_unitary.conj().T
-            size = self.profile1.dims[t.src]
-            out[t.dst][t.offset : t.offset + size, t.offset : t.offset + size] += sub
-        if self.block_unitaries is not None:
-            for d, w in enumerate(self.block_unitaries):
-                if w is not None:
-                    out[d] = w @ out[d] @ w.conj().T
-        return BlockMatrix(self.profile2, out, copy=False)
+        return BlockMatrix.unflat(self.profile2, self.matrix() @ a.flat())
 
     def unit_image(self) -> BlockMatrix:
         """J(1), a projection in the destination algebra."""
         return self.apply(BlockMatrix.identity(self.profile1))
 
     def hom_projection(self) -> BlockMatrix:
-        """The central projection z of the image algebra under which J is multiplicative."""
-        out = [np.zeros((d, d), dtype=complex) for d in self.profile2]
-        for t in self.tiles:
-            if t.kind != "H":
-                continue
-            size = self.profile1.dims[t.src]
-            out[t.dst][t.offset : t.offset + size, t.offset : t.offset + size] += np.eye(size)
-        if self.block_unitaries is not None:
-            for d, w in enumerate(self.block_unitaries):
-                if w is not None:
-                    out[d] = w @ out[d] @ w.conj().T
-        return BlockMatrix(self.profile2, out, copy=False)
+        """The central projection z of the image algebra under which J is multiplicative.
+
+        z is the unit image of the sub-morphism made of the H tiles, under
+        the same block unitaries.
+        """
+        hom = [t for t in self.tiles if t.kind == "H"]
+        return JordanMorphismSpec(self.profile1, self.profile2, hom,
+                                  self.block_unitaries).unit_image()
 
     def covered_src_blocks(self, kind=None):
         if kind is None:
@@ -294,22 +279,22 @@ def verify_jordan(morphism, samples: int = 60, seed: int = 0,
     closed-form `matrix()` of a spec, the matrix of an operator, and only
     for a bare callable one materialisation (`materialise`).
 
-    An operator is judged by its matrix alone: its constructor already
-    refused a map that is not linear.  For a spec or a bare callable,
-    linearity is probed through the map itself, one call per sample:
-    fn(alpha a + b) against alpha M a + M b.  A check through M alone would
-    pass the conjugate-linear x -> J(conj x), whose matrix is that of J.
-    Each residual is relative to max(1, ||a||_2)^2; `samples` must be at
-    least 1.
+    A spec or an operator is judged by its matrix alone: a spec acts
+    through its matrix, and an operator's constructor already refused a
+    map that is not linear.  Only a bare callable is probed for linearity
+    through the map itself, one call per sample: fn(alpha a + b) against
+    alpha M a + M b.  A check through M alone would pass the
+    conjugate-linear x -> J(conj x), whose matrix is that of J.  Each
+    residual is relative to max(1, ||a||_2)^2; `samples` must be at least 1.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
+    fn = None
     if isinstance(morphism, JordanMorphismSpec):
-        fn, profile = morphism.apply, morphism.profile1
-        M, profile2 = morphism.matrix(), morphism.profile2
+        profile, profile2, M = morphism.profile1, morphism.profile2, morphism.matrix()
     elif hasattr(morphism, "matrix") and hasattr(morphism, "domain_profile"):
-        fn, profile = None, morphism.domain_profile
-        M, profile2 = morphism.matrix(), morphism.codomain_profile
+        profile, profile2 = morphism.domain_profile, morphism.codomain_profile
+        M = morphism.matrix()
     else:
         fn = morphism
         if profile is None:

@@ -7,6 +7,7 @@ from nclp.classical import (
     FiniteMeasureSpace,
     Partition,
     PointMap,
+    _classical_map,
     build_classical,
     criterion,
     diagonal_consistency,
@@ -201,7 +202,7 @@ def test_witness_attains_exact_norm():
             else:
                 g[f > 0] = f[f > 0] ** (1.0 / (float(p) - float(q)))
             x = BlockMatrix.diagonal(m1.profile(), g * np.array(m1.mass) ** float(p.reciprocal()))
-            C = build_classical(T, m1, m2, p, q, cross_check=False)
+            C = _classical_map(T, m1, m2, p, q)
             value = schatten_norm(C.apply(x), q) / schatten_norm(x, p)
             assert value == pytest.approx(exact_diagonal_norm(T, m1, m2, p, q), rel=1e-12)
             if not p.is_inf:
@@ -233,6 +234,44 @@ def test_pipeline_random_spaces():
         res = five_step_pipeline(T, m1, m2, 2, 1)
         assert res.composite_residual < 1e-10
         assert res.isometry_residual < 1e-10
+
+
+def test_isometry_residual_matches_probe_loop(monkeypatch):
+    # the third stage is a relabelling, an isometry in every l^s; scaling it
+    # by 2 makes the residual depend on the exponent it is measured in, so
+    # the batched check is compared with the old loop over probes in l^q
+    from nclp import classical
+
+    index_map = classical._index_map
+
+    def doubled_isometry(dom, cod, p, q, rows, cols, scale):
+        labels = tuple("|".join(str(y) for y in blk) for blk in Partition.from_preimages(T).blocks)
+        if cod.atoms == labels:
+            scale = 2.0 * np.asarray(scale)
+        return index_map(dom, cod, p, q, rows, cols, scale)
+
+    monkeypatch.setattr(classical, "_index_map", doubled_isometry)
+    rng = generator(5)
+    checked = 0
+    for _ in range(8):
+        T, m1, m2 = random_space_pair(rng, max_atoms=6)
+        if not T.mapping:
+            continue
+        for p, q in ((2, 1), (3, "3/2"), ("inf", 2), (4, 4)):
+            res = five_step_pipeline(T, m1, m2, p, q)
+            n = res.isometry.domain_profile.block_count
+            iso_rng = np.random.default_rng(17)
+            probes = [np.eye(n)[i] for i in range(n)]
+            probes += [iso_rng.standard_normal(n) + 1j * iso_rng.standard_normal(n)
+                       for _ in range(3)]
+            ref = 0.0
+            for vec in probes:
+                x = BlockMatrix.diagonal(res.isometry.domain_profile, vec)
+                ref = max(ref, abs(schatten_norm(res.isometry.apply(x), q) - schatten_norm(x, q)))
+            assert ref > 0.5
+            assert res.isometry_residual == pytest.approx(ref, rel=1e-12)
+            checked += 1
+    assert checked >= 20
 
 
 def _reference_stages(T, m1, m2, p, q):
@@ -299,15 +338,16 @@ def _reference_stages(T, m1, m2, p, q):
 
 
 def test_classical_matrices_match_closures():
-    # build_classical and the five stages are index-plus-scale matrices; each
-    # equals the materialisation of the closure it replaced
+    # the classical map (as build_classical returns it, without the norm
+    # checks that refuse p = inf) and the five stages are index-plus-scale
+    # matrices; each equals the materialisation of the closure it replaced
     rng = generator(4)
     cases = [running_example(), (PointMap({}),) + running_example()[1:]]
     cases += [random_space_pair(rng, max_atoms=6) for _ in range(12)]
     for T, m1, m2 in cases:
         for p, q in ((2, 1), (3, "3/2"), (2, 2), ("inf", 2), ("inf", "inf")):
             res = five_step_pipeline(T, m1, m2, p, q)
-            ops = [build_classical(T, m1, m2, p, q, cross_check=False), res.restriction,
+            ops = [_classical_map(T, m1, m2, Exponent(p), Exponent(q)), res.restriction,
                    res.change, res.isometry, res.refinement, res.extension]
             for op, (closure, profile) in zip(ops, _reference_stages(T, m1, m2, p, q)):
                 ref, cod = materialise(closure, profile)

@@ -227,6 +227,40 @@ def test_parse_error_paths(tmp_path):
     assert main(["norm", str(path2), "--p", "2", "--q", "1"]) == 1
 
 
+def _with_measure_field(key, value):
+    spec = json.loads(json.dumps(BASE_SPEC))
+    spec["measure_space"][key] = value
+    return spec
+
+
+def _with_weight_entry(which, value):
+    spec = json.loads(json.dumps(BASE_SPEC))
+    spec[which][0][0][0] = value
+    return spec
+
+
+@pytest.mark.parametrize("command, spec, where", [
+    ("classical", _with_measure_field("masses1", ["half", 0.5]), "measure_space.masses1[0]"),
+    ("classical", _with_measure_field("masses1", [None, 0.5]), "measure_space.masses1[0]"),
+    ("classical", _with_measure_field("masses1", [float("nan"), 0.5]), "measure_space.masses1[0]"),
+    ("classical", _with_measure_field("masses2", [1 / 3, float("inf"), 1 / 3]),
+     "measure_space.masses2[1]"),
+    ("classical", _with_measure_field("atoms1", [["a"], "b"]), "measure_space.atoms1[0]"),
+    ("classical", _with_measure_field("atoms2", {"x": 1, "y": 2, "z": 3}), "measure_space.atoms2"),
+    ("classical", _with_measure_field("masses1", 0.5), "measure_space.masses1"),
+    ("norm", _with_weight_entry("weight1", [float("nan"), 0.0]), "weight1[0][0][0]"),
+    ("norm", _with_weight_entry("weight2", [0.8, float("-inf")]), "weight2[0][0][0]"),
+], ids=["text-mass", "null-mass", "nan-mass", "infinite-mass", "list-atom", "atoms-object",
+        "masses-number", "nan-entry", "infinite-entry"])
+def test_malformed_numbers_are_input_errors(tmp_path, capsys, command, spec, where):
+    # json reads NaN and Infinity; neither they nor a non-numeric mass or an
+    # unhashable atom may escape as a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(spec))
+    assert main([command, str(path), "--p", "2", "--q", "1"]) == 1
+    assert capsys.readouterr().err.startswith(f"input error: {where}: ")
+
+
 def test_console_entry_point(spec_path, tmp_path):
     import subprocess
     import sys

@@ -559,6 +559,57 @@ def test_recover_rejects_non_module_maps():
         recover_left_multiplier(conj_map, w)
 
 
+def _reference_recover(T, w, mul):
+    """The unit-by-unit module check: (multiplier, residual, witness unit or None)."""
+    hp = w.power(T.p.reciprocal())
+    c = mul(T.apply(hp), w.power(-T.p.reciprocal()))
+    worst, witness = 0.0, None
+    for s, size in enumerate(w.profile.dims):
+        for i in range(size):
+            for j in range(size):
+                a = BlockMatrix.matrix_unit(w.profile, s, i, j)
+                x = mul(hp, a)
+                res = (T.apply(x) - mul(c, x)).fro_norm()
+                if res > worst:
+                    worst, witness = res, a
+    return c, worst, witness
+
+
+def test_recover_multiplier_matches_unit_loop():
+    rng = generator(12)
+    recoveries = ((recover_left_multiplier, lambda a, b: a @ b),
+                  (recover_right_multiplier, lambda a, b: b @ a))
+    refused = accepted = 0
+    for dims in ([2], [2, 3], [1, 2, 2]):
+        profile = BlockProfile(dims)
+        cd = profile.coord_dim
+        w = faithful(profile, rng)
+        for p, q in ((2, 1), (3, "3/2"), ("inf", 2)):
+            c = element(profile, rng)
+            L = left_multiplication(profile, c, p, q)
+            noise = rng.standard_normal((cd, cd)) + 1j * rng.standard_normal((cd, cd))
+            ops = [L, SuperOperator.from_matrix(profile, profile, p, q, L.matrix() + 1e-3 * noise),
+                   SuperOperator.from_matrix(profile, profile, p, q, noise)]
+            ops.append(L.trace_dual())
+            for T in ops:
+                for recover, mul in recoveries:
+                    ref_c, ref_res, ref_witness = _reference_recover(T, w, mul)
+                    try:
+                        rec = recover(T, w)
+                    except NotModuleMap as exc:
+                        refused += 1
+                        assert exc.residual == pytest.approx(ref_res, rel=1e-12, abs=1e-12)
+                        assert ref_res > exc.tolerance
+                        assert np.array_equal(exc.witness.flat(), ref_witness.flat())
+                        continue
+                    assert (rec.multiplier - ref_c).fro_norm() <= 1e-12 * (1 + ref_c.fro_norm())
+                    assert rec.residual == pytest.approx(ref_res, rel=1e-12, abs=1e-12)
+                    assert rec.residual <= rec.tolerance
+                    accepted += 1
+    # L passes on the left only, its trace dual on the right only
+    assert (accepted, refused) == (18, 54)
+
+
 # -- necessity direction: the dual density ----------------------------------
 
 

@@ -273,13 +273,50 @@ def test_block_unitary_count_must_match_destination_blocks():
         JordanMorphismSpec(PROF2, BlockProfile([2, 1]), [Tile(0, 0, 0, "H")], [None])
 
 
+def _reference_apply(spec, a):
+    """J(a) by walking the tiles: each source block, transposed for an A tile
+    and conjugated by the tile unitary, copied into its diagonal range; then
+    every destination block conjugated by its block unitary."""
+    out = [np.zeros((d, d), dtype=complex) for d in spec.profile2]
+    for t in spec.tiles:
+        sub = a.blocks[t.src]
+        if t.kind == "A":
+            sub = sub.T
+        if t.conj_unitary is not None:
+            sub = t.conj_unitary @ sub @ t.conj_unitary.conj().T
+        size = spec.profile1.dims[t.src]
+        out[t.dst][t.offset : t.offset + size, t.offset : t.offset + size] += sub
+    if spec.block_unitaries is not None:
+        for d, w in enumerate(spec.block_unitaries):
+            if w is not None:
+                out[d] = w @ out[d] @ w.conj().T
+    return BlockMatrix(spec.profile2, out)
+
+
+def _reference_hom_projection(spec):
+    """z by walking the tiles: an identity on the range of every H tile, then
+    every destination block conjugated by its block unitary."""
+    out = [np.zeros((d, d), dtype=complex) for d in spec.profile2]
+    for t in spec.tiles:
+        if t.kind == "H":
+            size = spec.profile1.dims[t.src]
+            out[t.dst][t.offset : t.offset + size, t.offset : t.offset + size] += np.eye(size)
+    if spec.block_unitaries is not None:
+        for d, w in enumerate(spec.block_unitaries):
+            if w is not None:
+                out[d] = w @ out[d] @ w.conj().T
+    return BlockMatrix(spec.profile2, out)
+
+
 def test_spec_matrix_matches_materialised_apply():
+    # the closed-form matrix against the tile walk it replaced, so the test
+    # does not compare the matrix with itself through apply
     rng = generator(61)
     seen = set()
     for _ in range(40):
         spec = random_morphism(rng)
         mat = spec.matrix()
-        ref, _ = materialise(spec.apply, spec.profile1)
+        ref, _ = materialise(lambda a, spec=spec: _reference_apply(spec, a), spec.profile1)
         assert mat.shape == ref.shape
         assert np.max(np.abs(mat - ref)) <= 1e-14
         assert spec.matrix() is mat
@@ -295,6 +332,21 @@ def test_spec_matrix_matches_materialised_apply():
         if len(spec.tiles) > len(spec.covered_src_blocks()):
             seen.add("multiplicity 2")
     assert seen == {"H", "A", "tile unitary", "block unitary", "partial", "multiplicity 2"}
+
+
+def test_hom_projection_matches_tile_walk():
+    rng = generator(64)
+    kinds = set()
+    for _ in range(40):
+        spec = random_morphism(rng)
+        z = spec.hom_projection()
+        assert z.profile == spec.profile2
+        assert np.max(np.abs((z - _reference_hom_projection(spec)).flat())) <= 1e-14
+        x = element(spec.profile1, rng)
+        assert np.max(np.abs((spec.apply(x) - _reference_apply(spec, x)).flat())) <= 1e-13 * (
+            1 + x.fro_norm())
+        kinds.add(tuple(sorted({t.kind for t in spec.tiles})))
+    assert kinds == {("H",), ("A", "H"), ("A",)}
 
 
 def test_batched_draws_match_per_sample_draws():
