@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compop import SuperOperator, build_composition, operator_norm
-from .errors import ExponentOrder, NoConvergence, ProfileMismatch, TooLarge
-from .exponents import Exponent, INF, coerce, require_order
+from .errors import NoConvergence, ProfileMismatch, TooLarge
+from .exponents import Exponent, coerce, ratio, require_order
 from .jordan import JordanMorphismSpec, Tile
 from .matcore import BlockProfile, _lp_norm
 from .vnops import Weight
@@ -141,23 +141,20 @@ def criterion(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
               p, q) -> CriterionResult:
     """The boundedness criterion for the induced operator l^p(m1) -> l^q(m2).
 
-    r = p/(p-q) (infinite when p = q); the operator is bounded iff the
-    derivative of m2 o T^{-1} lies in L^r(m1), and then its norm is at most
-    norm_f^{1/q} where norm_f is that L^r norm.
+    r = p/(p-q), the conjugate of p/q: infinite when p = q, and 1 at
+    p = inf with q finite.  The operator is bounded iff the derivative of
+    m2 o T^{-1} lies in L^r(m1), and then its norm is at most norm_f^{1/q}
+    where norm_f is that L^r norm.
     """
     p, q = coerce(p), coerce(q)
     require_order(p, q)
-    if p.is_inf:
-        raise ExponentOrder("the criterion covers finite p only")
     f = rn_derivative(T, m1, m2)
-    masses = np.array(m1.mass)
-    if p == q:
-        r = INF
+    r = ratio(p, q).conjugate()
+    if r.is_inf:
         norm_f = float(np.max(f))
     else:
-        r = Exponent(p.fraction / (p.fraction - q.fraction))
         rf = float(r)
-        norm_f = float(np.sum(masses * f ** rf) ** (1.0 / rf))
+        norm_f = float(np.sum(np.array(m1.mass) * f ** rf) ** (1.0 / rf))
     bound = norm_f ** (1.0 / float(q))
     return CriterionResult(r=r, norm_f=norm_f, bound=bound)
 

@@ -424,8 +424,7 @@ def cmd_classify(spec: SpecDocument, args) -> tuple[Report, int]:
     report = Report("classify", spec,
                     {"p": str(p), "q": str(q), "seed": args.seed},
                     {"projection_residual": 1e-7}, args.seed)
-    result = classify_characteristic_preserving(operator, w1, w2, p, q,
-                                                seed=args.seed)
+    result = classify_characteristic_preserving(operator, w1, w2, seed=args.seed)
     report.put("verdict", result.verdict)
     report.put("max_projection_residual", result.max_projection_residual)
     report.put("probes_used", result.probes)
@@ -445,7 +444,7 @@ def cmd_change_of_weights(spec: SpecDocument, args) -> tuple[Report, int]:
     w0 = spec.weight(2, profile1)
     seed = args.seed
     if args.r is not None:
-        r = Exponent(args.r)
+        r = spec.exponent("r", args.r)
         pairs = [(r, Exponent(1))]
         doubled = r.scaled(2)
         pairs.append((doubled, Exponent(2)))
@@ -531,35 +530,6 @@ def cmd_modular(spec: SpecDocument, args) -> tuple[Report, int]:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nclp",
-        description="Composition operators on finite-dimensional weighted "
-                    "Schatten (noncommutative L^p) carriers.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("spec", help="path to the JSON spec file")
-        sp.add_argument("--p", default=None, help='domain exponent ("2", "1.5", "inf")')
-        sp.add_argument("--q", default=None, help="codomain exponent")
-        sp.add_argument("--r", default=None, help="ratio p/q for scale mode")
-        sp.add_argument("--restarts", type=int, default=16,
-                        help="maximiser restarts, at least 1 (used by norm only)")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=100,
-                        help="random probes, at least 1 (used by check-jordan only)")
-        sp.add_argument("--t", type=float, nargs="+", default=None,
-                        help="modular group parameters")
-        sp.add_argument("--out", default=None, help="write the report to a file")
-        sp.add_argument("--format", choices=("human", "machine"), default="human")
-
-    for name in ("check-jordan", "norm", "classify", "change-of-weights",
-                 "classical", "modular"):
-        common(sub.add_parser(name))
-    return parser
-
-
 _HANDLERS = {
     "check-jordan": cmd_check_jordan,
     "norm": cmd_norm,
@@ -568,6 +538,30 @@ _HANDLERS = {
     "classical": cmd_classical,
     "modular": cmd_modular,
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """One parser: every subcommand takes the same spec path and options."""
+    parser = argparse.ArgumentParser(
+        prog="nclp",
+        description="Composition operators on finite-dimensional weighted "
+                    "Schatten (noncommutative L^p) carriers.",
+    )
+    parser.add_argument("command", choices=_HANDLERS)
+    parser.add_argument("spec", help="path to the JSON spec file")
+    parser.add_argument("--p", default=None, help='domain exponent ("2", "1.5", "inf")')
+    parser.add_argument("--q", default=None, help="codomain exponent")
+    parser.add_argument("--r", default=None, help="ratio p/q for scale mode")
+    parser.add_argument("--restarts", type=int, default=16,
+                        help="maximiser restarts, at least 1 (used by norm only)")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--samples", type=int, default=100,
+                        help="random probes, at least 1 (used by check-jordan only)")
+    parser.add_argument("--t", type=float, nargs="+", default=None,
+                        help="modular group parameters")
+    parser.add_argument("--out", default=None, help="write the report to a file")
+    parser.add_argument("--format", choices=("human", "machine"), default="human")
+    return parser
 
 
 def main(argv=None) -> int:

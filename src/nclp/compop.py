@@ -560,136 +560,112 @@ def _projection_residuals(profile: BlockProfile, F: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(adj, sq)) / np.maximum(1.0, np.linalg.norm(F, axis=0))
 
 
-def _rank_of_projection(p_blk: np.ndarray) -> int:
-    lam = np.linalg.eigvalsh((p_blk + p_blk.conj().T) / 2)
-    return int(np.sum(lam > 0.5))
+def _projection_frame(P: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the range of a (numerical) projection, fixed by P alone.
 
-
-def _projection_frame(p_blk: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the range of a (numerical) projection."""
-    lam, v = np.linalg.eigh((p_blk + p_blk.conj().T) / 2)
-    return v[:, lam > 0.5]
+    The rank is the rounded trace.  Pivoted Cholesky picks that many
+    columns X of P, each time the first index within 1e-9 of the largest
+    remaining diagonal, and the frame is X (X*X)^{-1/2}.  Every step is a
+    function of P, so a rounding-level change of P moves the frame at
+    rounding level only; eigenvectors would carry phases, and a basis of
+    the degenerate eigenspace, chosen by the rounding noise.
+    """
+    H = (P + P.conj().T) / 2
+    R, picked = H, []
+    for _ in range(int(round(np.trace(H).real))):
+        diag = R.diagonal().real
+        j = int(np.argmax(diag >= diag.max() - 1e-9))
+        picked.append(j)
+        R = R - np.outer(R[:, j], R[j]) / diag[j]
+    X = H[:, picked]
+    lam, v = np.linalg.eigh(X.conj().T @ X)
+    return X @ (v / np.sqrt(lam)) @ v.conj().T
 
 
 def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockProfile,
                        tol: float):
     """Factor a verified Jordan map into tiles plus per-destination unitaries.
 
-    J0 is the materialised map: its columns are the images of the matrix
-    units in flat order.  The multiplicative and antimultiplicative parts
-    of the image of each source block are separated with the extractors
-    J(E_ii) J(E_ij) and J(E_ij) J(E_ii) built from those images; matched
-    orthonormal frames then realise every copy as an H or A tile under one
-    unitary per destination block.
+    J0 is the map's matrix: column k holds the image of the k-th matrix
+    unit.  For source block s (size n) and destination block d (size m),
+    F = J0[rows of d, columns of s].T.reshape(n, n, m, m) holds J(E_ij) in
+    block d as F[i, j]; an (s, d) pair with ||F|| <= tol is skipped.  For
+    i != j the multiplicative (H) part of J(E_ij) is J(E_ii) J(E_ij) and the
+    antimultiplicative (A) part is J(E_ij) J(E_ii).  The H extractor is the
+    projection X X* onto the first frame columns of the H copies, X the H
+    part of J(E_12), and its maps are the H parts of J(E_i1); the A
+    extractor is Y* Y, Y the A part of J(E_12), and its maps are the A
+    parts of J(E_1l).  A 1x1 source is the H case with extractor J(E_11)
+    and no maps.  Each column w of `_projection_frame` of an extractor gives
+    one tile, with frame columns w and the maps applied to w.  The unitary
+    of block d is those frames followed by
+    `_projection_frame(1 - W W*)`, so it depends on J0 only, not on the
+    rounding inside an eigensolver or a QR.
     """
-    unit_images, at = {}, 0
-    for s, size in enumerate(profile1.dims):
-        unit_images[s] = [
-            [BlockMatrix.unflat(profile2, J0[:, at + i * size + j]) for j in range(size)]
-            for i in range(size)
-        ]
-        at += size * size
-    # copies[d] collects (src, kind, frame columns) in placement order
-    copies = {d: [] for d in range(profile2.block_count)}
-    for s, size in enumerate(profile1.dims):
-        F = unit_images[s]
-        j1s = F[0][0]
-        for i in range(1, size):
-            j1s = j1s + F[i][i]
-        if j1s.fro_norm() <= tol:
-            continue  # source block killed
-        for d in range(profile2.block_count):
-            if size == 1:
-                p_blk = F[0][0].blocks[d]
-                if np.linalg.norm(p_blk) <= tol:
-                    continue
-                frame = _projection_frame(p_blk)
-                for m in range(frame.shape[1]):
-                    copies[d].append((s, "H", frame[:, [m]]))
+    src_at = np.cumsum([0] + [n * n for n in profile1.dims])
+    dst_at = np.cumsum([0] + [m * m for m in profile2.dims])
+    tiles, block_unitaries = [], []
+    for d, m in enumerate(profile2.dims):
+        frames, offset = [], 0
+        for s, n in enumerate(profile1.dims):
+            F = J0[dst_at[d] : dst_at[d + 1], src_at[s] : src_at[s + 1]].T.reshape(n, n, m, m)
+            if np.linalg.norm(F) <= tol:
                 continue
-            # homomorphic part: pi_H(E_1j) = J(E_11) J(E_1j)
-            hom_11 = (F[0][0] @ F[0][1] @ (F[0][0] @ F[0][1]).adjoint()).blocks[d]
-            mu_h = _rank_of_projection(hom_11) if np.linalg.norm(hom_11) > tol else 0
-            if mu_h:
-                w_frame = _projection_frame(hom_11)
-                for m in range(mu_h):
-                    cols = [w_frame[:, m]]
-                    for i in range(1, size):
-                        hom_i1 = (F[i][i] @ F[i][0]).blocks[d]
-                        cols.append(hom_i1 @ w_frame[:, m])
-                    copies[d].append((s, "H", np.column_stack(cols)))
-            # antihomomorphic part: pi_A(E_1j) = J(E_1j) J(E_11)
-            a12 = F[0][1] @ F[0][0]
-            anti_11 = (a12.adjoint() @ a12).blocks[d]
-            mu_a = _rank_of_projection(anti_11) if np.linalg.norm(anti_11) > tol else 0
-            if mu_a:
-                w_frame = _projection_frame(anti_11)
-                for m in range(mu_a):
-                    cols = [w_frame[:, m]]
-                    for l in range(1, size):
-                        anti_1l = (F[0][l] @ F[0][0]).blocks[d]
-                        cols.append(anti_1l @ w_frame[:, m])
-                    copies[d].append((s, "A", np.column_stack(cols)))
-    tiles = []
-    block_unitaries = []
-    for d, dim in enumerate(profile2.dims):
-        columns = []
-        offset = 0
-        for s, kind, frame in copies[d]:
-            size = profile1.dims[s]
-            tiles.append(Tile(src=s, dst=d, offset=offset, kind=kind))
-            columns.append(frame)
-            offset += size
-        w = np.column_stack(columns) if columns else np.zeros((dim, 0), dtype=complex)
-        # complete to a unitary: the last columns of a complete QR span the
-        # complement; matrix() reads only the frame columns
-        w = np.column_stack([w, np.linalg.qr(w, mode="complete")[0][:, w.shape[1]:]])
-        block_unitaries.append(w)
+            if n == 1:
+                parts = [("H", F[0, 0], [])]
+            else:
+                X, Y = F[0, 0] @ F[0, 1], F[0, 1] @ F[0, 0]
+                parts = [("H", X @ X.conj().T, [F[i, i] @ F[i, 0] for i in range(1, n)]),
+                         ("A", Y.conj().T @ Y, [F[0, l] @ F[0, 0] for l in range(1, n)])]
+            for kind, extractor, maps in parts:
+                for w in _projection_frame(extractor).T:
+                    tiles.append(Tile(src=s, dst=d, offset=offset, kind=kind))
+                    frames.append(np.column_stack([w] + [g @ w for g in maps]))
+                    offset += n
+        W = np.column_stack(frames) if frames else np.zeros((m, 0), dtype=complex)
+        block_unitaries.append(
+            np.column_stack([W, _projection_frame(np.eye(m) - W @ W.conj().T)]))
     return JordanMorphismSpec(profile1, profile2, tiles, block_unitaries)
 
 
 def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
-                                       p=None, q=None, probes: int = 200,
-                                       seed: int = 0) -> ClassifyResult:
+                                       probes: int = 200, seed: int = 0) -> ClassifyResult:
     """Decide whether S is the composition operator of some Jordan *-morphism.
 
-    The candidate J0(a) = unembed(w2, S(embed(w1, a))) is probed on a family
-    of projections (all diagonal 0/1 patterns, then `probes` spectral
-    projections of random self-adjoint elements): a composition operator
-    must send embedded projections to embedded projections.  Survivors are
-    checked for the Jordan laws and factored back into an explicit tile
-    morphism.
+    The candidate J0(a) = unembed(w2, S(embed(w1, a))), at S's own
+    exponents, is probed on a family of projections (all diagonal 0/1
+    patterns, then `probes` spectral projections of random self-adjoint
+    elements): a composition operator must send embedded projections to
+    embedded projections.  Survivors are checked for the Jordan laws and
+    factored back into an explicit tile morphism.
 
-    J0 is linear, so it is materialised once from its images of the matrix
-    units; each probe family is one array of flat coordinate columns pushed
-    through that matrix in one product: the diagonal patterns, then the
-    spectral probes in batches of _SPECTRAL_CHUNK drawn from one generator,
-    stopping at the first batch that holds a failing probe.  The first
-    column over tolerance is the witness, and max_projection_residual and
-    `probes` cover the columns up to it, as a probe-by-probe loop would.
-    verify_jordan judges the operator with matrix J0 (S is linear, its
-    constructor saw to that), so it materialises nothing again; the tiles
-    are rebuilt from the columns of the matrix and their closed-form
-    `matrix()` is checked against it.
+    J0 is one closed-form product, sandwich(post) S.matrix() sandwich(pre)
+    with pre = h^{1/(2p)} and post = k^{-1/(2q)} (`_sandwich_matrix`); no
+    map is called.  Each probe family is one array of flat coordinate
+    columns pushed through J0 in one product: the diagonal patterns, then
+    the spectral probes in batches of _SPECTRAL_CHUNK drawn from one
+    generator, stopping at the first batch that holds a failing probe.  The
+    first column over tolerance is the witness, and max_projection_residual
+    and `probes` cover the columns up to it, as a probe-by-probe loop would.
+    verify_jordan judges the operator with matrix J0; the tiles are rebuilt
+    from the columns of that matrix (`_reconstruct_tiles`, whose frames
+    depend on J0 alone) and their closed-form `matrix()` is checked
+    against it.
 
     The projection tolerance 1e-7 is looser than the algebra tolerance
     because two embeddings compound their rounding.  `probes` must be at
-    least 0.
+    least 0; weights off S's profiles are refused (ProfileMismatch).
     """
     if probes < 0:
         raise ValueError(f"need probes >= 0, got {probes}")
-    p = S.p if p is None else coerce(p)
-    q = S.q if q is None else coerce(q)
+    if S.domain_profile != w1.profile or S.codomain_profile != w2.profile:
+        raise ProfileMismatch("the weights do not match the operator's profiles")
     w1.require_faithful("classifier (domain weight)")
     w2.require_faithful("classifier (codomain weight)")
-    pre = w1.power(p.reciprocal() / 2)
-    post = w2.power(-q.reciprocal() / 2)
-
-    def j0(a: BlockMatrix) -> BlockMatrix:
-        return post @ S.apply(pre @ a @ pre) @ post
-
+    pre = w1.power(S.p.reciprocal() / 2)
+    post = w2.power(-S.q.reciprocal() / 2)
     tol = 1e-7
-    J0, _ = materialise(j0, w1.profile)
+    J0 = _sandwich_matrix(post, post) @ S.matrix() @ _sandwich_matrix(pre, pre)
     diagonal = _diagonal_patterns(w1.profile)
     truncated = diagonal.shape[1] < 2 ** w1.profile.total_dim
     worst, used = 0.0, 0
@@ -717,11 +693,12 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
             k = over[0]
             return reject((BlockMatrix.unflat(w1.profile, E[:, k]),
                            BlockMatrix.unflat(w2.profile, F[:, k]), float(residuals[k])))
-    candidate = SuperOperator.from_matrix(w1.profile, w2.profile, p, q, J0)
+    candidate = SuperOperator.from_matrix(w1.profile, w2.profile, S.p, S.q, J0)
     verification = verify_jordan(candidate, samples=80, seed=seed + 1, tol=tol)
     if not verification.passed:
         a = hermitian(w1.profile, generator(seed + 2))
-        return reject((a, candidate.apply(a), verification.max_residual))
+        return reject((a, BlockMatrix.unflat(w2.profile, J0 @ a.flat()),
+                       verification.max_residual))
     spec = _reconstruct_tiles(J0, w1.profile, w2.profile, tol)
     # the reconstruction must reproduce the candidate exactly on a basis
     gaps = np.linalg.norm(spec.matrix() - J0, axis=0)

@@ -15,7 +15,11 @@ from .errors import BadExponent, ExponentOrder
 
 
 class Exponent:
-    """A point of [1, inf]; finite values stored as `Fraction`, inf as None."""
+    """A point of [1, inf]; finite values stored as `Fraction`, inf as None.
+
+    A finite value must fit in a float (BadExponent otherwise), so that
+    `float(p)` never overflows.
+    """
 
     __slots__ = ("_frac",)
 
@@ -42,6 +46,10 @@ class Exponent:
                 raise BadExponent(f"cannot interpret exponent {value!r}") from exc
         if frac < 1:
             raise BadExponent(f"exponent {value!r} is below 1")
+        try:
+            float(frac)
+        except OverflowError as exc:
+            raise BadExponent(f"exponent {value!r} is too large for a float") from exc
         self._frac = frac
 
     @property

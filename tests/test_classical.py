@@ -205,8 +205,7 @@ def test_witness_attains_exact_norm():
             C = _classical_map(T, m1, m2, p, q)
             value = schatten_norm(C.apply(x), q) / schatten_norm(x, p)
             assert value == pytest.approx(exact_diagonal_norm(T, m1, m2, p, q), rel=1e-12)
-            if not p.is_inf:
-                assert value == pytest.approx(criterion(T, m1, m2, p, q).bound, rel=1e-12)
+            assert value == pytest.approx(criterion(T, m1, m2, p, q).bound, rel=1e-12)
 
 
 def test_pipeline_running_example():
@@ -338,8 +337,8 @@ def _reference_stages(T, m1, m2, p, q):
 
 
 def test_classical_matrices_match_closures():
-    # the classical map (as build_classical returns it, without the norm
-    # checks that refuse p = inf) and the five stages are index-plus-scale
+    # the classical map (as build_classical returns it, without its norm
+    # checks) and the five stages are index-plus-scale
     # matrices; each equals the materialisation of the closure it replaced
     rng = generator(4)
     cases = [running_example(), (PointMap({}),) + running_example()[1:]]

@@ -261,6 +261,38 @@ def test_malformed_numbers_are_input_errors(tmp_path, capsys, command, spec, whe
     assert capsys.readouterr().err.startswith(f"input error: {where}: ")
 
 
+def _with_exponent(name, value):
+    spec = json.loads(json.dumps(BASE_SPEC))
+    spec["exponents"][name] = value
+    return spec
+
+
+@pytest.mark.parametrize("args, spec, where", [
+    (["norm", "--p", "1e400", "--q", "1"], BASE_SPEC, "--p"),
+    (["norm"], _with_exponent("p", "1e400"), "exponents.p"),
+    (["change-of-weights", "--r", "1e400"], BASE_SPEC, "--r"),
+    (["change-of-weights", "--r", "abc"], BASE_SPEC, "--r"),
+], ids=["huge-flag", "huge-spec", "huge-ratio", "text-ratio"])
+def test_bad_exponents_are_input_errors(tmp_path, capsys, args, spec, where):
+    # an exponent too large for a float, or a ratio that does not parse,
+    # is an input error, never an OverflowError traceback or a refusal
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(args[:1] + [str(path)] + args[1:]) == 1
+    assert capsys.readouterr().err.startswith(f"input error: {where}: ")
+
+
+def test_classical_accepts_infinite_p(spec_path, tmp_path):
+    # at (inf, q) the criterion exponent is r = 1: every reported number exists
+    for q in ("2", "1", "inf"):
+        code, report = machine_report(tmp_path, ["classical", spec_path, "--p", "inf", "--q", q])
+        assert code == 0
+        results = report["results"]
+        assert results["r"] == ("inf" if q == "inf" else "1")
+        assert results["measured_norm"] == pytest.approx(results["bound"], rel=1e-9)
+        assert results["all_ok"] is True
+
+
 def test_console_entry_point(spec_path, tmp_path):
     import subprocess
     import sys

@@ -830,6 +830,27 @@ def test_batched_classifier_matches_probe_loop():
             assert got == pytest.approx(residual, rel=0.0, abs=1e-12)
 
 
+def test_reconstruction_gauge_is_fixed_by_the_matrix():
+    # a rounding-level change of J0 moves the rebuilt frames and their
+    # completion at rounding level only: no eigenvector phase, degenerate
+    # eigenspace basis or QR sign is left to the noise
+    rng = generator(68)
+    for dims in ([1, 1], [2], [1, 2], [2, 2], [3], [2, 3]):
+        profile = BlockProfile(dims)
+        for _ in range(50):
+            spec = random_morphism(rng, profile1=profile)
+            J0 = spec.matrix()
+            noisy = J0 + 1e-14 * (rng.standard_normal(J0.shape) + 1j * rng.standard_normal(J0.shape))
+            clean = _reconstruct_tiles(J0, profile, spec.profile2, 1e-7)
+            moved = _reconstruct_tiles(noisy, profile, spec.profile2, 1e-7)
+            assert [(t.src, t.dst, t.offset, t.kind) for t in moved.tiles] == \
+                [(t.src, t.dst, t.offset, t.kind) for t in clean.tiles]
+            for u, v in zip(moved.block_unitaries, clean.block_unitaries):
+                np.testing.assert_allclose(u, v, rtol=0.0, atol=1e-12)
+            for rebuilt in (clean, moved):
+                np.testing.assert_allclose(rebuilt.matrix(), J0, rtol=0.0, atol=1e-12)
+
+
 def test_classifier_reports_truncated_diagonal_patterns():
     # past total_dim 12 only the first 4096 of the 2^total_dim 0/1 patterns are tested
     rng = generator(65)
@@ -879,6 +900,17 @@ def test_classifier_refuses_negative_probe_count():
         classify_characteristic_preserving(C, w, w, probes=-1)
     res = classify_characteristic_preserving(C, w, w, probes=0)
     assert res.accepted and res.probes == 2 ** 2
+
+
+def test_classifier_refuses_weights_off_the_operator_profiles():
+    # [2] and [1, 1, 1, 1] have the same coordinate count, so only the
+    # profile check stops the products from running on the wrong blocks
+    w = Weight.diagonal(PROF2, [0.5, 0.5])
+    C = build_composition(identity_morphism(PROF2), w, w, 2, 1)
+    other = Weight.diagonal(BlockProfile([1, 1, 1, 1]), [0.25] * 4)
+    for w1, w2 in ((other, w), (w, other)):
+        with pytest.raises(ProfileMismatch):
+            classify_characteristic_preserving(C, w1, w2)
 
 
 def test_classifier_rejects_conjugate_linear_operator():

@@ -23,6 +23,14 @@ def test_below_one_rejected():
         Exponent("0.99")
 
 
+def test_too_large_for_a_float_rejected():
+    # an exact rational past the float range would overflow in float(p)
+    for value in ("1e400", 10 ** 400, Fraction(10 ** 309, 3)):
+        with pytest.raises(BadExponent):
+            Exponent(value)
+    assert float(Exponent("1e300")) == 1e300
+
+
 def test_conjugate_pairs():
     assert Exponent(2).conjugate() == Exponent(2)
     assert Exponent(1).conjugate().is_inf
