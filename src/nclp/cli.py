@@ -404,6 +404,7 @@ def cmd_norm(spec: SpecDocument, args) -> tuple[Report, int]:
     report.put("q", q)
     report.put("norm_lower_bound", estimate.lower_bound)
     report.put("certified", estimate.certified)
+    report.put("restarts_capped", estimate.capped)
     bound = change_of_weights_bound_if_onto(morphism, w1, w2, p, q)
     if bound is not None:
         report.put("change_of_weights_bound", bound)

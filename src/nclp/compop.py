@@ -16,7 +16,7 @@ user's callable is materialised, once, where it enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -43,10 +43,8 @@ from .matcore import (
     BlockMatrix,
     BlockProfile,
     _from_spectrum,
-    _lp_norm,
     _spectral_power,
     block_stacks,
-    flat_columns,
     hermitian_eig,
     schatten_norm,
 )
@@ -169,6 +167,8 @@ class NormEstimate:
 
     `iterations` is summed over the restarts (0 for exact values), so it
     equals restarts * max_iter exactly when every restart hit the cap.
+    `capped` counts the restarts still running after max_iter steps, whose
+    values had not settled (0 for exact values).
     """
 
     lower_bound: float
@@ -176,6 +176,7 @@ class NormEstimate:
     iterations: int
     restarts: int
     seed: int
+    capped: int = 0
 
 
 def identity_operator(profile: BlockProfile, p, q=None) -> SuperOperator:
@@ -222,6 +223,24 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _size_groups(profile: BlockProfile) -> tuple:
+    """(d, m, rows) for each distinct block size d of the profile, smallest first.
+
+    m is the number of blocks of size d and rows the read-only (m, d*d)
+    array of their flat coordinates, or None when every block has size d,
+    so the columns are read in place.  Computed once per profile.
+    """
+    sizes = sorted(set(profile.dims))
+    starts = np.cumsum([0] + [d * d for d in profile.dims[:-1]])
+    groups = []
+    for d in sizes:
+        rows = np.stack([at + np.arange(d * d) for at, n in zip(starts, profile.dims) if n == d])
+        rows.setflags(write=False)
+        groups.append((d, rows.shape[0], rows if len(sizes) > 1 else None))
+    return tuple(groups)
+
+
 def _dual_maximizer(profile: BlockProfile, cols: np.ndarray, s: Exponent):
     """Per-column (norms, ys) for flat coordinate columns z_j of shape (coord_dim, k).
 
@@ -230,27 +249,51 @@ def _dual_maximizer(profile: BlockProfile, cols: np.ndarray, s: Exponent):
     finite s, y_j is u |z_j|^{s-1} normalised (the s = 1 case degenerates to
     u times the support projection).  For s = inf the mass concentrates on
     the top singular subspace: u P_top / tr(P_top).  Both are written from
-    the SVD z = W S V* as W f(S) V*, with one svd call per block on the
-    (k, d, d) stack of all columns.
+    the SVD z = W S V* as W f(S) V*, with one svd call per block size on the
+    (k, m, d, d) stack of its m blocks in all columns.  A 1x1 block needs no
+    svd (z = (z/|z|) |z| 1), and at s = 2 the norming element is z/||z||_2.
     """
-    svds = [np.linalg.svd(stack) for stack in block_stacks(profile, cols)]
-    all_s = np.concatenate([sv for _, sv, _ in svds], axis=-1)
-    norms = _lp_norm(all_s, s)
-    live = (norms != 0.0)[:, None]
+    if s == _TWO:
+        norms = np.linalg.norm(cols, axis=0)
+        return norms, cols * (1.0 / np.where(norms == 0.0, 1.0, norms))
+    k = cols.shape[1]
+    svds = []   # (rows, W, S, V*) per size, S of shape (k, m, d); 1x1: W the phase, V* None
+    for d, m, rows in _size_groups(profile):
+        z = (cols.T if rows is None else cols.T[:, rows]).reshape(k, m, d, d)
+        if d == 1:
+            sv = np.abs(z[..., 0])
+            svds.append((rows, z[..., 0] / np.where(sv == 0.0, 1.0, sv), sv, None))
+        else:
+            svds.append((rows, *np.linalg.svd(z)))
+    all_s = np.concatenate([sv.reshape(k, sv.shape[1] * sv.shape[2]) for _, _, sv, _ in svds],
+                           axis=-1)
     top = np.max(all_s, axis=-1, keepdims=True)
     if s.is_inf:
-        on = (all_s >= top * (1.0 - 1e-12)) & live
+        norms = top[:, 0]
+        on = (all_s >= top * (1.0 - 1e-12)) & (top != 0.0)
         f_of_s = on / np.maximum(np.sum(on, axis=-1, keepdims=True), 1)
     else:
-        # |z|^{s-1} with the support convention covers s == 1
-        scale = np.where(live, norms[:, None], 1.0)
-        f_of_s = np.where(all_s > 1e-14 * top, (all_s / scale) ** (float(s) - 1.0), 0.0)
-    ys, at = [], 0
-    for w, sv, vh in svds:
-        d = sv.shape[-1]
-        ys.append((w * f_of_s[:, None, at : at + d]) @ vh)
-        at += d
-    return norms, flat_columns(ys)
+        # ||z||_s = top c^{1/s} with c = sum (S/top)^s, and the normalised
+        # |z|^{s-1} is (S/top)^{s-1} c^{1/s-1}: factoring out top, not the
+        # norm, keeps the top ratios exact at a huge s.  The support
+        # convention covers s == 1.
+        sf = float(s)
+        ratio = all_s / np.where(top == 0.0, 1.0, top)
+        c = np.sum(ratio ** sf, axis=-1, keepdims=True)
+        norms = (top * c ** (1.0 / sf))[:, 0]
+        scale = np.where(c == 0.0, 1.0, c) ** (1.0 / sf - 1.0)
+        f_of_s = np.where(all_s > 1e-14 * top, ratio ** (sf - 1.0) * scale, 0.0)
+    ys, at = np.empty((k, profile.coord_dim), dtype=complex), 0
+    for rows, w, sv, vh in svds:
+        n = sv.shape[1] * sv.shape[2]
+        f = f_of_s[:, at : at + n].reshape(sv.shape)
+        at += n
+        y = w * f if vh is None else (w * f[..., None, :]) @ vh
+        if rows is None:
+            ys = y.reshape(k, profile.coord_dim)
+        else:
+            ys[:, rows] = y.reshape(k, *rows.shape)
+    return norms, ys.T
 
 
 def _random_start(profile: BlockProfile, stream) -> np.ndarray:
@@ -277,7 +320,8 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     and advance together as the columns of one (coord_dim, restarts) array
     of flat block coordinates.  Each restart stops on its own, after
     max_iter steps, on a gain below 1e-10 or on a zero dual; only the
-    columns still running are multiplied.
+    columns still running are multiplied.  The restarts still running
+    after max_iter steps are reported as `capped`.
     """
     if method not in ("auto", "exact", "alternating"):
         raise ValueError(f"unknown method {method!r}")
@@ -316,7 +360,8 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
         going = (val2 != 0.0) & ~(gain < 1e-10)
         active, X = active[going], X[:, going]
     return NormEstimate(lower_bound=float(np.max(current)), certified=False,
-                        iterations=total_iters, restarts=restarts, seed=seed)
+                        iterations=total_iters, restarts=restarts, seed=seed,
+                        capped=int(active.size))
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +397,10 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     |d h^{1/(2p)}|^2 = k^{1/q} exactly, and the induced map
     x -> d x d* (embed_p(w, a) -> embed_q(w0, eae), e the support of w0)
     has norm ||  |d|^2 ||_r = ||d||_{2r}^2 for the Holder complement r,
-    attained at x = (d*d)^{r/p} (support convention: the support projection
-    at p = inf), or at r = inf on one top eigenvector of d*d.  NoConvergence
-    if the witness falls 1e-9 relative below the bound or 1e-6 above it.
+    attained at x = (d*d/t)^{r/p}, t the top eigenvalue (support convention:
+    the support projection at p = inf), or at r = inf on one top eigenvector
+    of d*d.  NoConvergence if the witness falls 1e-9 relative below the
+    bound or 1e-6 above it.
     """
     p, q = coerce(p), coerce(q)
     require_order(p, q)
@@ -373,8 +419,11 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
         values[int(np.argmax([lam[-1] for lam in lams]))][-1] = 1.0
         witness = _from_spectrum(w.profile, values, V.blocks)
     else:
-        witness = _spectral_power(w.profile, lams, V.blocks,
-                                  float(triple.r.fraction * p.reciprocal()))
+        # the witness is homogeneous of degree 0, so the spectrum is divided
+        # by its top first: (d*d)^{r/p} overflows when p is just above q
+        top = max(float(lam[-1]) for lam in lams)
+        witness = _spectral_power(w.profile, [lam / top for lam in lams] if top > 0 else lams,
+                                  V.blocks, float(triple.r.fraction * p.reciprocal()))
     pushed = d @ witness @ d.adjoint()
     value = schatten_norm(pushed, q) / schatten_norm(witness, p) if bound else 0.0
     if value > bound + 1e-6 or value < bound * (1.0 - 1e-9):

@@ -76,6 +76,7 @@ def test_norm_prints_bound(spec_path, tmp_path):
     assert results["norm_lower_bound"] <= results["change_of_weights_bound"] + 1e-6
     assert results["change_of_weights_bound"] == pytest.approx(1.166190, abs=1e-6)
     assert results["within_bound"] is True
+    assert results["restarts_capped"] == 0
 
 
 def test_norm_identity_certified(tmp_path):
@@ -291,6 +292,23 @@ def test_classical_accepts_infinite_p(spec_path, tmp_path):
         assert results["r"] == ("inf" if q == "inf" else "1")
         assert results["measured_norm"] == pytest.approx(results["bound"], rel=1e-9)
         assert results["all_ok"] is True
+
+
+def test_p_just_above_q_reports(spec_path, tmp_path):
+    # the Holder complement r is about 1e7, so the witness (d*d)^{r/p} must
+    # not be formed unscaled
+    for command in ("norm", "change-of-weights"):
+        code, report = machine_report(tmp_path, [command, spec_path,
+                                                 "--p", "1.0000001", "--q", "1"])
+        assert code == 0
+        assert report["results"]["within_bound"] is True
+
+
+def test_classical_at_a_huge_exponent(spec_path, tmp_path):
+    # the maximiser's cross-check must not beat the exact norm at s = 1e300
+    code, report = machine_report(tmp_path, ["classical", spec_path, "--p", "1e300", "--q", "1e300"])
+    assert code == 0
+    assert report["results"]["all_ok"] is True
 
 
 def test_console_entry_point(spec_path, tmp_path):

@@ -42,7 +42,15 @@ from nclp.jordan import (
     random_morphism,
     transpose_morphism,
 )
-from nclp.matcore import BlockMatrix, BlockProfile, schatten_norm
+from nclp.classical import FiniteMeasureSpace, PointMap, build_classical
+from nclp.matcore import (
+    BlockMatrix,
+    BlockProfile,
+    _lp_norm,
+    block_stacks,
+    flat_columns,
+    schatten_norm,
+)
 from nclp.sampling import element, generator, hermitian, projection, psd, unitary
 from nclp.vnops import Weight
 
@@ -253,7 +261,7 @@ def test_norm_refuses_empty_runs():
             operator_norm(ident, **kwargs)
 
 
-def _reference_dual(z, s):
+def _one_element_dual(z, s):
     """The one-element dual maximiser: (norm, y), y None for z = 0."""
     svds = [np.linalg.svd(blk) for blk in z.blocks]
     all_s = np.concatenate([sv for _, sv, _ in svds])
@@ -290,11 +298,11 @@ def _reference_norm(C, restarts, max_iter, seed):
         current, k = 0.0, 0
         for _ in range(max_iter):
             k += 1
-            val, y = _reference_dual(BlockMatrix.unflat(C.codomain_profile, mat @ x.flat()), C.q)
+            val, y = _one_element_dual(BlockMatrix.unflat(C.codomain_profile, mat @ x.flat()), C.q)
             if y is None:
                 break
-            val2, x_new = _reference_dual(BlockMatrix.unflat(C.domain_profile, mat_h @ y.flat()),
-                                          p_star)
+            val2, x_new = _one_element_dual(BlockMatrix.unflat(C.domain_profile, mat_h @ y.flat()),
+                                           p_star)
             gain = max(val, val2) - current
             current = max(val, val2, current)
             if x_new is None or gain < 1e-10:
@@ -507,6 +515,115 @@ def test_dual_maximizer_stacked_columns():
             np.testing.assert_allclose(ys[:, j], alone_y[:, 0], rtol=0.0, atol=1e-14)
         assert norms[0] == 0.0
         assert not np.any(ys[:, 0])
+
+
+def _reference_dual(profile, cols, s):
+    """The per-block dual maximiser: one svd call per block, y scaled by the norm."""
+    svds = [np.linalg.svd(stack) for stack in block_stacks(profile, cols)]
+    all_s = np.concatenate([sv for _, sv, _ in svds], axis=-1)
+    norms = _lp_norm(all_s, s)
+    live = (norms != 0.0)[:, None]
+    top = np.max(all_s, axis=-1, keepdims=True)
+    if s.is_inf:
+        on = (all_s >= top * (1.0 - 1e-12)) & live
+        f_of_s = on / np.maximum(np.sum(on, axis=-1, keepdims=True), 1)
+    else:
+        scale = np.where(live, norms[:, None], 1.0)
+        f_of_s = np.where(all_s > 1e-14 * top, (all_s / scale) ** (float(s) - 1.0), 0.0)
+    ys, at = [], 0
+    for w, sv, vh in svds:
+        d = sv.shape[-1]
+        ys.append((w * f_of_s[:, None, at : at + d]) @ vh)
+        at += d
+    return norms, flat_columns(ys)
+
+
+def _dual_test_columns(profile, rng):
+    """Flat columns: zero, rank-deficient, two with a doubled top singular value, generic."""
+    def element(values):
+        blocks, at = [], 0
+        for d in profile:
+            blocks.append((unitary(d, rng) * values[at : at + d]) @ unitary(d, rng).conj().T)
+            at += d
+        return BlockMatrix(profile, blocks).flat()
+
+    n = profile.total_dim
+    rank_deficient = np.concatenate([np.linspace(0.5, 2.0, n - n // 2), np.zeros(n // 2)])
+    doubled_ends = np.linspace(0.2, 1.0, n)
+    doubled_ends[[0, -1]] = 3.0
+    doubled_rank_deficient = np.zeros(n)
+    doubled_rank_deficient[[1, 2]] = 3.0
+    generic = element(rng.uniform(0.1, 2.0, n))
+    return np.stack([np.zeros(profile.coord_dim), element(rank_deficient),
+                     element(doubled_ends), element(doubled_rank_deficient), generic], axis=1)
+
+
+@pytest.mark.parametrize("dims", [[2, 1, 2], [1] * 6, [3, 2], [1, 3, 1]])
+def test_dual_maximizer_matches_per_block_reference(dims):
+    # one svd per block size, the 1x1 and s = 2 closed forms and the top
+    # factored out of y against one svd per block and y scaled by the norm
+    profile = BlockProfile(dims)
+    cols = _dual_test_columns(profile, generator(41))
+    for s in (1, "4/3", "3/2", 2, 3, "inf"):
+        s = Exponent(s)
+        norms, ys = _dual_maximizer(profile, cols, s)
+        ref_norms, ref_ys = _reference_dual(profile, cols, s)
+        np.testing.assert_allclose(norms, ref_norms, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(ys, ref_ys, rtol=0.0, atol=1e-12)
+        assert norms[0] == 0.0 and not np.any(ys[:, 0])
+
+
+def test_operator_norm_matches_per_block_reference(monkeypatch):
+    # the same seeds, stopping rule and iteration path with either dual map
+    rng = generator(42)
+    m1 = FiniteMeasureSpace([f"a{i}" for i in range(8)], rng.uniform(0.1, 2.0, 8))
+    m2 = FiniteMeasureSpace([f"b{i}" for i in range(16)], rng.uniform(0.1, 2.0, 16))
+    T = PointMap({f"b{i}": f"a{int(rng.integers(0, 8))}" for i in range(14)})
+    profile = BlockProfile([2, 1, 3])
+    h, k = faithful(profile, rng), faithful(profile, rng)
+    operators = [build_classical(T, m1, m2, p, q) for p, q in ((3, "3/2"), ("inf", 2), (2, 1))]
+    operators += [change_of_weights(h, k, p, q).operator for p, q in ((3, "3/2"), (2, 1), ("inf", 3))]
+    for C in operators:
+        for restarts, max_iter, seed in ((3, 60, 3), (16, 200, 0)):
+            est = operator_norm(C, restarts=restarts, max_iter=max_iter, seed=seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(compop, "_dual_maximizer", _reference_dual)
+                ref = operator_norm(C, restarts=restarts, max_iter=max_iter, seed=seed)
+            assert est.iterations == ref.iterations
+            assert est.capped == ref.capped
+            assert est.lower_bound == pytest.approx(ref.lower_bound, rel=1e-12, abs=0.0)
+
+
+def test_dual_maximizer_huge_exponent():
+    # at s = 1e300 every top ratio S/norm rounds to 1, so y must be scaled
+    # by the top singular value, not by the norm, to keep ||y||_{s*} = 1;
+    # both elements are rank-deficient with the top value 3 twice
+    rng = generator(43)
+    elements = [
+        BlockMatrix(BlockProfile([1, 2, 1]),
+                    [[[3j]], (unitary(2, rng) * [0.5, 0.0]) @ unitary(2, rng).conj().T, [[-3.0]]]),
+        BlockMatrix(BlockProfile([3]), [np.diag([3.0, 0.0, 3.0])]),
+    ]
+    s = Exponent("1e300")
+    for z in elements:
+        norms, ys = _dual_maximizer(z.profile, z.flat()[:, None], s)
+        y = BlockMatrix.unflat(z.profile, ys[:, 0])
+        assert norms[0] == pytest.approx(3.0, rel=1e-12)
+        assert schatten_norm(y, s.conjugate()) == pytest.approx(1.0, rel=1e-12)
+        assert y.hs_inner(z).real == pytest.approx(norms[0], rel=1e-12)
+
+
+def test_norm_reports_capped_restarts():
+    rng = generator(44)
+    mat = rng.standard_normal((PROF2.coord_dim, PROF23.coord_dim))
+    S = SuperOperator.from_matrix(PROF23, PROF2, 3, "3/2", mat)
+    # one step: every restart is still running at the cap
+    est = operator_norm(S, restarts=4, max_iter=1, seed=0)
+    assert est.capped == 4 and est.iterations == 4
+    # the identity settles long before the cap
+    est = operator_norm(identity_operator(PROF2, 3), restarts=4, seed=0)
+    assert est.capped == 0 and est.iterations < 4 * 200
+    assert operator_norm(identity_operator(PROF2, 2)).capped == 0
 
 
 def test_change_of_weights_scale():
