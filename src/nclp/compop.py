@@ -228,16 +228,14 @@ def _size_groups(profile: BlockProfile) -> tuple:
     """(d, m, rows) for each distinct block size d of the profile, smallest first.
 
     m is the number of blocks of size d and rows the read-only (m, d*d)
-    array of their flat coordinates, or None when every block has size d,
-    so the columns are read in place.  Computed once per profile.
+    array of their flat coordinates.  Computed once per profile.
     """
-    sizes = sorted(set(profile.dims))
     starts = np.cumsum([0] + [d * d for d in profile.dims[:-1]])
     groups = []
-    for d in sizes:
+    for d in sorted(set(profile.dims)):
         rows = np.stack([at + np.arange(d * d) for at, n in zip(starts, profile.dims) if n == d])
         rows.setflags(write=False)
-        groups.append((d, rows.shape[0], rows if len(sizes) > 1 else None))
+        groups.append((d, rows.shape[0], rows))
     return tuple(groups)
 
 
@@ -259,7 +257,7 @@ def _dual_maximizer(profile: BlockProfile, cols: np.ndarray, s: Exponent):
     k = cols.shape[1]
     svds = []   # (rows, W, S, V*) per size, S of shape (k, m, d); 1x1: W the phase, V* None
     for d, m, rows in _size_groups(profile):
-        z = (cols.T if rows is None else cols.T[:, rows]).reshape(k, m, d, d)
+        z = cols.T[:, rows].reshape(k, m, d, d)
         if d == 1:
             sv = np.abs(z[..., 0])
             svds.append((rows, z[..., 0] / np.where(sv == 0.0, 1.0, sv), sv, None))
@@ -289,10 +287,7 @@ def _dual_maximizer(profile: BlockProfile, cols: np.ndarray, s: Exponent):
         f = f_of_s[:, at : at + n].reshape(sv.shape)
         at += n
         y = w * f if vh is None else (w * f[..., None, :]) @ vh
-        if rows is None:
-            ys = y.reshape(k, profile.coord_dim)
-        else:
-            ys[:, rows] = y.reshape(k, *rows.shape)
+        ys[:, rows] = y.reshape(k, *rows.shape)
     return norms, ys.T
 
 
