@@ -32,7 +32,7 @@ print(f"\nr = {crit.r}, ||f||_r = {crit.norm_f:.6f}, bound = {crit.bound:.6f}")
 
 C = build_classical(T, m1, m2, 2, 1)
 exact = exact_diagonal_norm(T, m1, m2, 2, 1)
-iterative = operator_norm(C, restarts=6, seed=0).lower_bound
+iterative = operator_norm(C, restarts=6, seed=0, method="alternating").lower_bound
 print(f"exact norm {exact:.6f}, alternating maximiser {iterative:.6f}")
 print("(for q < p the Lagrange profile attains the bound exactly)")
 

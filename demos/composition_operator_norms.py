@@ -28,7 +28,15 @@ w2 = Weight.diagonal(big, [0.4, 0.3, 0.2, 0.1])
 
 C = build_composition(J, w1, w2, 2, 1)
 est = operator_norm(C, restarts=8, seed=0)
-print(f"||C_J: L^2 -> L^1|| >= {est.lower_bound:.6f} (certified: {est.certified})")
+# J copies the block both as written and transposed, so neither C_J nor C_J
+# after a transpose is completely positive: the maximiser's lower bound.
+print(f"||C_J: L^2 -> L^1|| >= {est.lower_bound:.6f} ({est.status})")
+
+# The transposed copy alone is completely positive after a transpose, so its
+# norm at q = 1 is the closed form ||C#(1)||_(p*).
+A = JordanMorphismSpec(profile, big, [Tile(0, 0, 2, "A")])
+est_a = operator_norm(build_composition(A, w1, w2, 2, 1))
+print(f"||C_A: L^2 -> L^1|| = {est_a.lower_bound:.6f} ({est_a.status})")
 
 # At p = q = 2 the norm is exact: the top singular value of the matrix form.
 C22 = build_composition(J, w1, w2, 2, 2)

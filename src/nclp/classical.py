@@ -54,10 +54,6 @@ class FiniteMeasureSpace:
         return self.mass[self.index(atom)]
 
     @property
-    def total_mass(self) -> float:
-        return float(sum(self.mass))
-
-    @property
     def size(self) -> int:
         return len(self.atoms)
 
@@ -150,11 +146,13 @@ def criterion(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
     require_order(p, q)
     f = rn_derivative(T, m1, m2)
     r = ratio(p, q).conjugate()
-    if r.is_inf:
-        norm_f = float(np.max(f))
+    top = float(np.max(f))
+    if r.is_inf or top == 0.0:
+        norm_f = top
     else:
+        # top is factored out: f ** r overflows when p is just above q
         rf = float(r)
-        norm_f = float(np.sum(np.array(m1.mass) * f ** rf) ** (1.0 / rf))
+        norm_f = top * float(np.sum(np.array(m1.mass) * (f / top) ** rf)) ** (1.0 / rf)
     bound = norm_f ** (1.0 / float(q))
     return CriterionResult(r=r, norm_f=norm_f, bound=bound)
 
@@ -182,7 +180,9 @@ def exact_diagonal_norm(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSp
 
     The Lagrange profile g = f^{1/(p-q)} on the support of the derivative f
     (for p = q, the indicator of the largest f) attains the norm, and its
-    value ||g o T||_q / ||g||_p is the criterion bound ||f||_r^{1/q}.
+    value ||g o T||_q / ||g||_p is the criterion bound ||f||_r^{1/q}.  The
+    value is homogeneous of degree 0 in g, so g is taken from f / max f:
+    f^{1/(p-q)} overflows when p is just above q.
     """
     p, q = coerce(p), coerce(q)
     require_order(p, q)
@@ -196,7 +196,7 @@ def exact_diagonal_norm(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSp
     if p == q:
         g[max(pos, key=lambda i: f[i])] = 1.0
     else:
-        g[pos] = f[pos] ** (1.0 / (pf - qf))
+        g[pos] = (f[pos] / np.max(f)) ** (1.0 / (pf - qf))
     num = float(np.sum(masses * f * g ** qf)) ** (1.0 / qf)
     den = float(np.sum(masses * g ** pf)) ** (1.0 / pf)
     return num / den if den > 0 else 0.0
@@ -232,7 +232,7 @@ def build_classical(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
         raise NoConvergence(
             f"measured norm {measured:.12f} exceeds criterion bound {crit.bound:.12f}"
         )
-    est = operator_norm(op, restarts=3, max_iter=60, seed=3)
+    est = operator_norm(op, restarts=3, max_iter=60, seed=3, method="alternating")
     if est.lower_bound > measured + 1e-6:
         raise NoConvergence(
             f"alternating maximiser {est.lower_bound:.12f} beats the exact norm"

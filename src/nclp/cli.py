@@ -39,7 +39,7 @@ from .compop import (
     classify_characteristic_preserving,
     operator_norm,
 )
-from .errors import NclpError, SpecFileError
+from .errors import NclpError, NotFinite, SpecFileError
 from .exponents import Exponent
 from .jordan import JordanMorphismSpec, Tile, verify_jordan
 from .matcore import BlockMatrix, BlockProfile, commutator_norm
@@ -276,6 +276,15 @@ def _round12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+def _finite(value) -> bool:
+    """Whether every number in a report value is finite."""
+    if isinstance(value, dict):
+        return all(_finite(v) for v in value.values())
+    if isinstance(value, list):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
+
+
 def _jsonable(value):
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
@@ -319,6 +328,10 @@ class Report:
         self.data["results"][key] = _jsonable(value)
 
     def machine(self) -> str:
+        """Stable JSON; NotFinite if a result holds inf or nan, which JSON cannot."""
+        bad = [key for key, value in self.data["results"].items() if not _finite(value)]
+        if bad:
+            raise NotFinite(f"non-finite result in {', '.join(bad)}: no valid JSON report")
         self.data["wall_time_s"] = _round12(time.monotonic() - self._start)
         return json.dumps(self.data, sort_keys=True, indent=2) + "\n"
 
@@ -403,6 +416,9 @@ def cmd_norm(spec: SpecDocument, args) -> tuple[Report, int]:
     report.put("p", p)
     report.put("q", q)
     report.put("norm_lower_bound", estimate.lower_bound)
+    report.put("norm_upper_bound",
+               None if math.isinf(estimate.upper_bound) else estimate.upper_bound)
+    report.put("status", estimate.status)
     report.put("certified", estimate.certified)
     report.put("restarts_capped", estimate.capped)
     bound = change_of_weights_bound_if_onto(morphism, w1, w2, p, q)
@@ -575,13 +591,13 @@ def main(argv=None) -> int:
     try:
         spec = SpecDocument.load(args.spec)
         report, code = _HANDLERS[args.command](spec, args)
+        report.emit(args.format, args.out)
     except SpecFileError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
     except NclpError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2
-    report.emit(args.format, args.out)
     return code
 
 

@@ -1,8 +1,10 @@
 """Composition operators between weighted L^p carriers.
 
-Builds the operator C_J : x -> embed(w2, J(unembed(w1, x))), estimates
-L^p -> L^q operator norms by alternating duality alignment (with an exact
-singular-value oracle at p = q = 2), solves the bounded change-of-weights
+Builds the operator C_J : x -> embed(w2, J(unembed(w1, x))), bounds
+L^p -> L^q operator norms (an exact singular-value oracle at p = q = 2;
+for completely positive maps, closed forms at p = inf and q = 1 and a
+certified cone iteration in between; alternating duality alignment, a lower
+bound only, for every other map), solves the bounded change-of-weights
 problem (exact norm, attaining witness), recovers one-sided multipliers
 from module homomorphisms, and classifies which raw operators are
 composition operators by testing preservation of embedded projections.
@@ -15,6 +17,7 @@ user's callable is materialised, once, where it enters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -40,9 +43,11 @@ from .jordan import (
     verify_jordan,
 )
 from .matcore import (
+    SUPPORT_CUTOFF,
     BlockMatrix,
     BlockProfile,
     _from_spectrum,
+    _lp_norm,
     _spectral_power,
     block_stacks,
     hermitian_eig,
@@ -51,7 +56,21 @@ from .matcore import (
 from .sampling import generator, hermitian, projection as random_projection
 from .vnops import Weight, weights_commute
 
+_ONE = Exponent(1)
 _TWO = Exponent(2)
+
+# The bounds of an exact norm agree within NORM_RTOL; the cone iteration runs
+# until its bounds do.
+NORM_RTOL = 1e-12
+# Relative rounding allowed in the cone's computed top eigenvalue lambda.  The
+# upper bound raises (1 + _CONE_ROUNDING) lambda to the power (p-1)/q, so the
+# allowance grows with that power, as the rounding does; a fixed relative
+# inflation of the bound would not cover it once (p-1)/q is large.
+_CONE_ROUNDING = 64 * np.finfo(float).eps
+# A Choi matrix passes as positive semidefinite down to an eigenvalue of
+# -_CHOI_TOL times the Frobenius norm of the operator's matrix: room for the
+# rounding of its closed-form products.
+_CHOI_TOL = 1e-12
 
 
 class SuperOperator:
@@ -163,20 +182,41 @@ def _transpose_permutation(profile: BlockProfile) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """A lower bound on an operator norm, certified when exact (the (2,2) oracle, a witness).
+    """Bounds on an operator norm, labelled by `status`.
 
-    `iterations` is summed over the restarts (0 for exact values), so it
-    equals restarts * max_iter exactly when every restart hit the cap.
-    `capped` counts the restarts still running after max_iter steps, whose
-    values had not settled (0 for exact values).
+    `upper_bound` is a proved upper bound, math.inf when there is none.  A
+    norm is `exact` when the bounds agree within NORM_RTOL (the (2,2)
+    oracle, the closed forms and the change of weights, each with a
+    witness, and a cone iteration whose gap closed), `interval` when they
+    do not, and `lower-only` with no upper bound (the alternating
+    maximiser).
+
+    The maximiser's `iterations` is summed over the restarts, so it equals
+    restarts * max_iter exactly when every restart hit the cap, and
+    `capped` counts the restarts still running after max_iter steps.  The
+    cone iteration reports its steps as `iterations`, 0 restarts, and
+    `capped` 1 when its gap did not close.  Exact closed forms report 0
+    for all three.
     """
 
     lower_bound: float
-    certified: bool
     iterations: int
     restarts: int
     seed: int
     capped: int = 0
+    upper_bound: float = math.inf
+
+    @property
+    def status(self) -> str:
+        if math.isinf(self.upper_bound):
+            return "lower-only"
+        if self.upper_bound <= self.lower_bound * (1.0 + NORM_RTOL):
+            return "exact"
+        return "interval"
+
+    @property
+    def certified(self) -> bool:
+        return self.status == "exact"
 
 
 def identity_operator(profile: BlockProfile, p, q=None) -> SuperOperator:
@@ -300,23 +340,177 @@ def _random_start(profile: BlockProfile, stream) -> np.ndarray:
     ])
 
 
+def _is_completely_positive(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> bool:
+    """Whether the map with matrix `mat` is completely positive, tested exactly.
+
+    For a source block s of size n and a destination block t of size m, with
+    B = mat[rows of t, cols of s], the Choi matrix sum_ij E_ij (x) C(E_ij) is
+    B.reshape(m, m, n, n).transpose(2, 0, 3, 1).reshape(n*m, n*m), and C is
+    completely positive iff every one of them is positive semidefinite.  The
+    Choi matrices are stacked per (n, m); each stack passes its Hermiticity
+    defect and one Cholesky factorisation of Choi + tol I, tol = _CHOI_TOL
+    times the Frobenius norm of mat, or C fails.  So the test is exact for
+    eigenvalues above -tol and needs no eigensolver.  The zero map passes.
+    """
+    scale = float(np.linalg.norm(mat))
+    if scale == 0.0:
+        return True
+    tol = _CHOI_TOL * scale
+    for n, ks, src in _size_groups(dom):
+        for m, kt, dst in _size_groups(cod):
+            pairs = mat[dst[:, None, :, None], src[None, :, None, :]].reshape(kt * ks, m, m, n, n)
+            choi = pairs.transpose(0, 3, 1, 4, 2).reshape(kt * ks, n * m, n * m)
+            if np.linalg.norm(choi - choi.conj().swapaxes(1, 2)) > tol:
+                return False
+            try:
+                np.linalg.cholesky(choi + tol * np.eye(n * m))
+            except np.linalg.LinAlgError:
+                return False
+    return True
+
+
+def _completely_positive_matrix(C: SuperOperator) -> np.ndarray | None:
+    """The matrix of C if C is completely positive, else that of C o transpose if it is, else None.
+
+    Transposition is a Schatten isometry, so C o transpose has C's norms;
+    this covers the composition operators of A-only morphisms.
+    """
+    mat, dom, cod = C.matrix(), C.domain_profile, C.codomain_profile
+    if _is_completely_positive(mat, dom, cod):
+        return mat
+    flipped = mat[:, _transpose_permutation(dom)]
+    return flipped if _is_completely_positive(flipped, dom, cod) else None
+
+
+def _eigh_groups(profile: BlockProfile, flat: np.ndarray) -> list:
+    """(eigenvalues, eigenvectors) per size group of a Hermitian element, ascending.
+
+    One eigh call per block size on the stack of its blocks; a 1x1 block is
+    its own eigenvalue.
+    """
+    out = []
+    for d, k, rows in _size_groups(profile):
+        blocks = flat[rows].reshape(k, d, d)
+        out.append((blocks[..., 0].real, np.ones((k, 1, 1))) if d == 1
+                   else np.linalg.eigh(blocks))
+    return out
+
+
+def _from_eig_groups(profile: BlockProfile, vecs: list, values: list) -> np.ndarray:
+    """Flat coordinates of sum V diag(values) V* per size group."""
+    flat = np.empty(profile.coord_dim, dtype=complex)
+    for (d, k, rows), V, f in zip(_size_groups(profile), vecs, values):
+        flat[rows] = ((V * f[:, None, :]) @ V.conj().swapaxes(1, 2)).reshape(k, d * d)
+    return flat
+
+
+def _positive_endpoint(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
+                       p: Exponent, q: Exponent) -> float:
+    """The exact norm of a completely positive map at p = inf or at q = 1.
+
+    p = inf: ||C|| = ||C(1)||_q, attained at 1 (the sup-norm remark; it
+    holds for every 2-positive map).  q = 1: ||C|| = ||C#(1)||_{p*}, with
+    C# = mat^H, attained at C#(1)^{p*-1} normalised, because tr C(x) =
+    tr(x C#(1)) for x >= 0 and the norm is attained on positive elements.
+    """
+    if p.is_inf:
+        return schatten_norm(BlockMatrix.unflat(cod, mat @ BlockMatrix.identity(dom).flat()), q)
+    dual_unit = mat.conj().T @ BlockMatrix.identity(cod).flat()
+    return schatten_norm(BlockMatrix.unflat(dom, dual_unit), p.conjugate())
+
+
+def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
+               p: Exponent, q: Exponent, max_iter: int):
+    """(lower, upper, steps, closed) for a completely positive map, 1 < q <= 2 <= p < inf.
+
+    The step is x <- F(x) / ||F(x)||_p with F(x) = [C#((Cx)^{q-1})]^{1/(p-1)},
+    order-preserving on the positive cone and homogeneous of degree
+    d = (q-1)/(p-1) < 1.  It starts from x = e, the support of C#(1): every
+    positive maximiser lives under e, and x stays invertible on e, so x, F(x)
+    and x^{-1/2} are all taken on e (the top rank(e) eigenvalues of each
+    block).  Each step gives the lower value ||Cx||_q / ||x||_p and the upper
+    bound (lambda ||x||_p^{1-d})^{(p-1)/q}, lambda the top eigenvalue of
+    x^{-1/2} F(x) x^{-1/2}: a positive maximiser x* satisfies F(x*) =
+    ||C||^{q/(p-1)} x*, and comparing x* with its least multiple of x above
+    it bounds ||C||.  lambda is inflated by _CONE_ROUNDING before the power.
+    The iteration stops once the smallest upper bound is within NORM_RTOL
+    of the largest lower value (`closed`); after max_iter steps; or when
+    F(x) loses rank on e in floating point (ill-conditioned maps), so that
+    the next x^{-1/2} would not exist.  The last two leave the gap open.
+
+    One eigh per block size and spectral step: (Cx)^{q-1} (none at q = 2),
+    F(x), whose eigensystem is the next x's, and lambda.
+    """
+    mat_h = mat.conj().T
+    pf, qf = float(p), float(q)
+    d = float((q.fraction - 1) / (p.fraction - 1))
+    unit = _eigh_groups(dom, mat_h @ BlockMatrix.identity(cod).flat())
+    top = max(float(np.max(lam)) for lam, _ in unit)
+    if top <= 0.0:                      # C#(1) = 0, so C = 0
+        return 0.0, 0.0, 0, True
+    on = [lam > SUPPORT_CUTOFF * top for lam, _ in unit]
+    vecs, xi = [V for _, V in unit], [mask.astype(float) for mask in on]
+    x_norm = float(sum(int(np.sum(mask)) for mask in on)) ** (1.0 / pf)
+    lower, upper = 0.0, math.inf
+    for step in range(1, max_iter + 1):
+        y = mat @ _from_eig_groups(dom, vecs, xi)
+        if q == _TWO:
+            z, y_norm = y, float(np.linalg.norm(y))
+        else:
+            spectra = _eigh_groups(cod, y)
+            lams = [np.maximum(lam, 0.0) for lam, _ in spectra]
+            y_norm = float(_lp_norm(np.concatenate([lam.ravel() for lam in lams]), q))
+            z = _from_eig_groups(cod, [V for _, V in spectra], [lam ** (qf - 1.0) for lam in lams])
+        lower = max(lower, y_norm / x_norm)
+        spectra = _eigh_groups(dom, mat_h @ z)
+        phi = [np.where(mask, np.maximum(lam, 0.0), 0.0) ** (1.0 / (pf - 1.0))
+               for (lam, _), mask in zip(spectra, on)]
+        # x^{-1/2} F x^{-1/2} = T T* in the eigenbasis of x, T = xi^{-1/2} V* W phi^{1/2}
+        lam_top = 0.0
+        for V, f, g, mask, (_, W) in zip(vecs, xi, phi, on, spectra):
+            inv_root = np.where(mask, 1.0 / np.sqrt(np.where(mask, f, 1.0)), 0.0)
+            T = (V.conj().swapaxes(1, 2) @ W) * np.sqrt(g)[:, None, :] * inv_root[:, :, None]
+            lam_top = max(lam_top, float(np.max(np.linalg.eigvalsh(T @ T.conj().swapaxes(1, 2)))))
+        upper = min(upper, ((1.0 + _CONE_ROUNDING) * lam_top * x_norm ** (1.0 - d))
+                    ** ((pf - 1.0) / qf))
+        if upper <= lower * (1.0 + NORM_RTOL):
+            return lower, upper, step, True
+        phi_top = max(float(np.max(g)) for g in phi)
+        if any(np.any(mask & (g <= SUPPORT_CUTOFF * phi_top)) for g, mask in zip(phi, on)):
+            return lower, upper, step, False
+        f_norm = float(_lp_norm(np.concatenate([g.ravel() for g in phi]), p))
+        vecs, xi, x_norm = [W for _, W in spectra], [g / f_norm for g in phi], 1.0
+    return lower, upper, max_iter, False
+
+
 def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
                   seed: int = 0, method: str = "auto") -> NormEstimate:
     """Estimate the L^p -> L^q norm of C.
 
-    p = q = 2 ("auto") is solved exactly: the norm is the largest singular
-    value of the materialised matrix, and the estimate is certified.  All
-    other pairs run alternating maximisation of Re tr(y* C x) over the unit
-    balls, with duality-aligned updates on both sides; the objective is
-    monotone, the result is the best stationary value over seeded restarts
-    and is reported as an uncertified lower bound.
+    "auto" takes, in order:
+    - p = q = 2: the norm is the largest singular value of the matrix
+      (exact);
+    - p = inf, q = 1, or 1 < q <= 2 <= p, when C or C o transpose is
+      completely positive (`_is_completely_positive` on the matrix):
+      transposition is a Schatten isometry, and such a map attains its norm
+      on positive elements (Audenaert, LAA 430, 2009).  p = inf and q = 1
+      are closed forms (`_positive_endpoint`, exact); otherwise the cone
+      iteration (`_cone_norm`) gives a lower value and a proved upper
+      bound, exact once they meet and an interval if they have not met
+      after max_iter steps;
+    - every other map: the alternating maximiser, a lower bound only.
+    "exact" is the (2,2) oracle alone and "alternating" the maximiser
+    alone.  `restarts` and `seed` serve the maximiser only.
 
-    The restarts start from seed streams SeedSequence(seed).spawn(restarts)
-    and advance together as the columns of one (coord_dim, restarts) array
-    of flat block coordinates.  Each restart stops on its own, after
-    max_iter steps, on a gain below 1e-10 or on a zero dual; only the
-    columns still running are multiplied.  The restarts still running
-    after max_iter steps are reported as `capped`.
+    The maximiser alternates duality-aligned updates on both sides of
+    Re tr(y* C x) over the unit balls; the objective is monotone and the
+    result is the best stationary value over seeded restarts.  The restarts
+    start from seed streams SeedSequence(seed).spawn(restarts) and advance
+    together as the columns of one (coord_dim, restarts) array of flat
+    block coordinates.  Each restart stops on its own, after max_iter
+    steps, on a gain below 1e-10 or on a zero dual; only the columns still
+    running are multiplied.  The restarts still running after max_iter
+    steps are reported as `capped`.
     """
     if method not in ("auto", "exact", "alternating"):
         raise ValueError(f"unknown method {method!r}")
@@ -324,19 +518,32 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
         raise ValueError(
             f"need restarts >= 1 and max_iter >= 1, got {restarts} and {max_iter}"
         )
-    exact_ok = C.p == _TWO and C.q == _TWO
+    p, q = C.p, C.q
+    exact_ok = p == _TWO and q == _TWO
     if method == "exact" and not exact_ok:
         raise ExponentOrder("the exact oracle needs p = q = 2")
     if exact_ok and method != "alternating":
         top = float(np.linalg.svd(C.matrix(), compute_uv=False)[0])
-        return NormEstimate(lower_bound=top, certified=True, iterations=0,
-                            restarts=0, seed=seed)
+        return NormEstimate(lower_bound=top, iterations=0, restarts=0, seed=seed,
+                            upper_bound=top)
+    dom, cod = C.domain_profile, C.codomain_profile
+    endpoint = p.is_inf or q == _ONE
+    if method == "auto" and (endpoint or _ONE < q <= _TWO <= p):
+        positive = _completely_positive_matrix(C)
+        if positive is not None and endpoint:
+            value = _positive_endpoint(positive, dom, cod, p, q)
+            return NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=seed,
+                                upper_bound=value)
+        if positive is not None:
+            lower, upper, steps, closed = _cone_norm(positive, dom, cod, p, q, max_iter)
+            return NormEstimate(lower_bound=lower, iterations=steps, restarts=0, seed=seed,
+                                capped=int(not closed), upper_bound=upper)
     mat = C.matrix()
     mat_h = mat.conj().T
-    p_star = C.p.conjugate()
-    X = np.stack([_random_start(C.domain_profile, stream)
+    p_star = p.conjugate()
+    X = np.stack([_random_start(dom, stream)
                   for stream in np.random.SeedSequence(seed).spawn(restarts)], axis=1)
-    xn, _ = _dual_maximizer(C.domain_profile, X, C.p)
+    xn, _ = _dual_maximizer(dom, X, p)
     active = np.flatnonzero(xn != 0.0)
     X = X[:, active] * (1.0 / xn[active])
     current = np.zeros(restarts)
@@ -345,18 +552,17 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
         if not active.size:
             break
         total_iters += active.size
-        val, Y = _dual_maximizer(C.codomain_profile, mat @ X, C.q)
+        val, Y = _dual_maximizer(cod, mat @ X, q)
         live = val != 0.0
         active, val, Y = active[live], val[live], Y[:, live]
-        val2, X = _dual_maximizer(C.domain_profile, mat_h @ Y, p_star)
+        val2, X = _dual_maximizer(dom, mat_h @ Y, p_star)
         best = np.maximum(val, val2)
         gain = best - current[active]
         current[active] = np.maximum(best, current[active])
         going = (val2 != 0.0) & ~(gain < 1e-10)
         active, X = active[going], X[:, going]
-    return NormEstimate(lower_bound=float(np.max(current)), certified=False,
-                        iterations=total_iters, restarts=restarts, seed=seed,
-                        capped=int(active.size))
+    return NormEstimate(lower_bound=float(np.max(current)), iterations=total_iters,
+                        restarts=restarts, seed=seed, capped=int(active.size))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +629,7 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     value = schatten_norm(pushed, q) / schatten_norm(witness, p) if bound else 0.0
     if value > bound + 1e-6 or value < bound * (1.0 - 1e-9):
         raise NoConvergence(f"witness attains {value:.15g}, the bound is {bound:.15g}")
-    est = NormEstimate(lower_bound=value, certified=True, iterations=0, restarts=0, seed=0)
+    est = NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=0, upper_bound=bound)
     return ChangeOfWeights(d=d, bound=bound, norm_estimate=est, witness=witness, triple=triple)
 
 

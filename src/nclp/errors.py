@@ -82,5 +82,9 @@ class NotSummable(NclpError):
     """Densities do not add up to the claimed total."""
 
 
+class NotFinite(NclpError):
+    """A result is not a finite number, so a machine report cannot carry it."""
+
+
 class TooLarge(NclpError):
     """Problem size exceeds the exact-enumeration limit."""

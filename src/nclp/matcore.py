@@ -196,9 +196,6 @@ class BlockMatrix:
     def allclose(self, other, tol: float = 1e-10) -> bool:
         return (self - other).fro_norm() <= tol
 
-    def is_hermitian(self, tol: float = 1e-8) -> bool:
-        return (self - self.adjoint()).fro_norm() <= tol
-
     def __repr__(self):
         return f"BlockMatrix(profile={self.profile.dims})"
 

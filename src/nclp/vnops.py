@@ -52,9 +52,6 @@ class Projection:
         e, f = self.matrix, other.matrix
         return (e @ f @ e - e).fro_norm() <= tol
 
-    def commutes_with(self, other: "Projection", tol: float = 1e-9) -> bool:
-        return commutator_norm(self.matrix, other.matrix) <= tol
-
     def join(self, other: "Projection") -> "Projection":
         """e v f, computed as the support of e + f."""
         return Projection(support_of(self.matrix + other.matrix))
@@ -83,10 +80,6 @@ class Weight:
         if name != "__dict__" and not name.startswith("_"):
             raise AttributeError("Weight is immutable")
         object.__setattr__(self, name, value)
-
-    @classmethod
-    def from_blocks(cls, profile: BlockProfile, blocks) -> "Weight":
-        return cls(BlockMatrix(profile, blocks))
 
     @classmethod
     def diagonal(cls, profile: BlockProfile, values) -> "Weight":

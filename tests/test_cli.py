@@ -77,6 +77,8 @@ def test_norm_prints_bound(spec_path, tmp_path):
     assert results["change_of_weights_bound"] == pytest.approx(1.166190, abs=1e-6)
     assert results["within_bound"] is True
     assert results["restarts_capped"] == 0
+    assert results["status"] == "exact"
+    assert results["norm_upper_bound"] == results["norm_lower_bound"]
 
 
 def test_norm_identity_certified(tmp_path):
@@ -309,6 +311,56 @@ def test_classical_at_a_huge_exponent(spec_path, tmp_path):
     code, report = machine_report(tmp_path, ["classical", spec_path, "--p", "1e300", "--q", "1e300"])
     assert code == 0
     assert report["results"]["all_ok"] is True
+
+
+def test_classical_with_p_just_above_q(spec_path, tmp_path):
+    # r = p/(p-q) is about 1e7: f ** r and f ** (1/(p-q)) must not overflow
+    code, report = machine_report(tmp_path, ["classical", spec_path,
+                                             "--p", "1.0000001", "--q", "1"])
+    assert code == 0
+    results = report["results"]
+    assert results["all_ok"] is True
+    # f = (4/3, 2/3) on atoms of mass 1/2: ||f||_r = (4/3) (1/2)^{1/r}
+    r = 1.0000001 / 1e-7
+    assert results["bound"] == pytest.approx(4 / 3 * 0.5 ** (1 / r), rel=1e-10)
+    assert results["measured_norm"] == pytest.approx(results["bound"], rel=1e-10)
+
+
+def test_non_finite_results_are_refused(spec_path, tmp_path, monkeypatch, capsys):
+    # a machine report with inf or nan would not be valid JSON
+    from nclp import cli
+
+    def handler(spec, args):
+        report = cli.Report("norm", spec, {}, {}, args.seed)
+        report.put("finite", 1.0)
+        report.put("entries", [{"bound": float("inf")}, {"bound": float("nan")}])
+        return report, 0
+
+    monkeypatch.setitem(cli._HANDLERS, "norm", handler)
+    out = tmp_path / "report.json"
+    code = main(["norm", spec_path, "--format", "machine", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "non-finite result in entries" in capsys.readouterr().err
+
+
+def test_norm_at_p_inf_is_exact(spec_path, tmp_path):
+    # the sup-norm remark: ||C|| = ||C(1)||_2 = tr(k)^{1/2} = 1, attained at 1
+    code, report = machine_report(tmp_path, ["norm", spec_path, "--p", "inf", "--q", "2"])
+    assert code == 0
+    results = report["results"]
+    assert results["norm_lower_bound"] == 1.0
+    assert results["norm_upper_bound"] == 1.0
+    assert results["status"] == "exact" and results["certified"] is True
+
+
+def test_norm_reports_no_upper_bound_off_the_positive_regime(spec_path, tmp_path):
+    # (3, 3) is outside the proved regime: the maximiser gives a lower bound only
+    code, report = machine_report(tmp_path, ["norm", spec_path, "--p", "3", "--q", "3"])
+    assert code == 0
+    results = report["results"]
+    assert results["norm_upper_bound"] is None
+    assert results["status"] == "lower-only" and results["certified"] is False
 
 
 def test_console_entry_point(spec_path, tmp_path):

@@ -337,7 +337,7 @@ def test_batched_restarts_match_one_at_a_time():
 def test_norm_of_zero_operator():
     S = SuperOperator.from_matrix(BlockProfile([3, 2]), BlockProfile([2, 1]), 3, "3/2",
                                   np.zeros((5, 13)))
-    est = operator_norm(S, restarts=4, seed=2)
+    est = operator_norm(S, restarts=4, seed=2, method="alternating")
     assert est.lower_bound == 0.0
     assert est.iterations == 4
 
@@ -585,10 +585,12 @@ def test_operator_norm_matches_per_block_reference(monkeypatch):
     operators += [change_of_weights(h, k, p, q).operator for p, q in ((3, "3/2"), (2, 1), ("inf", 3))]
     for C in operators:
         for restarts, max_iter, seed in ((3, 60, 3), (16, 200, 0)):
-            est = operator_norm(C, restarts=restarts, max_iter=max_iter, seed=seed)
+            est = operator_norm(C, restarts=restarts, max_iter=max_iter, seed=seed,
+                                method="alternating")
             with monkeypatch.context() as patch:
                 patch.setattr(compop, "_dual_maximizer", _reference_dual)
-                ref = operator_norm(C, restarts=restarts, max_iter=max_iter, seed=seed)
+                ref = operator_norm(C, restarts=restarts, max_iter=max_iter, seed=seed,
+                                    method="alternating")
             assert est.iterations == ref.iterations
             assert est.capped == ref.capped
             assert est.lower_bound == pytest.approx(ref.lower_bound, rel=1e-12, abs=0.0)
@@ -624,6 +626,201 @@ def test_norm_reports_capped_restarts():
     est = operator_norm(identity_operator(PROF2, 3), restarts=4, seed=0)
     assert est.capped == 0 and est.iterations < 4 * 200
     assert operator_norm(identity_operator(PROF2, 2)).capped == 0
+
+
+# -- positive maps: closed forms and the cone iteration -----------------------
+
+CONE_PAIRS = [(3, "3/2"), (4, 2), ("5/2", "5/4"), (6, "3/2"), (2, "3/2"), (3, 2)]
+ENDPOINT_PAIRS = [("inf", 2), ("inf", 1), (2, 1), (3, 1), ("inf", 3)]
+
+
+def _kraus_operator(dom, cod, rng):
+    """x -> sum_i K_i x K_i* with one or two random Kraus maps per block pair, some pairs absent.
+
+    A third of the maps have a zero column, so the support of C#(1) can
+    miss part of a source block, and some source blocks may be missed
+    altogether.
+    """
+    mat = np.zeros((cod.coord_dim, dom.coord_dim), dtype=complex)
+    src_at = np.cumsum([0] + [n * n for n in dom.dims])
+    dst_at = np.cumsum([0] + [m * m for m in cod.dims])
+    for s, n in enumerate(dom.dims):
+        for t, m in enumerate(cod.dims):
+            if rng.random() < 0.3:
+                continue
+            for _ in range(int(rng.integers(1, 3))):
+                K = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+                if n > 1 and rng.random() < 0.3:
+                    K[:, 0] = 0.0
+                mat[dst_at[t]:dst_at[t + 1], src_at[s]:src_at[s + 1]] += np.kron(K, K.conj())
+    return mat
+
+
+def _with_kind(spec, kind):
+    tiles = [Tile(t.src, t.dst, t.offset, kind, t.conj_unitary) for t in spec.tiles]
+    return JordanMorphismSpec(spec.profile1, spec.profile2, tiles, spec.block_unitaries)
+
+
+def _positive_operators(rng, count):
+    """(label, matrix, domain, codomain): Kraus maps and H-only and A-only composition operators."""
+    out = []
+    for k in range(count):
+        dom = BlockProfile(rng.integers(1, 4, size=int(rng.integers(1, 3))))
+        cod = BlockProfile(rng.integers(1, 4, size=int(rng.integers(1, 3))))
+        out.append(("kraus", _kraus_operator(dom, cod, rng), dom, cod))
+        spec = random_morphism(rng, allow_mixed=False)
+        w1, w2 = faithful(spec.profile1, rng), faithful(spec.profile2, rng)
+        for kind in ("H", "A"):
+            mat = build_composition(_with_kind(spec, kind), w1, w2, 2, 2).matrix()
+            out.append((kind, mat, spec.profile1, spec.profile2))
+    return out
+
+
+def test_complete_positivity_from_the_choi_matrices():
+    # H-only maps are completely positive; A-only maps are so after a
+    # transpose of the input; mixed maps and multipliers are neither
+    rng = generator(60)
+    w1, w2 = faithful(PROF23, rng), faithful(PROF23, rng)
+    prof4 = BlockProfile([4])
+    mixed = JordanMorphismSpec(PROF2, prof4, [Tile(0, 0, 0, "H"), Tile(0, 0, 2, "A")])
+    c = BlockMatrix(PROF23, [unitary(2, rng) * [1.0, 2.0], unitary(3, rng) * [0.5, 1.0, 1.5]])
+    cases = [  # (operator, completely positive, completely positive after a transpose)
+        (build_composition(identity_morphism(PROF23), w1, w2, 3, 2), True, False),
+        (build_composition(transpose_morphism(PROF23), w1, w2, 3, 2), False, True),
+        (build_composition(mixed, faithful(PROF2, rng), faithful(prof4, rng), 3, 2), False, False),
+        (left_multiplication(PROF23, c, 3, 2), False, False),
+        (SuperOperator.from_matrix(PROF23, PROF23, 3, 2, _kraus_operator(PROF23, PROF23, rng)),
+         True, False),
+    ]
+    for C, cp, cp_flipped in cases:
+        dom, cod, mat = C.domain_profile, C.codomain_profile, C.matrix()
+        flipped = mat[:, compop._transpose_permutation(dom)]
+        assert compop._is_completely_positive(mat, dom, cod) is cp
+        assert compop._is_completely_positive(flipped, dom, cod) is cp_flipped
+
+
+def test_positive_norm_bounds_the_maximiser():
+    # the proved upper bound is never beaten by the maximiser, and the lower
+    # value is never noticeably below it; partial maps exercise the support
+    rng = generator(61)
+    partial = 0
+    for label, mat, dom, cod in _positive_operators(rng, 4):
+        unit = BlockMatrix.unflat(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
+        partial += min(np.linalg.eigvalsh(b)[0] for b in unit.hermitized().blocks) < 1e-9
+        for p, q in CONE_PAIRS + ENDPOINT_PAIRS:
+            C = SuperOperator.from_matrix(dom, cod, p, q, mat)
+            est = operator_norm(C)
+            alt = operator_norm(C, restarts=6, max_iter=200, seed=1, method="alternating")
+            assert est.status == "exact", (label, p, q, est)
+            assert est.capped == 0 and est.restarts == 0
+            assert alt.lower_bound <= est.upper_bound * (1.0 + 1e-13), (label, p, q)
+            assert est.lower_bound >= (1.0 - 1e-9) * alt.lower_bound, (label, p, q)
+            assert est.lower_bound <= est.upper_bound
+    assert partial >= 6
+
+
+def test_positive_endpoints_match_change_of_weights():
+    rng = generator(62)
+    for dims in ([2], [3, 1], [2, 2]):
+        profile = BlockProfile(dims)
+        h, k = faithful(profile, rng), faithful(profile, rng)
+        for p, q in ((2, 1), (3, 1), ("inf", 1), ("inf", "3/2"), ("inf", 2), ("inf", 4)):
+            cw = change_of_weights(h, k, p, q)
+            est = operator_norm(cw.operator)
+            assert est.status == "exact" and est.iterations == 0
+            assert est.lower_bound == est.upper_bound
+            assert est.lower_bound == pytest.approx(cw.bound, rel=1e-13)
+
+
+def test_cone_matches_change_of_weights():
+    rng = generator(63)
+    for dims in ([2], [3, 2], [4]):
+        profile = BlockProfile(dims)
+        h, k = faithful(profile, rng), faithful(profile, rng)
+        for p, q in CONE_PAIRS:
+            cw = change_of_weights(h, k, p, q)
+            est = operator_norm(cw.operator)
+            assert est.status == "exact" and est.iterations >= 1
+            assert est.lower_bound <= cw.bound * (1.0 + 1e-13) <= est.upper_bound * (1.0 + 2e-13)
+            assert est.lower_bound == pytest.approx(cw.bound, rel=3e-12)
+
+
+def test_cone_is_scale_invariant():
+    rng = generator(64)
+    cases = _positive_operators(rng, 2)
+    for label, mat, dom, cod in cases:
+        for p, q in ((3, "3/2"), (4, 2)):
+            base = operator_norm(SuperOperator.from_matrix(dom, cod, p, q, mat))
+            assert base.iterations >= 2
+            for c in (1e-8, 1e-4, 3.0, 1e4, 1e8):
+                est = operator_norm(SuperOperator.from_matrix(dom, cod, p, q, c * mat))
+                assert est.iterations == base.iterations, (label, p, q, c)
+                assert est.lower_bound == pytest.approx(c * base.lower_bound, rel=1e-13)
+                assert est.upper_bound == pytest.approx(c * base.upper_bound, rel=1e-13)
+
+
+def test_cone_reports_an_open_gap():
+    # one step cannot close the gap: the bounds form an interval, flagged as capped
+    rng = generator(65)
+    h, k = faithful(PROF23, rng), faithful(PROF23, rng)
+    est = operator_norm(change_of_weights(h, k, 3, "3/2").operator, max_iter=1)
+    assert est.status == "interval" and not est.certified
+    assert est.capped == 1 and est.iterations == 1
+    assert 0.0 < est.lower_bound < est.upper_bound < np.inf
+
+
+def test_cone_bound_holds_at_large_p():
+    # the power (p-1)/q multiplies the rounding of lambda: the upper bound
+    # must still hold the exact norm, exact where the allowance permits and
+    # an interval where it does not
+    rng = generator(67)
+    h, k = faithful(PROF23, rng), faithful(PROF23, rng)
+    for p, status in ((20, "exact"), (1000, "interval"), ("1e6", "interval")):
+        cw = change_of_weights(h, k, p, 2)
+        est = operator_norm(cw.operator)
+        assert est.status == status
+        assert est.lower_bound <= cw.bound * (1.0 + 1e-13)
+        assert est.upper_bound >= cw.bound * (1.0 - 1e-13)
+
+
+def test_cone_stops_when_rounding_removes_the_support():
+    # densities with eigenvalues down to 1e-9: F(x) loses rank on e in
+    # floating point, so the cone stops early with an interval that still
+    # holds the exact norm
+    rng = generator(70)
+
+    def weight(low):
+        return Weight(BlockMatrix(PROF23, [(u * np.geomspace(low, 1.0, d)) @ u.conj().T
+                                           for d in PROF23 for u in [unitary(d, rng)]]))
+
+    h, k = weight(1e-9), weight(1e-9)
+    for p, q in ((3, "3/2"), (4, 2)):
+        cw = change_of_weights(h, k, p, q)
+        est = operator_norm(cw.operator)
+        assert est.status == "interval" and est.capped == 1 and est.iterations < 200
+        assert est.lower_bound <= cw.bound * (1.0 + 1e-13)
+        assert est.upper_bound >= cw.bound * (1.0 - 1e-13)
+
+
+def test_zero_operator_is_exact_on_the_positive_path():
+    zero = np.zeros((5, 13))
+    for p, q in ((3, "3/2"), ("inf", 2), (2, 1)):
+        S = SuperOperator.from_matrix(BlockProfile([3, 2]), BlockProfile([2, 1]), p, q, zero)
+        est = operator_norm(S, restarts=4, seed=2)
+        assert est.status == "exact"
+        assert est.lower_bound == est.upper_bound == 0.0
+
+
+def test_maps_that_are_not_positive_go_to_the_maximiser():
+    rng = generator(66)
+    c = BlockMatrix(PROF23, [unitary(2, rng) * [1.0, 2.0], unitary(3, rng) * [0.5, 1.0, 1.5]])
+    mixed = JordanMorphismSpec(PROF2, BlockProfile([4]), [Tile(0, 0, 0, "H"), Tile(0, 0, 2, "A")])
+    w1, w2 = faithful(PROF2, rng), faithful(BlockProfile([4]), rng)
+    for p, q in ((3, "3/2"), ("inf", 2), (2, 1)):
+        for C in (left_multiplication(PROF23, c, p, q), build_composition(mixed, w1, w2, p, q)):
+            est = operator_norm(C, restarts=4, seed=0)
+            assert est.status == "lower-only" and not est.certified
+            assert est.upper_bound == np.inf and est.restarts == 4
 
 
 def test_change_of_weights_scale():
