@@ -1,8 +1,9 @@
 """Recognise composition operators among raw maps between L^p carriers.
 
 Composition operators are exactly the bounded maps that send embedded
-projections to embedded projections; the classifier probes that fingerprint
-and, on success, reconstructs the inducing morphism in tile form.
+projections to embedded projections; the classifier decides that exactly,
+as the Jordan laws on every pair of matrix units, and on success
+reconstructs the inducing morphism in tile form.
 """
 
 import numpy as np

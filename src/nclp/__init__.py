@@ -58,7 +58,6 @@ from .haagerup import (
     embed,
     holder_check,
     kosaki_embed,
-    norming_candidate,
     tr,
     unembed,
 )
@@ -70,6 +69,7 @@ from .jordan import (
     decompose,
     identity_morphism,
     is_modular_invariant,
+    jordan_defect,
     pushforward_density,
     random_morphism,
     random_onto_morphism,

@@ -388,13 +388,11 @@ def cmd_check_jordan(spec: SpecDocument, args) -> tuple[Report, int]:
     profile1 = spec.profile(1)
     profile2 = spec.profile(2)
     morphism = spec.morphism(profile1, profile2)
-    report = Report("check-jordan", spec,
-                    {"samples": args.samples, "seed": args.seed},
+    report = Report("check-jordan", spec, {"seed": args.seed},
                     {"pass_residual": 1e-9}, args.seed)
-    result = verify_jordan(morphism, samples=args.samples, seed=args.seed)
+    result = verify_jordan(morphism, seed=args.seed)
     report.put("verdict", "PASS" if result.passed else "FAIL")
     report.put("max_residual", result.max_residual)
-    report.put("samples", result.samples)
     report.put("tiles", _tiles_out(morphism))
     return report, 0 if result.passed else 2
 
@@ -444,12 +442,12 @@ def cmd_classify(spec: SpecDocument, args) -> tuple[Report, int]:
     result = classify_characteristic_preserving(operator, w1, w2, seed=args.seed)
     report.put("verdict", result.verdict)
     report.put("max_projection_residual", result.max_projection_residual)
-    report.put("probes_used", result.probes)
+    report.put("basis_pairs_checked", result.basis_pairs_checked)
     if result.accepted:
         report.put("tiles", _tiles_out(result.morphism))
         return report, 0
-    probe, image, residual = result.witness
-    report.put("witness_projection", probe)
+    projection, image, residual = result.witness
+    report.put("witness_projection", projection)
     report.put("witness_image", image)
     report.put("witness_residual", residual)
     return report, 2
@@ -572,8 +570,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--restarts", type=int, default=16,
                         help="maximiser restarts, at least 1 (used by norm only)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--samples", type=int, default=100,
-                        help="random probes, at least 1 (used by check-jordan only)")
     parser.add_argument("--t", type=float, nargs="+", default=None,
                         help="modular group parameters")
     parser.add_argument("--out", default=None, help="write the report to a file")
@@ -586,8 +582,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.restarts < 1:
         parser.error(f"--restarts must be at least 1, got {args.restarts}")
-    if args.samples < 1:
-        parser.error(f"--samples must be at least 1, got {args.samples}")
     try:
         spec = SpecDocument.load(args.spec)
         report, code = _HANDLERS[args.command](spec, args)

@@ -7,7 +7,8 @@ certified cone iteration in between; alternating duality alignment, a lower
 bound only, for every other map), solves the bounded change-of-weights
 problem (exact norm, attaining witness), recovers one-sided multipliers
 from module homomorphisms, and classifies which raw operators are
-composition operators by testing preservation of embedded projections.
+composition operators, deciding exactly (on the pairs of matrix units)
+whether they preserve embedded projections.
 
 An operator is its matrix on flat block coordinates (`SuperOperator`).
 The library builds every matrix in closed form, from `_sandwich_matrix`
@@ -38,9 +39,10 @@ from .haagerup import ExponentTriple
 from .jordan import (
     JordanMorphismSpec,
     Tile,
+    jordan_defect,
+    linearity_defect,
     materialise,
     pushforward_density,
-    verify_jordan,
 )
 from .matcore import (
     SUPPORT_CUTOFF,
@@ -49,11 +51,13 @@ from .matcore import (
     _from_spectrum,
     _lp_norm,
     _spectral_power,
+    _transpose_permutation,
     block_stacks,
+    flat_columns,
     hermitian_eig,
+    kron,
     schatten_norm,
 )
-from .sampling import generator, hermitian, projection as random_projection
 from .vnops import Weight, weights_commute
 
 _ONE = Exponent(1)
@@ -99,12 +103,7 @@ class SuperOperator:
                 f"images lie on {profile.dims}, the codomain profile is {codomain_profile.dims}"
             )
         self._set(domain_profile, codomain_profile, p, q, mat)
-        # linearity: fn against its matrix on one seeded complex element
-        rng = generator(5_040)
-        x, y = hermitian(domain_profile, rng), hermitian(domain_profile, rng)
-        z = complex(rng.standard_normal(), rng.standard_normal()) * x + y
-        lhs, rhs = fn(z), self.apply(z)
-        if (lhs - rhs).fro_norm() > 1e-10 * max(1.0, lhs.fro_norm(), rhs.fro_norm()):
+        if linearity_defect(fn, self._matrix, domain_profile, 5_040) > 1e-10:
             raise ProfileMismatch("the map disagrees with its matrix on a probe: it is not linear")
 
     @classmethod
@@ -137,14 +136,6 @@ class SuperOperator:
         """The read-only matrix on flat block coordinates."""
         return self._matrix
 
-    def hs_adjoint(self) -> "SuperOperator":
-        """Adjoint for the Hilbert-Schmidt inner products on both sides."""
-        mat = self.matrix().conj().T
-        return SuperOperator.from_matrix(
-            self.codomain_profile, self.domain_profile,
-            self.q.conjugate(), self.p.conjugate(), mat,
-        )
-
     def trace_dual(self) -> "SuperOperator":
         """Banach adjoint for the bilinear trace pairing tr(g T(x)).
 
@@ -171,13 +162,6 @@ class SuperOperator:
             f"SuperOperator(L^{self.p}{self.domain_profile.dims} -> "
             f"L^{self.q}{self.codomain_profile.dims})"
         )
-
-
-def _transpose_permutation(profile: BlockProfile) -> np.ndarray:
-    """Indices with x.transpose().flat() == x.flat()[perm]."""
-    starts = np.cumsum([0] + [d * d for d in profile.dims[:-1]])
-    return np.concatenate([at + np.arange(d * d).reshape(d, d).T.ravel()
-                           for at, d in zip(starts, profile.dims)])
 
 
 @dataclass(frozen=True)
@@ -230,7 +214,7 @@ def _sandwich_matrix(left: BlockMatrix, right: BlockMatrix) -> np.ndarray:
     mat = np.zeros((profile.coord_dim, profile.coord_dim), dtype=complex)
     at = 0
     for d, lb, rb in zip(profile.dims, left.blocks, right.blocks):
-        mat[at : at + d * d, at : at + d * d] = np.kron(lb, rb.T)
+        mat[at : at + d * d, at : at + d * d] = kron(lb, rb.T)
         at += d * d
     return mat
 
@@ -761,53 +745,71 @@ def left_multiplication(profile: BlockProfile, c: BlockMatrix, p, q) -> SuperOpe
 class ClassifyResult:
     """Verdict of the classifier.
 
-    `probes` counts the projection probes tested up to the verdict (diagonal
-    patterns first, then spectral probes, up to and including a failing
-    one); 0 when not recorded.  `patterns_truncated` is true when the
-    diagonal family held only the first 4096 of the 2^total_dim 0/1
-    patterns (total_dim > 12).
+    `max_projection_residual` holds the worst residual of the Jordan laws
+    over the pairs of source matrix units (`jordan_defect`), on accepts and
+    rejects alike.  `basis_pairs_checked` counts those pairs, N(N+1)/2 for
+    N source matrix units; 0 when not recorded.  A reject's `witness` is
+    (projection e, image, residual): e is a projection of the source algebra
+    whose image is farthest from a projection (`_projection_witness`), and
+    the residual is max(||f - f*||_2, ||f^2 - f||_2) / max(1, ||f||_2) for
+    that image f.
     """
 
     accepted: bool
     morphism: JordanMorphismSpec | None
-    witness: tuple | None  # (probe projection, image, residual) on rejection
+    witness: tuple | None
     max_projection_residual: float
-    probes: int = 0
-    patterns_truncated: bool = False
+    basis_pairs_checked: int = 0
 
     @property
     def verdict(self) -> str:
         return "ACCEPT" if self.accepted else "REJECT"
 
 
-# spectral probes drawn, decomposed and tested per batch: a reject stops at
-# the first batch that holds a failing probe
-_SPECTRAL_CHUNK = 25
+def _projection_witness(J0: np.ndarray, profile1: BlockProfile, profile2: BlockProfile,
+                        u: int, v: int) -> tuple:
+    """(projection e, J0 e, residual) from the pair (u, v) of source matrix units.
 
-
-def _diagonal_patterns(profile: BlockProfile, limit: int = 4096) -> np.ndarray:
-    """0/1 diagonal projections as flat coordinate columns, one per mask.
-
-    Diagonal entry i of column m is bit i of m.  Only the first `limit`
-    masks are built: past total_dim = log2(limit) (12 at the default) the
-    family is truncated, not all 2^total_dim patterns.
+    E_u and E_v are combinations of the Hermitian basis elements E_ii,
+    E_ij + E_ji and i(E_ij - E_ji).  If J(E_ji) != J(E_ij)* (then u == v),
+    J(c) is not Hermitian for one part c of E_u; if the anticommutator law
+    fails on (E_u, E_v), it fails on a pair (a, b) of their parts, and by
+    polarisation J(c)^2 != J(c^2) for one c in {a, b, a + b}.  Of these c the
+    one with the largest defect is kept.  If J sent each of c's spectral
+    projections, and each sum of two of them, to a projection, those images
+    would be mutually orthogonal projections, so J(c) would be Hermitian
+    with J(c)^2 = J(c^2).  The witness is the single or pair sum whose image
+    is farthest from a projection.
     """
-    n = profile.total_dim
-    count = min(2 ** n, limit)
-    starts = np.cumsum([0] + [d * d for d in profile.dims[:-1]])
-    rows = np.concatenate([at + np.arange(d) * (d + 1) for at, d in zip(starts, profile.dims)])
-    cols = np.zeros((profile.coord_dim, count), dtype=complex)
-    cols[rows] = (np.arange(count) >> np.arange(n)[:, None]) & 1
-    return cols
+    adj, eye = _transpose_permutation(profile1), np.eye(profile1.coord_dim)
 
+    def parts(k):
+        e, f = eye[k], eye[adj[k]]
+        return [e] if adj[k] == k else [e + f, 1j * (e - f)]
 
-def _projection_residuals(profile: BlockProfile, F: np.ndarray) -> np.ndarray:
-    """max(||f - f*||_2, ||f^2 - f||_2) / max(1, ||f||_2) for every column f of F."""
-    adj = sq = 0.0
-    for f in block_stacks(profile, F):
-        adj = adj + np.sum(np.abs(f - f.conj().swapaxes(1, 2)) ** 2, axis=(1, 2))
-        sq = sq + np.sum(np.abs(f @ f - f) ** 2, axis=(1, 2))
-    return np.sqrt(np.maximum(adj, sq)) / np.maximum(1.0, np.linalg.norm(F, axis=0))
+    def defects(F, G):
+        """Per column: max(||f - f*||_2, ||f^2 - g||_2) for images f in F, targets g in G."""
+        stacks = block_stacks(profile2, F)
+        return np.maximum(
+            np.linalg.norm(flat_columns([f - f.conj().swapaxes(1, 2) for f in stacks]), axis=0),
+            np.linalg.norm(flat_columns([f @ f for f in stacks]) - G, axis=0))
+
+    a, b = parts(u), parts(v)
+    C = np.column_stack(a + b + [x + y for x in a for y in b])
+    squares = flat_columns([x @ x for x in block_stacks(profile1, C)])
+    c = BlockMatrix.unflat(profile1, C[:, np.argmax(defects(J0 @ C, J0 @ squares))])
+    eigs = [np.linalg.eigh(blk) for blk in c.hermitized().blocks]
+    values = np.sort(np.concatenate([lam for lam, _ in eigs]))
+    levels = values[np.concatenate([[True], np.diff(values) > 1e-9])]
+    spectral = [flat_columns([((vec * (np.abs(lam - level) <= 1e-9)) @ vec.conj().T)[None]
+                              for lam, vec in eigs])[:, 0] for level in levels]
+    E = np.column_stack(spectral + [x + y for i, x in enumerate(spectral)
+                                    for y in spectral[i + 1 :]])
+    F = J0 @ E
+    residuals = defects(F, F) / np.maximum(1.0, np.linalg.norm(F, axis=0))
+    k = int(np.argmax(residuals))
+    return (BlockMatrix.unflat(profile1, E[:, k]), BlockMatrix.unflat(profile2, F[:, k]),
+            float(residuals[k]))
 
 
 def _projection_frame(P: np.ndarray) -> np.ndarray:
@@ -879,35 +881,27 @@ def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockPr
 
 
 def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
-                                       probes: int = 200, seed: int = 0) -> ClassifyResult:
+                                       seed: int = 0) -> ClassifyResult:
     """Decide whether S is the composition operator of some Jordan *-morphism.
 
-    The candidate J0(a) = unembed(w2, S(embed(w1, a))), at S's own
-    exponents, is probed on a family of projections (all diagonal 0/1
-    patterns, then `probes` spectral projections of random self-adjoint
-    elements): a composition operator must send embedded projections to
-    embedded projections.  Survivors are checked for the Jordan laws and
-    factored back into an explicit tile morphism.
+    A composition operator sends embedded projections to embedded
+    projections; in finite dimension that holds exactly when the candidate
+    J0(a) = unembed(w2, S(embed(w1, a))), at S's own exponents, is a Jordan
+    *-morphism.  That is decided exactly on the pairs of source matrix
+    units (`jordan_defect`), with no sampling.  J0 is one closed-form
+    product, sandwich(post) S.matrix() sandwich(pre) with pre = h^{1/(2p)}
+    and post = k^{-1/(2q)} (`_sandwich_matrix`); no map is called.  A
+    survivor is factored back into an explicit tile morphism
+    (`_reconstruct_tiles`, whose frames depend on J0 alone), and its
+    closed-form `matrix()` must reproduce J0 on every matrix unit.
 
-    J0 is one closed-form product, sandwich(post) S.matrix() sandwich(pre)
-    with pre = h^{1/(2p)} and post = k^{-1/(2q)} (`_sandwich_matrix`); no
-    map is called.  Each probe family is one array of flat coordinate
-    columns pushed through J0 in one product: the diagonal patterns, then
-    the spectral probes in batches of _SPECTRAL_CHUNK drawn from one
-    generator, stopping at the first batch that holds a failing probe.  The
-    first column over tolerance is the witness, and max_projection_residual
-    and `probes` cover the columns up to it, as a probe-by-probe loop would.
-    verify_jordan judges the operator with matrix J0; the tiles are rebuilt
-    from the columns of that matrix (`_reconstruct_tiles`, whose frames
-    depend on J0 alone) and their closed-form `matrix()` is checked
-    against it.
-
-    The projection tolerance 1e-7 is looser than the algebra tolerance
-    because two embeddings compound their rounding.  `probes` must be at
-    least 0; weights off S's profiles are refused (ProfileMismatch).
+    A reject carries a projection witness built from the worst pair
+    (`_projection_witness`); on a reconstruction gap that pair's residual is
+    within tolerance, and the witness is still a projection.  The tolerance
+    1e-7 is looser than the algebra tolerance because two embeddings
+    compound their rounding.  `seed` is not used: the verdict does not
+    depend on it.  Weights off S's profiles are refused (ProfileMismatch).
     """
-    if probes < 0:
-        raise ValueError(f"need probes >= 0, got {probes}")
     if S.domain_profile != w1.profile or S.codomain_profile != w2.profile:
         raise ProfileMismatch("the weights do not match the operator's profiles")
     w1.require_faithful("classifier (domain weight)")
@@ -916,51 +910,18 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
     post = w2.power(-S.q.reciprocal() / 2)
     tol = 1e-7
     J0 = _sandwich_matrix(post, post) @ S.matrix() @ _sandwich_matrix(pre, pre)
-    diagonal = _diagonal_patterns(w1.profile)
-    truncated = diagonal.shape[1] < 2 ** w1.profile.total_dim
-    worst, used = 0.0, 0
-
-    def reject(witness):
-        return ClassifyResult(accepted=False, morphism=None, witness=witness,
-                              max_projection_residual=worst, probes=used,
-                              patterns_truncated=truncated)
-
-    def families():
-        # the spectral probes are drawn only once every diagonal pattern passed
-        yield diagonal
-        rng = generator(seed)
-        for start in range(0, probes, _SPECTRAL_CHUNK):
-            yield random_projection(w1.profile, rng, min(_SPECTRAL_CHUNK, probes - start))
-
-    for E in families():
-        F = J0 @ E
-        residuals = _projection_residuals(w2.profile, F)
-        over = np.flatnonzero(residuals > tol)
-        stop = int(over[0]) + 1 if over.size else E.shape[1]
-        worst = max(worst, float(np.max(residuals[:stop], initial=0.0)))
-        used += stop
-        if over.size:
-            k = over[0]
-            return reject((BlockMatrix.unflat(w1.profile, E[:, k]),
-                           BlockMatrix.unflat(w2.profile, F[:, k]), float(residuals[k])))
-    candidate = SuperOperator.from_matrix(w1.profile, w2.profile, S.p, S.q, J0)
-    verification = verify_jordan(candidate, samples=80, seed=seed + 1, tol=tol)
-    if not verification.passed:
-        a = hermitian(w1.profile, generator(seed + 2))
-        return reject((a, BlockMatrix.unflat(w2.profile, J0 @ a.flat()),
-                       verification.max_residual))
-    spec = _reconstruct_tiles(J0, w1.profile, w2.profile, tol)
-    # the reconstruction must reproduce the candidate exactly on a basis
-    gaps = np.linalg.norm(spec.matrix() - J0, axis=0)
-    off = np.flatnonzero(gaps > 1e-8 * np.maximum(1.0, np.linalg.norm(J0, axis=0)))
-    if off.size:
-        k = off[0]
-        return reject((BlockMatrix.unflat(w1.profile, np.eye(w1.profile.coord_dim)[k]),
-                       BlockMatrix.unflat(w2.profile, J0[:, k]), float(gaps[k])))
-    return ClassifyResult(
-        accepted=True, morphism=spec, witness=None, max_projection_residual=worst,
-        probes=used, patterns_truncated=truncated,
-    )
+    worst, (u, v) = jordan_defect(J0, w1.profile, w2.profile)
+    n = w1.profile.coord_dim
+    result = dict(max_projection_residual=worst, basis_pairs_checked=n * (n + 1) // 2)
+    if worst <= tol:
+        spec = _reconstruct_tiles(J0, w1.profile, w2.profile, tol)
+        # the reconstruction must reproduce the candidate exactly on a basis
+        gaps = np.linalg.norm(spec.matrix() - J0, axis=0)
+        if np.all(gaps <= 1e-8 * np.maximum(1.0, np.linalg.norm(J0, axis=0))):
+            return ClassifyResult(accepted=True, morphism=spec, witness=None, **result)
+    return ClassifyResult(accepted=False, morphism=None,
+                          witness=_projection_witness(J0, w1.profile, w2.profile, u, v),
+                          **result)
 
 
 # ---------------------------------------------------------------------------
@@ -981,10 +942,13 @@ def contraction_inclusion(wB: Weight, w2: Weight, inclusion: JordanMorphismSpec,
 
     The map is the composition operator of the inclusion at (p, p).
 
-    Requires phi2 o inclusion <= C phi_B for a finite C, found spectrally and
-    verified on a projection probe basis (all probes in one matrix product;
-    the first violating probe is reported); the map is bounded with norm
-    controlled by C^{1/p} (up to a dimension-level constant).
+    Requires phi2 o inclusion <= C phi_B for a finite C: C is the top
+    eigenvalue of rho_B^{-1/2} k rho_B^{-1/2}, k the pushforward density of
+    phi2 (so phi2(inclusion(x)) = tr(k x)), and the operator inequality
+    C rho_B - k >= 0 is then checked exactly, with one eigvalsh per block,
+    down to -1e-9 max(1, ||C rho_B||); DominationFails reports the smallest
+    eigenvalue otherwise.  The map is bounded with norm controlled by C^{1/p}
+    (up to a dimension-level constant).
     """
     p = coerce(p)
     wB.require_faithful("inclusion domain weight")
@@ -997,17 +961,11 @@ def contraction_inclusion(wB: Weight, w2: Weight, inclusion: JordanMorphismSpec,
     constant = schatten_norm(m, "inf")
     if not np.isfinite(constant):
         raise DominationFails("no finite domination constant")
-    probes = np.concatenate([_diagonal_patterns(wB.profile, limit=256),
-                             random_projection(wB.profile, generator(11), 25)], axis=1)
-    # phi(x) = tr(rho x) = vec(rho^T) . vec(x), for every probe in one product
-    lhs = (w2.rho.transpose().flat() @ inclusion.matrix() @ probes).real
-    rhs = constant * (wB.rho.transpose().flat() @ probes).real
-    over = np.flatnonzero(lhs > rhs + 1e-9 * np.maximum(1.0, rhs))
-    if over.size:
-        k = over[0]
-        raise DominationFails(
-            f"probe projection violates domination: {lhs[k]:.6e} > C*{rhs[k]:.6e}"
-        )
+    dominating = wB.rho * constant
+    low = min(float(np.linalg.eigvalsh(blk)[0])
+              for blk in (dominating - pushed.rho).hermitized().blocks)
+    if low < -1e-9 * max(1.0, schatten_norm(dominating, "inf")):
+        raise DominationFails(f"C rho_B - k has eigenvalue {low:.6e} < 0")
     bound = constant ** float(p.reciprocal())
     return ContractionInclusion(operator=build_composition(inclusion, wB, w2, p, p),
                                 constant=constant, bound=bound)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .errors import ExponentMismatch, ProfileMismatch
 from .exponents import Exponent, coerce, holder_complement, require_order
-from .matcore import BlockMatrix, frac_power, polar, schatten_norm
+from .matcore import BlockMatrix, schatten_norm
 from .vnops import Weight
 
 
@@ -111,21 +111,3 @@ def holder_check(x: LpElement, y: LpElement, triple: ExponentTriple):
     lhs = schatten_norm(x.matrix @ y.matrix, triple.q)
     rhs = schatten_norm(x.matrix, triple.p) * schatten_norm(y.matrix, triple.r)
     return lhs, rhs
-
-
-def norming_candidate(b: BlockMatrix, r, t) -> BlockMatrix:
-    """The duality-aligned g with ||g||_t = 1 whose product attains ||b||_r.
-
-    For the split 1/s = 1/r + 1/t the element |b|^{r/t}, normalised in L^t,
-    satisfies ||b g||_s = ||b||_r; random sampling of the unit ball only ever
-    approaches this value from below.
-    """
-    r, t = coerce(r), coerce(t)
-    nrm = schatten_norm(b, r)
-    if nrm == 0.0:
-        return BlockMatrix.zeros(b.profile)
-    _, absb = polar(b)
-    power = float(r.fraction / t.fraction) if not t.is_inf else 0.0
-    g = frac_power(absb, power)
-    g_norm = schatten_norm(g, t)
-    return g * (1.0 / g_norm)

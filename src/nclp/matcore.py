@@ -289,6 +289,19 @@ def flat_columns(stacks) -> np.ndarray:
     return np.concatenate([s.reshape(s.shape[0], s.shape[1] * s.shape[2]).T for s in stacks])
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two 2-D arrays as one broadcast product, without np.kron's generic set-up."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def _transpose_permutation(profile: BlockProfile) -> np.ndarray:
+    """Indices with x.transpose().flat() == x.flat()[perm]."""
+    starts = np.cumsum([0] + [d * d for d in profile.dims[:-1]])
+    return np.concatenate([at + np.arange(d * d).reshape(d, d).T.ravel()
+                           for at, d in zip(starts, profile.dims)])
+
+
 def _lp_norm(values: np.ndarray, p):
     """l^p norm of nonnegative values along the last axis.
 

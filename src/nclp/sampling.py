@@ -1,8 +1,11 @@
 """Seeded random generators for block matrices, weights and tile morphisms.
 
-Used by the verification routines (random probes) and by the test suite and
-demos.  Everything is driven by an explicit numpy Generator so identical
-seeds give identical draws.
+Used by `random_morphism`, by the one linearity probe of a materialised map,
+and by the test suite and demos; the Jordan laws and the classifier are
+decided exactly and draw nothing.  `projection` has no caller in the
+library: it stays while perfbench's layer trace binds it by name.
+Everything is driven by an explicit numpy Generator so identical seeds give
+identical draws.
 """
 
 from __future__ import annotations
@@ -50,31 +53,11 @@ def unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def block_unitary(profile: BlockProfile, rng: np.random.Generator) -> BlockMatrix:
-    return BlockMatrix(profile, [unitary(d, rng) for d in profile], copy=False)
-
-
 def _hermitian_stack(normals: np.ndarray, d: int) -> np.ndarray:
     """(k, d, d) stack of (g + g*)/2, g = re + i im from k rows of 2 d^2 normals (re, then im)."""
     k = normals.shape[0]
     g = normals[:, : d * d].reshape(k, d, d) + 1j * normals[:, d * d :].reshape(k, d, d)
     return (g + g.conj().swapaxes(1, 2)) / 2
-
-
-def hermitian_columns(profile: BlockProfile, normals: np.ndarray) -> np.ndarray:
-    """Flat columns (coord_dim, k) of Hermitian elements from k rows of standard normals.
-
-    Row j holds 2 coord_dim normals: block by block, the real and then the
-    imaginary part of a Ginibre matrix g, in C order; column j is the flat
-    (g + g*)/2.  Rows taken from one standard_normal((k, 2 coord_dim)) call
-    hold the numbers that k calls of `hermitian` would draw, so the columns
-    equal those elements bitwise.
-    """
-    stacks, at = [], 0
-    for d in profile:
-        stacks.append(_hermitian_stack(normals[:, at : at + 2 * d * d], d))
-        at += 2 * d * d
-    return flat_columns(stacks)
 
 
 def projection(profile: BlockProfile, rng: np.random.Generator, count: int) -> np.ndarray:

@@ -116,6 +116,14 @@ def test_check_jordan_zero_samples_is_a_usage_error(spec_path, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_samples_is_not_an_option(spec_path, capsys):
+    # the Jordan laws are decided exactly, so there is nothing to sample
+    with pytest.raises(SystemExit) as exc:
+        main(["check-jordan", spec_path, "--samples", "100"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples" in capsys.readouterr().err
+
+
 def classify_spec():
     """BASE_SPEC with the superoperator of the transpose map at (2, 1), and its matrix."""
     prof = BlockProfile([2])
@@ -135,7 +143,8 @@ def test_classify_accept_and_reject(tmp_path):
     assert code == 0
     assert report["results"]["verdict"] == "ACCEPT"
     assert report["results"]["tiles"][0]["kind"] == "A"
-    assert report["results"]["probes_used"] == 2 ** 2 + 200
+    assert report["results"]["basis_pairs_checked"] == 4 * 5 // 2
+    assert "probes_used" not in report["results"]
 
     perturbed = np.array(mat) + 0.05 * np.eye(4)
     spec["superoperator"] = {"matrix": [[c2(z) for z in row] for row in perturbed]}
@@ -145,7 +154,14 @@ def test_classify_accept_and_reject(tmp_path):
     assert code2 == 2
     assert report2["results"]["verdict"] == "REJECT"
     assert report2["results"]["witness_residual"] > 1e-7
-    assert 1 <= report2["results"]["probes_used"] <= 2 ** 2 + 200
+    assert report2["results"]["basis_pairs_checked"] == 4 * 5 // 2
+    # the witness is a projection (to the report's 12 digits), its image is not
+    e = np.array(report2["results"]["witness_projection"][0])
+    e = e[..., 0] + 1j * e[..., 1]
+    assert np.linalg.norm(e @ e - e) < 1e-9 and np.linalg.norm(e - e.conj().T) < 1e-9
+    f = np.array(report2["results"]["witness_image"][0])
+    f = f[..., 0] + 1j * f[..., 1]
+    assert max(np.linalg.norm(f @ f - f), np.linalg.norm(f - f.conj().T)) > 1e-7
 
 
 def test_classify_dimension_error(tmp_path):

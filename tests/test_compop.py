@@ -41,6 +41,7 @@ from nclp.jordan import (
     pushforward_density,
     random_morphism,
     transpose_morphism,
+    verify_jordan,
 )
 from nclp.classical import FiniteMeasureSpace, PointMap, build_classical
 from nclp.matcore import (
@@ -129,7 +130,9 @@ def _reference_closures(rng):
                           lambda x, J=spec, a=pre, b=post: b @ J.apply(a @ x @ a) @ b,
                           spec.profile1))
         C = build_composition(spec, w1, w2, 3, "3/2")
-        hs = C.hs_adjoint()
+        # the Hilbert-Schmidt adjoint: the conjugate transpose of the matrix
+        hs = SuperOperator.from_matrix(C.codomain_profile, C.domain_profile,
+                                       C.q.conjugate(), C.p.conjugate(), C.matrix().conj().T)
         cases.append((C.trace_dual(), lambda g, hs=hs: hs.apply(g.adjoint()).adjoint(),
                       spec.profile2))
         L = left_multiplication(spec.profile2, element(spec.profile2, rng), "3/2", 1)
@@ -1123,25 +1126,21 @@ def test_batched_classifier_matches_probe_loop():
         w1, w2 = faithful(profile, rng), faithful(spec.profile2, rng)
         cases.append(("diagonal", _diagonal_compressed(spec, w1, w2, 2, 1), w1, w2))
     for seed, (kind, S, w1, w2) in enumerate(cases):
-        e, residual, worst, used, J0 = _reference_classify(S, w1, w2, 200, seed)
+        # the probe loop is the verdict oracle; the exact check decides alike
+        e, _, _, _, J0 = _reference_classify(S, w1, w2, 200, seed)
         res = classify_characteristic_preserving(S, w1, w2, seed=seed)
         assert res.accepted == (kind == "accept") == (e is None)
-        assert res.probes == used
-        assert res.max_projection_residual == pytest.approx(worst, rel=0.0, abs=1e-12)
-        n_diag = 2 ** w1.profile.total_dim
-        if kind == "diagonal":
-            assert used == n_diag + 1
+        n = w1.profile.coord_dim
+        assert res.basis_pairs_checked == n * (n + 1) // 2
         if e is None:
-            assert used == n_diag + 200
+            assert res.max_projection_residual <= 1e-12
             ref = _reconstruct_tiles(J0, w1.profile, w2.profile, 1e-7)
             assert [(t.src, t.dst, t.offset, t.kind) for t in res.morphism.tiles] == \
                 [(t.src, t.dst, t.offset, t.kind) for t in ref.tiles]
             for u, v in zip(res.morphism.block_unitaries, ref.block_unitaries):
                 np.testing.assert_allclose(u, v, rtol=0.0, atol=1e-12)
         else:
-            probe, _, got = res.witness
-            assert (probe - e).fro_norm() <= 1e-12
-            assert got == pytest.approx(residual, rel=0.0, abs=1e-12)
+            assert res.max_projection_residual > 1e-7
 
 
 def test_reconstruction_gauge_is_fixed_by_the_matrix():
@@ -1165,55 +1164,81 @@ def test_reconstruction_gauge_is_fixed_by_the_matrix():
                 np.testing.assert_allclose(rebuilt.matrix(), J0, rtol=0.0, atol=1e-12)
 
 
-def test_classifier_reports_truncated_diagonal_patterns():
-    # past total_dim 12 only the first 4096 of the 2^total_dim 0/1 patterns are tested
+def test_classifier_verdict_does_not_depend_on_the_seed():
+    # total_dim 13 is past the 4096 diagonal patterns that probing could
+    # afford; the exact check decides the same under every seed
     rng = generator(65)
-    for dims, truncated in (([1] * 11 + [2], True), ([1] * 10 + [2], False)):
-        profile = BlockProfile(dims)
-        w1, w2 = faithful(profile, rng), faithful(profile, rng)
-        C = build_composition(transpose_morphism(profile), w1, w2, 2, 1)
-        res = classify_characteristic_preserving(C, w1, w2)
-        assert profile.total_dim == (13 if truncated else 12)
-        assert res.accepted
-        assert res.patterns_truncated is truncated
-        assert res.probes == 4096 + 200
+    profile = BlockProfile([1] * 11 + [2])
+    w1, w2 = faithful(profile, rng), faithful(profile, rng)
+    spec = transpose_morphism(profile)
+    cases = [(build_composition(spec, w1, w2, 2, 1), True),
+             (_diagonal_compressed(spec, w1, w2, 2, 1), False)]
+    for S, accepted in cases:
+        results = [classify_characteristic_preserving(S, w1, w2, seed=seed) for seed in range(5)]
+        for res in results:
+            assert res.accepted is accepted
+            assert res.basis_pairs_checked == 15 * 16 // 2
+            assert res.max_projection_residual == results[0].max_projection_residual
+            if accepted:
+                np.testing.assert_array_equal(res.morphism.matrix(), results[0].morphism.matrix())
+            else:
+                for got, first in zip(res.witness[:2], results[0].witness[:2]):
+                    np.testing.assert_array_equal(got.flat(), first.flat())
+    # the benchmark's verdict flip builds a result from the four leading fields
     assert ClassifyResult(accepted=True, morphism=None, witness=None,
-                          max_projection_residual=0.0).patterns_truncated is False
+                          max_projection_residual=0.0).basis_pairs_checked == 0
 
 
-def test_spectral_chunks_continue_one_stream(monkeypatch):
-    # the chunks together are the probes of one projection call on the
-    # classifier's generator, and a reject on the first spectral probe
-    # draws only the first chunk
-    drawn = []
-
-    def recording(profile, rng, count):
-        cols = projection(profile, rng, count)
-        drawn.append(cols)
-        return cols
-
-    monkeypatch.setattr(compop, "random_projection", recording)
-    rng = generator(66)
-    profile = BlockProfile([1, 2])
-    spec = random_morphism(rng, profile1=profile, allow_partial=False)
-    w1, w2 = faithful(profile, rng), faithful(spec.profile2, rng)
-    res = classify_characteristic_preserving(build_composition(spec, w1, w2, 2, 1), w1, w2, seed=5)
-    assert res.accepted
-    assert len(drawn) > 1
-    assert np.array_equal(np.concatenate(drawn, axis=1), projection(profile, generator(5), 200))
-    drawn.clear()
-    res = classify_characteristic_preserving(_diagonal_compressed(spec, w1, w2, 2, 1), w1, w2, seed=5)
-    assert not res.accepted and res.probes == 2 ** profile.total_dim + 1
-    assert len(drawn) == 1 and drawn[0].shape[1] < 200
+def _unit_weights(profile):
+    return Weight(BlockMatrix.identity(profile))
 
 
-def test_classifier_refuses_negative_probe_count():
-    w = Weight.diagonal(PROF2, [0.5, 0.5])
-    C = build_composition(identity_morphism(PROF2), w, w, 2, 1)
-    with pytest.raises(ValueError):
-        classify_characteristic_preserving(C, w, w, probes=-1)
-    res = classify_characteristic_preserving(C, w, w, probes=0)
-    assert res.accepted and res.probes == 2 ** 2
+def test_reject_witness_is_a_projection_whose_image_is_not():
+    # noise and diagonal compression break the anticommutator law; a
+    # similarity x -> s J(x) s^{-1} keeps it and breaks only J(x*) = J(x)*,
+    # and i J breaks both
+    rng = generator(69)
+    cases = []
+    for dims in ([2], [1, 2], [2, 2], [2, 3]):
+        profile = BlockProfile(dims)
+        spec = random_morphism(rng, profile1=profile, allow_partial=False)
+        w1, w2 = faithful(profile, rng), faithful(spec.profile2, rng)
+        mat = np.array(build_composition(spec, w1, w2, 2, 1).matrix())
+        noise = 0.05 * (rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape))
+        cases.append((SuperOperator.from_matrix(profile, spec.profile2, 2, 1, mat + noise), w1, w2))
+        cases.append((_diagonal_compressed(spec, w1, w2, 2, 1), w1, w2))
+        u1, u2 = _unit_weights(profile), _unit_weights(spec.profile2)
+        sim = BlockMatrix(spec.profile2, [np.eye(m) + 0.3 * np.triu(np.ones((m, m)), 1)
+                                          for m in spec.profile2.dims])
+        inv = BlockMatrix(spec.profile2, [np.linalg.inv(b) for b in sim.blocks])
+        cases.append((SuperOperator(profile, spec.profile2, 2, 2,
+                                    lambda x, J=spec, s=sim, t=inv: s @ J.apply(x) @ t), u1, u2))
+        cases.append((SuperOperator.from_matrix(profile, spec.profile2, 2, 2,
+                                                1j * spec.matrix()), u1, u2))
+    for S, w1, w2 in cases:
+        res = classify_characteristic_preserving(S, w1, w2)
+        assert not res.accepted and res.max_projection_residual > 1e-7
+        e, f, residual = res.witness
+        assert (e @ e - e).fro_norm() <= 1e-12 and (e - e.adjoint()).fro_norm() <= 1e-12
+        assert e.fro_norm() > 0.5
+        off = max((f - f.adjoint()).fro_norm(), (f @ f - f).fro_norm()) / max(1.0, f.fro_norm())
+        assert residual == pytest.approx(off, rel=1e-12) and residual > 1e-7
+
+
+def test_classifier_checks_pairs_across_source_blocks():
+    # a -> a_1 + a_2 of two copies of M_n onto one M_n is a Jordan *-morphism
+    # on each block, but J(E_u) J(E_v) + J(E_v) J(E_u) != 0 across the blocks
+    for n in (1, 2):
+        src, dst = BlockProfile([n, n]), BlockProfile([n])
+        both = np.hstack([np.eye(n * n)] * 2)
+        S = SuperOperator.from_matrix(src, dst, 2, 2, both)
+        res = classify_characteristic_preserving(S, _unit_weights(src), _unit_weights(dst))
+        assert not res.accepted and res.max_projection_residual == pytest.approx(2.0)
+        assert not verify_jordan(S).passed
+        for block in (0, 1):
+            one = np.zeros_like(both)
+            one[:, block * n * n : (block + 1) * n * n] = np.eye(n * n)
+            assert verify_jordan(SuperOperator.from_matrix(src, dst, 2, 2, one)).passed
 
 
 def test_classifier_refuses_weights_off_the_operator_profiles():
@@ -1289,6 +1314,20 @@ def test_contraction_inclusion_modular_invariant_block():
     lhs = inc.operator.apply(embed(wB, a, 3).matrix)
     rhs = embed(w2, inclusion.apply(a), 3).matrix
     assert (lhs - rhs).fro_norm() < 1e-9
+
+
+def test_contraction_inclusion_constant_above_one():
+    # phi2 o inclusion = 3 phi_B on the diagonal of M_2 (and more on a
+    # skewed density): C rho_B - k >= 0 holds with the spectral C, and is
+    # sharp, so the inequality without C would fail
+    diag_prof = BlockProfile([1, 1])
+    inclusion = JordanMorphismSpec(diag_prof, PROF2, [Tile(0, 0, 0, "H"), Tile(1, 0, 1, "H")])
+    wB = Weight.diagonal(diag_prof, [0.5, 0.5])
+    for masses, constant in (([1.5, 1.5], 3.0), ([0.5, 2.0], 4.0)):
+        w2 = Weight(BlockMatrix.diagonal(PROF2, masses))
+        inc = contraction_inclusion(wB, w2, inclusion, 2)
+        assert inc.constant == pytest.approx(constant, rel=1e-12)
+        assert inc.bound == pytest.approx(constant ** 0.5, rel=1e-12)
 
 
 # -- splitting inequality ---------------------------------------------------

@@ -9,11 +9,11 @@ from nclp.haagerup import (
     embed,
     holder_check,
     kosaki_embed,
-    norming_candidate,
     tr,
     unembed,
 )
-from nclp.matcore import BlockMatrix, BlockProfile, schatten_norm
+from nclp.exponents import coerce
+from nclp.matcore import BlockMatrix, BlockProfile, frac_power, polar, schatten_norm
 from nclp.sampling import element, generator, hermitian, psd
 from nclp.vnops import Weight
 
@@ -146,6 +146,21 @@ def test_holder_exponent_mismatch():
     x = LpElement(BlockMatrix.identity(PROF2), Exponent(3))
     with pytest.raises(ExponentMismatch):
         holder_check(x, x, triple)
+
+
+def norming_candidate(b, r, t):
+    """The duality-aligned g with ||g||_t = 1 whose product attains ||b||_r.
+
+    For the split 1/s = 1/r + 1/t the element |b|^{r/t}, normalised in L^t,
+    satisfies ||b g||_s = ||b||_r; random sampling of the unit ball only ever
+    approaches this value from below.
+    """
+    r, t = coerce(r), coerce(t)
+    if schatten_norm(b, r) == 0.0:
+        return BlockMatrix.zeros(b.profile)
+    _, absb = polar(b)
+    g = frac_power(absb, float(r.fraction / t.fraction) if not t.is_inf else 0.0)
+    return g * (1.0 / schatten_norm(g, t))
 
 
 def test_dual_norm_attainment():

@@ -18,7 +18,7 @@ from nclp.jordan import (
     verify_jordan,
 )
 from nclp.matcore import BlockMatrix, BlockProfile
-from nclp.sampling import element, generator, hermitian, hermitian_columns, psd, unitary
+from nclp.sampling import element, generator, hermitian, psd, unitary
 from nclp.vnops import Weight, generate_algebra, weights_commute
 
 PROF2 = BlockProfile([2])
@@ -55,8 +55,8 @@ def test_apply_examples():
 
 
 def test_verify_jordan_pass_and_fail():
-    assert verify_jordan(identity_morphism(PROF23), samples=20).passed
-    assert verify_jordan(transpose_morphism(PROF23), samples=20).passed
+    assert verify_jordan(identity_morphism(PROF23)).passed
+    assert verify_jordan(transpose_morphism(PROF23)).passed
 
     # the diagonal-part map is linear and *-preserving but not Jordan
     def diag_part(x):
@@ -64,7 +64,7 @@ def test_verify_jordan_pass_and_fail():
             x.profile, [np.diag(np.diagonal(b)).copy() for b in x.blocks]
         )
 
-    report = verify_jordan(diag_part, samples=20, profile=PROF2)
+    report = verify_jordan(diag_part, profile=PROF2)
     assert not report.passed
     # explicit witness: a = e12 + e21 squares to the identity
     a = BlockMatrix(PROF2, [np.array([[0.0, 1.0], [1.0, 0.0]])])
@@ -80,29 +80,29 @@ def test_verify_jordan_catches_conjugate_linear_map():
         return spec.apply(BlockMatrix(x.profile, [b.conj() for b in x.blocks]))
 
     assert np.array_equal(materialise(conj_linear, PROF23)[0], materialise(spec.apply, PROF23)[0])
-    assert verify_jordan(spec, samples=20).passed
-    report = verify_jordan(conj_linear, samples=20, profile=PROF23)
+    assert verify_jordan(spec).passed
+    report = verify_jordan(conj_linear, profile=PROF23)
     assert not report.passed
     assert report.max_residual > 1e-3
     assert report.failures
 
 
-def test_verify_jordan_refuses_empty_runs():
-    def conj_linear(x):
-        return BlockMatrix(x.profile, [b.conj() for b in x.blocks])
-
-    for samples in (0, -3):
-        with pytest.raises(ValueError):
-            verify_jordan(conj_linear, samples=samples, profile=PROF2)
-        with pytest.raises(ValueError):
-            verify_jordan(identity_morphism(PROF2), samples=samples)
+def test_verify_jordan_catches_a_similarity():
+    # x -> s x s^{-1} keeps the anticommutator law on every pair of matrix
+    # units and breaks only J(E_ji) = J(E_ij)*
+    s = BlockMatrix(PROF2, [np.array([[1.0, 0.3], [0.0, 1.0]])])
+    t = BlockMatrix(PROF2, [np.array([[1.0, -0.3], [0.0, 1.0]])])
+    report = verify_jordan(lambda x: s @ x @ t, profile=PROF2)
+    assert not report.passed
+    assert report.failures == (("jordan", report.max_residual),)
+    assert report.max_residual == pytest.approx(0.3)
 
 
 def test_random_morphisms_verify():
     rng = generator(1)
     for k in range(25):
         spec = random_morphism(rng)
-        assert verify_jordan(spec, samples=8, seed=k).passed
+        assert verify_jordan(spec).passed
 
 
 def test_decompose_identity():
@@ -349,24 +349,6 @@ def test_hom_projection_matches_tile_walk():
     assert kinds == {("H",), ("A", "H"), ("A",)}
 
 
-def test_batched_draws_match_per_sample_draws():
-    # verify_jordan's one standard_normal call gives the numbers, and leaves
-    # the generator state, of drawing a, b and alpha sample by sample
-    for dims in ([1], [2], [1, 2], [2, 3], [4, 1, 2]):
-        profile = BlockProfile(dims)
-        cd = profile.coord_dim
-        for seed in range(20):
-            rng, ref = generator(seed), generator(seed)
-            z = rng.standard_normal((7, 4 * cd + 2))
-            A = hermitian_columns(profile, z[:, : 2 * cd])
-            B = hermitian_columns(profile, z[:, 2 * cd : 4 * cd])
-            for k in range(7):
-                assert np.array_equal(A[:, k], hermitian(profile, ref).flat())
-                assert np.array_equal(B[:, k], hermitian(profile, ref).flat())
-                assert z[k, -2] + 1j * z[k, -1] == complex(ref.standard_normal(), ref.standard_normal())
-            assert rng.bit_generator.state == ref.bit_generator.state
-
-
 def _reference_verify(fn, profile, samples, seed, tol=1e-9):
     """verify_jordan one sample at a time, on BlockMatrix draws and a materialised map.
 
@@ -408,14 +390,14 @@ def test_verify_jordan_matches_per_sample_reference():
         cases.append((op, op.apply, spec.profile1))
         cases.append((spec.apply, spec.apply, spec.profile1))
     cases.append((diag_part, diag_part, PROF23))
+    # the random-sample loop is the verdict oracle; the exact check decides alike
     for samples, seed in ((1, 0), (7, 3), (20, 11)):
         for morphism, fn, profile in cases:
-            report = verify_jordan(morphism, samples=samples, seed=seed, profile=profile)
-            passed, failures, worst = _reference_verify(fn, profile, samples, seed)
+            report = verify_jordan(morphism, seed=seed, profile=profile)
+            passed, _, _ = _reference_verify(fn, profile, samples, seed)
             assert report.passed == passed
-            assert [k for k, _ in report.failures] == failures
-            assert report.max_residual == pytest.approx(worst, rel=1e-12, abs=1e-12)
-    assert any(not verify_jordan(m, samples=7, profile=p).passed for m, _, p in cases)
+            assert bool(report.failures) == (not passed)
+    assert any(not verify_jordan(m, profile=p).passed for m, _, p in cases)
 
 
 def test_verify_jordan_refuses_conjugate_linear_superoperator():
@@ -425,7 +407,7 @@ def test_verify_jordan_refuses_conjugate_linear_superoperator():
     spec = random_morphism(generator(63), profile1=PROF23)
     op = SuperOperator(PROF23, spec.profile2, 2, 2, spec.apply)
     np.testing.assert_allclose(op.matrix(), spec.matrix(), rtol=0.0, atol=1e-12)
-    assert verify_jordan(op, samples=20).passed
+    assert verify_jordan(op).passed
     with pytest.raises(ProfileMismatch):
         SuperOperator(PROF23, spec.profile2, 2, 2,
                       lambda x: spec.apply(BlockMatrix(x.profile, [b.conj() for b in x.blocks])))

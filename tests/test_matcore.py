@@ -14,7 +14,7 @@ from nclp.matcore import (
     singular_values,
     support_of,
 )
-from nclp.sampling import block_unitary, element, generator, hermitian, psd, unitary
+from nclp.sampling import element, generator, hermitian, psd, unitary
 
 PROFILES = [BlockProfile([1]), BlockProfile([3]), BlockProfile([2, 3]), BlockProfile([4, 1, 2])]
 
@@ -178,6 +178,10 @@ def test_norm_monotonicity():
         norms = [schatten_norm(x, p) for p in grid]
         for lo, hi in zip(norms, norms[1:]):
             assert hi <= lo + 1e-12
+
+
+def block_unitary(profile, rng):
+    return BlockMatrix(profile, [unitary(d, rng) for d in profile], copy=False)
 
 
 def test_unitary_invariance():
