@@ -87,7 +87,6 @@ from .compop import (
     SuperOperator,
     build_composition,
     change_of_weights,
-    change_of_weights_bound_if_onto,
     change_of_weights_scale,
     classify_characteristic_preserving,
     contraction_inclusion,

@@ -34,14 +34,13 @@ from .compop import (
     SuperOperator,
     build_composition,
     change_of_weights,
-    change_of_weights_bound_if_onto,
     change_of_weights_scale,
     classify_characteristic_preserving,
     operator_norm,
 )
 from .errors import NclpError, NotFinite, SpecFileError
 from .exponents import Exponent
-from .jordan import JordanMorphismSpec, Tile, verify_jordan
+from .jordan import JordanMorphismSpec, Tile, pushforward_density, verify_jordan
 from .matcore import BlockMatrix, BlockProfile, commutator_norm
 from .vnops import Weight, in_centralizer, modular_conjugate, weights_commute
 
@@ -419,12 +418,11 @@ def cmd_norm(spec: SpecDocument, args) -> tuple[Report, int]:
     report.put("status", estimate.status)
     report.put("certified", estimate.certified)
     report.put("restarts_capped", estimate.capped)
-    bound = change_of_weights_bound_if_onto(morphism, w1, w2, p, q)
-    if bound is not None:
-        report.put("change_of_weights_bound", bound)
-        report.put("within_bound", estimate.lower_bound <= bound + 1e-6)
-    else:
-        report.put("change_of_weights_bound", "not computable for this morphism")
+    # C_J is compression to the covered blocks, the change of weights from w1
+    # to the pushforward of w2, then a contractive Jordan embedding
+    bound = change_of_weights(w1, pushforward_density(morphism, w2), p, q).bound
+    report.put("change_of_weights_bound", bound)
+    report.put("within_bound", estimate.lower_bound <= bound + 1e-6)
     return report, 0
 
 
@@ -555,33 +553,31 @@ _HANDLERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    """One parser: every subcommand takes the same spec path and options."""
-    parser = argparse.ArgumentParser(
-        prog="nclp",
-        description="Composition operators on finite-dimensional weighted "
-                    "Schatten (noncommutative L^p) carriers.",
-    )
-    parser.add_argument("command", choices=_HANDLERS)
-    parser.add_argument("spec", help="path to the JSON spec file")
-    parser.add_argument("--p", default=None, help='domain exponent ("2", "1.5", "inf")')
-    parser.add_argument("--q", default=None, help="codomain exponent")
-    parser.add_argument("--r", default=None, help="ratio p/q for scale mode")
-    parser.add_argument("--restarts", type=int, default=16,
-                        help="maximiser restarts, at least 1 (used by norm only)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--t", type=float, nargs="+", default=None,
-                        help="modular group parameters")
-    parser.add_argument("--out", default=None, help="write the report to a file")
-    parser.add_argument("--format", choices=("human", "machine"), default="human")
-    return parser
+# One parser, built once: every subcommand takes the same spec path and
+# options, and parse_args does not change the parser.
+_PARSER = argparse.ArgumentParser(
+    prog="nclp",
+    description="Composition operators on finite-dimensional weighted "
+                "Schatten (noncommutative L^p) carriers.",
+)
+_PARSER.add_argument("command", choices=_HANDLERS)
+_PARSER.add_argument("spec", help="path to the JSON spec file")
+_PARSER.add_argument("--p", default=None, help='domain exponent ("2", "1.5", "inf")')
+_PARSER.add_argument("--q", default=None, help="codomain exponent")
+_PARSER.add_argument("--r", default=None, help="ratio p/q for scale mode")
+_PARSER.add_argument("--restarts", type=int, default=16,
+                     help="maximiser restarts, at least 1 (used by norm only)")
+_PARSER.add_argument("--seed", type=int, default=0)
+_PARSER.add_argument("--t", type=float, nargs="+", default=None,
+                     help="modular group parameters")
+_PARSER.add_argument("--out", default=None, help="write the report to a file")
+_PARSER.add_argument("--format", choices=("human", "machine"), default="human")
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if args.restarts < 1:
-        parser.error(f"--restarts must be at least 1, got {args.restarts}")
+        _PARSER.error(f"--restarts must be at least 1, got {args.restarts}")
     try:
         spec = SpecDocument.load(args.spec)
         report, code = _HANDLERS[args.command](spec, args)

@@ -26,7 +26,6 @@ import numpy as np
 
 from .errors import (
     DominationFails,
-    ExponentOrder,
     NoConvergence,
     NotCommuting,
     NotModuleMap,
@@ -483,8 +482,8 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
       bound, exact once they meet and an interval if they have not met
       after max_iter steps;
     - every other map: the alternating maximiser, a lower bound only.
-    "exact" is the (2,2) oracle alone and "alternating" the maximiser
-    alone.  `restarts` and `seed` serve the maximiser only.
+    "alternating" is the maximiser alone.  `restarts` and `seed` serve
+    the maximiser only.
 
     The maximiser alternates duality-aligned updates on both sides of
     Re tr(y* C x) over the unit balls; the objective is monotone and the
@@ -496,17 +495,14 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     running are multiplied.  The restarts still running after max_iter
     steps are reported as `capped`.
     """
-    if method not in ("auto", "exact", "alternating"):
+    if method not in ("auto", "alternating"):
         raise ValueError(f"unknown method {method!r}")
     if restarts < 1 or max_iter < 1:
         raise ValueError(
             f"need restarts >= 1 and max_iter >= 1, got {restarts} and {max_iter}"
         )
     p, q = C.p, C.q
-    exact_ok = p == _TWO and q == _TWO
-    if method == "exact" and not exact_ok:
-        raise ExponentOrder("the exact oracle needs p = q = 2")
-    if exact_ok and method != "alternating":
+    if method == "auto" and p == _TWO and q == _TWO:
         top = float(np.linalg.svd(C.matrix(), compute_uv=False)[0])
         return NormEstimate(lower_bound=top, iterations=0, restarts=0, seed=seed,
                             upper_bound=top)
@@ -615,22 +611,6 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
         raise NoConvergence(f"witness attains {value:.15g}, the bound is {bound:.15g}")
     est = NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=0, upper_bound=bound)
     return ChangeOfWeights(d=d, bound=bound, norm_estimate=est, witness=witness, triple=triple)
-
-
-def change_of_weights_bound_if_onto(J: JordanMorphismSpec, w1: Weight, w2: Weight,
-                                    p, q) -> float | None:
-    """Change-of-weights bound for C_J when it provably dominates the norm, else None.
-
-    J must be a blockwise *-iso/antiiso onto the codomain (one tile per source
-    block, every block covered on both sides); then C_J is the change of weights
-    from w1 to the pushforward of w2 followed by an isometry.
-    """
-    if sorted(t.src for t in J.tiles) != list(range(J.profile1.block_count)):
-        return None
-    if (J.unit_image() - BlockMatrix.identity(J.profile2)).fro_norm() > 1e-9:
-        return None
-    k = pushforward_density(J, w2)
-    return change_of_weights(w1, k, p, q).bound if k.is_faithful else None
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ from .exponents import coerce as coerce_exponent
 
 SUPPORT_CUTOFF = 1e-12
 PSD_TOL = 1e-10
+# Absolute Hermiticity defect allowed by hermitian_eig, on top of 1e-10 relative.
+HERMITIAN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -200,15 +202,15 @@ class BlockMatrix:
         return f"BlockMatrix(profile={self.profile.dims})"
 
 
-def hermitian_eig(H: BlockMatrix, tol: float = 1e-8):
+def hermitian_eig(H: BlockMatrix):
     """Per-block eigensystem of a Hermitian block matrix.
 
-    The Hermiticity test allows `tol` absolute plus 1e-10 relative defect
+    The Hermiticity test allows HERMITIAN_TOL absolute plus 1e-10 relative defect
     (embeddings compound rounding); the input is symmetrised before
     numpy.linalg.eigh.  Returns (list of ascending eigenvalue arrays, unitary V).
     """
     defect = (H - H.adjoint()).fro_norm()
-    if defect > tol + 1e-10 * H.fro_norm():
+    if defect > HERMITIAN_TOL + 1e-10 * H.fro_norm():
         raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tolerance")
     eigenvalues = []
     vectors = []

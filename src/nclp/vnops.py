@@ -23,7 +23,9 @@ from .matcore import (
     BlockProfile,
     _from_spectrum,
     _spectral_power,
+    block_stacks,
     commutator_norm,
+    flat_columns,
     hermitian_eig,
     support_of,
 )
@@ -133,6 +135,12 @@ class Weight:
         lams, V = self._spectral
         return _spectral_power(self.profile, lams, V.blocks, t)
 
+    def log_density(self) -> BlockMatrix:
+        """log rho (faithful weights only), the generator of rho^{it} = exp(it log rho)."""
+        self.require_faithful("log rho")
+        lams, V = self._spectral
+        return _from_spectrum(self.profile, [np.log(lam) for lam in lams], V.blocks)
+
     def imaginary_power(self, t: float) -> BlockMatrix:
         """The unitary rho^{it} (faithful weights only)."""
         self.require_faithful("rho^{it}")
@@ -164,14 +172,16 @@ def modular_conjugate(w: Weight, t: float, a: BlockMatrix) -> BlockMatrix:
     return u @ a @ u.adjoint()
 
 
-_DEFAULT_T_SAMPLES = (0.7, 1.3, 2.9)
+# The modular parameters at which the orbit test of the centralizer samples.
+_ORBIT_T_SAMPLES = (0.7, 1.3, 2.9)
 
 
-def centralizer_tests(w: Weight, d: BlockMatrix, t_samples=_DEFAULT_T_SAMPLES):
+def centralizer_tests(w: Weight, d: BlockMatrix):
     """The two operational membership tests for the centralizer of w.
 
     Returns (commutator_test, orbit_test): whether h and d commute, and
-    whether the modular orbit sigma_t(d) stays at d for every sampled t.
+    whether the modular orbit sigma_t(d) stays at d at each t of
+    _ORBIT_T_SAMPLES.
     The equivalence of the two is exactly what makes the centralizer the
     fixed-point algebra of the modular group.
     """
@@ -180,20 +190,20 @@ def centralizer_tests(w: Weight, d: BlockMatrix, t_samples=_DEFAULT_T_SAMPLES):
     scale = (1.0 + d.max_abs()) * max(h.max_abs(), 1e-300)
     comm_ok = commutator_norm(h, d) < 1e-9 * scale
     orbit_defect = max(
-        (modular_conjugate(w, t, d) - d).fro_norm() for t in t_samples
+        (modular_conjugate(w, t, d) - d).fro_norm() for t in _ORBIT_T_SAMPLES
     )
     orbit_ok = orbit_defect < 1e-8 * max(1.0, d.fro_norm())
     return comm_ok, orbit_ok
 
 
-def in_centralizer(w: Weight, d: BlockMatrix, t_samples=_DEFAULT_T_SAMPLES) -> bool:
+def in_centralizer(w: Weight, d: BlockMatrix) -> bool:
     """Membership of d in the centralizer of w.
 
     Cross-checks the commutator test against the modular-orbit test and
     refuses to answer if they disagree (they agree for every valid input;
     disagreement signals numerical breakdown).
     """
-    comm_ok, orbit_ok = centralizer_tests(w, d, t_samples)
+    comm_ok, orbit_ok = centralizer_tests(w, d)
     if comm_ok != orbit_ok:
         raise NoConvergence(
             f"centralizer tests disagree (commutator {comm_ok}, orbit {orbit_ok})"
@@ -216,103 +226,80 @@ def weights_commute(w: Weight, v: Weight) -> bool:
     return commutator_norm(a, b) < 1e-9 * scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubalgebraBasis:
-    """Hilbert-Schmidt orthonormal basis of a *-subalgebra, with its unit."""
+    """A *-subalgebra as a Hilbert-Schmidt orthonormal basis, with its unit.
+
+    `rows` (dimension, coord_dim) holds the basis as orthonormal rows of flat
+    coordinates, so the projection onto the span is x -> rows^T conj(rows) x.
+    """
 
     profile: BlockProfile
-    elements: tuple
+    rows: np.ndarray
     unit: BlockMatrix
 
     @property
     def dimension(self) -> int:
-        return len(self.elements)
+        return self.rows.shape[0]
 
-    def coords(self, x: BlockMatrix) -> np.ndarray:
-        return np.array([b.hs_inner(x) for b in self.elements])
+    @property
+    def elements(self) -> tuple:
+        return tuple(BlockMatrix.unflat(self.profile, row) for row in self.rows)
 
     def span_residual(self, x: BlockMatrix) -> float:
         """Frobenius distance from x to the span of the basis."""
-        c = self.coords(x)
-        rec = BlockMatrix.zeros(self.profile)
-        for coef, b in zip(c, self.elements):
-            rec = rec + coef * b
-        return (x - rec).fro_norm()
-
-    def contains(self, x: BlockMatrix, tol: float = 1e-8) -> bool:
-        return self.span_residual(x) <= tol * max(1.0, x.fro_norm())
+        v = x.flat()
+        return float(np.linalg.norm(v - self.rows.T @ (self.rows.conj() @ v)))
 
 
-def _orthonormalize(rows: np.ndarray, candidates: np.ndarray, tol: float = 1e-9):
-    """Grow an orthonormal row basis by Gram-Schmidt with re-orthogonalisation."""
-    basis = [r for r in rows]
-    for cand in candidates:
-        v = cand.copy()
-        nrm0 = np.linalg.norm(v)
-        for _ in range(2):  # second pass restores orthogonality lost to rounding
-            for b in basis:
-                v = v - np.vdot(b, v) * b
-        nrm = np.linalg.norm(v)
-        if nrm > tol * max(1.0, nrm0):
-            basis.append(v / nrm)
-    return np.array(basis) if basis else rows
+# Rank cut of a spanning set: singular values above this fraction of the largest.
+_SPAN_CUTOFF = 1e-9
+
+
+def _span_rows(vectors: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the rows of `vectors`: one SVD and a rank cut."""
+    _, s, vh = np.linalg.svd(vectors, full_matrices=False)
+    return vh[: int(np.sum(s > _SPAN_CUTOFF * s[0])) if s.size else 0]
 
 
 def generate_algebra(generators) -> SubalgebraBasis:
     """Orthonormal basis of the smallest *-algebra containing the generators.
 
-    Iterates span -> span + span * span until the dimension stabilises; the
-    seed span already contains the adjoints, so every iterate is *-closed.
+    The seed span holds the generators and their adjoints, so every iterate
+    is *-closed.  Each round spans the current basis together with all its
+    pairwise products, which come from one batched product per block, by
+    one SVD with a rank cut (`_span_rows`), and stops when the dimension
+    does not grow; it can grow at most coord_dim times.  Zero generators
+    give the zero algebra, with unit 0.
     """
     generators = list(generators)
     if not generators:
         raise ValueError("need at least one generator")
     profile = generators[0].profile
-    ambient = profile.coord_dim
-    seed = []
-    for g in generators:
-        if g.profile != profile:
-            raise ProfileMismatch("generators live on different profiles")
-        seed.append(g.flat())
-        seed.append(g.adjoint().flat())
-    basis = _orthonormalize(np.zeros((0, ambient), dtype=complex), np.array(seed))
-    for _ in range(ambient + 1):
-        mats = [BlockMatrix.unflat(profile, row) for row in basis]
-        products = []
-        for x in mats:
-            for y in mats:
-                products.append((x @ y).flat())
-        grown = _orthonormalize(basis, np.array(products))
-        if grown.shape[0] == basis.shape[0]:
-            elements = tuple(BlockMatrix.unflat(profile, row) for row in basis)
-            unit = _algebra_unit(profile, elements)
-            return SubalgebraBasis(profile=profile, elements=elements, unit=unit)
-        basis = grown
-        if basis.shape[0] > ambient:
-            break
-    raise NoConvergence("algebra dimension failed to stabilise")
+    if any(g.profile != profile for g in generators):
+        raise ProfileMismatch("generators live on different profiles")
+    rows = _span_rows(np.array([v for g in generators for v in (g.flat(), g.adjoint().flat())]))
+    while True:
+        products = flat_columns([(X[:, None] @ X[None]).reshape(-1, *X.shape[1:])
+                                 for X in block_stacks(profile, rows.T)])
+        grown = _span_rows(np.concatenate([rows, products.T]))
+        if grown.shape[0] == rows.shape[0]:
+            return SubalgebraBasis(profile=profile, rows=rows, unit=_algebra_unit(profile, rows))
+        rows = grown
 
 
-def _algebra_unit(profile: BlockProfile, elements) -> BlockMatrix:
-    """The unit of the algebra spanned by an orthonormal basis.
+def _algebra_unit(profile: BlockProfile, rows: np.ndarray) -> BlockMatrix:
+    """The unit of the *-algebra with orthonormal basis rows b_k: the support u of sum b_k b_k*.
 
-    Solves u b_k = b_k for all k by least squares in basis coordinates and
-    checks the residual (a finite-dimensional *-algebra always has a unit).
+    u is a polynomial without constant term in sum b_k b_k*, so it lies in
+    the algebra, and its range holds the range of every b_k, so u b = b and
+    b u = (u b*)* = b.  The residual of u b_k = b_k is checked all the same.
     """
-    dim = len(elements)
-    cols = []
-    target = []
-    for bk in elements:
-        target.append(bk.flat())
-        cols.append(np.array([(bj @ bk).flat() for bj in elements]))
-    # Stack: rows are (j -> b_j b_k) per k; unknown coefficient vector c.
-    lhs = np.concatenate([c.T for c in cols], axis=0)
-    rhs = np.concatenate(target)
-    coeffs, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-    unit = BlockMatrix.zeros(profile)
-    for c, b in zip(coeffs, elements):
-        unit = unit + c * b
-    worst = max((unit @ b - b).fro_norm() for b in elements)
-    if worst > 1e-8 * max(1.0, max(b.fro_norm() for b in elements)):
+    stacks = block_stacks(profile, rows.T)
+    gram = [np.einsum("kij,klj->il", X, X.conj()) for X in stacks]
+    unit = support_of(BlockMatrix(profile, gram, copy=False))
+    defect = flat_columns([u @ X - X for u, X in zip(unit.blocks, stacks)])
+    worst = float(np.max(np.linalg.norm(defect, axis=0), initial=0.0))
+    if worst > 1e-8:
         raise NoConvergence(f"generated span has no unit (residual {worst:.3e})")
-    return unit.hermitized()
+    return unit

@@ -81,6 +81,20 @@ def test_norm_prints_bound(spec_path, tmp_path):
     assert results["norm_upper_bound"] == results["norm_lower_bound"]
 
 
+def test_norm_reports_the_bound_for_a_corner_morphism(tmp_path):
+    # [2] into offset 1 of [3]: not onto, yet the change-of-weights bound
+    # holds, and under a diagonal weight2 it is the norm
+    spec = dict(BASE_SPEC, algebra2=[3], weight2=diag_weight_json([0.5, 0.3, 0.2]))
+    spec["morphism"] = {"tiles": [{"src": 0, "dst": 0, "offset": 1, "kind": "H"}]}
+    path = tmp_path / "corner.json"
+    path.write_text(json.dumps(spec))
+    code, report = machine_report(tmp_path, ["norm", str(path), "--p", "3", "--q", "1.5"])
+    results = report["results"]
+    assert code == 0 and results["within_bound"] is True
+    assert results["change_of_weights_bound"] == pytest.approx(0.638250429886, abs=1e-12)
+    assert results["norm_lower_bound"] == results["change_of_weights_bound"]
+
+
 def test_norm_identity_certified(tmp_path):
     spec = dict(BASE_SPEC)
     spec["weight2"] = diag_weight_json([0.5, 0.5])

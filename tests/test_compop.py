@@ -11,7 +11,6 @@ from nclp.compop import (
     _reconstruct_tiles,
     build_composition,
     change_of_weights,
-    change_of_weights_bound_if_onto,
     change_of_weights_scale,
     classify_characteristic_preserving,
     contraction_inclusion,
@@ -447,22 +446,31 @@ def test_change_of_weights_witness_attains_bound():
                 assert cw.norm_estimate.lower_bound == pytest.approx(cw.bound, rel=1e-12)
 
 
-def test_change_of_weights_bound_if_onto():
+def test_change_of_weights_bound_holds_for_every_morphism():
+    # C_J is compression to the covered blocks, the change of weights from w1
+    # to the pushforward k of w2, then a contractive Jordan embedding: the
+    # bound holds on onto morphisms, on two copies of one source block and
+    # on a corner that misses part of the codomain
     rng = generator(25)
-    w1, w2 = faithful(PROF23, rng), faithful(PROF23, rng)
-    onto = transpose_morphism(PROF23)
-    bound = change_of_weights_bound_if_onto(onto, w1, w2, 3, "3/2")
-    assert bound == change_of_weights(w1, pushforward_density(onto, w2), 3, "3/2").bound
-    est = operator_norm(build_composition(onto, w1, w2, 3, "3/2"), restarts=4, seed=0)
-    assert est.lower_bound <= bound + 1e-6
-    # two copies of one source block fill the codomain; a corner misses part of it
     prof1, prof3 = BlockProfile([1]), BlockProfile([3])
     doubled = JordanMorphismSpec(prof1, PROF2, [Tile(0, 0, 0, "H"), Tile(0, 0, 1, "H")])
     corner = JordanMorphismSpec(PROF2, prof3, [Tile(0, 0, 0, "H")])
-    assert change_of_weights_bound_if_onto(
-        doubled, faithful(prof1, rng), faithful(PROF2, rng), 2, 1) is None
-    assert change_of_weights_bound_if_onto(
-        corner, faithful(PROF2, rng), faithful(prof3, rng), 2, 1) is None
+    for J in (transpose_morphism(PROF23), doubled, corner):
+        w1, w2 = faithful(J.profile1, rng), faithful(J.profile2, rng)
+        k = pushforward_density(J, w2)
+        for p, q in ((3, "3/2"), (2, 1), ("inf", 2), (2, 2), (4, 2)):
+            bound = change_of_weights(w1, k, p, q).bound
+            C = build_composition(J, w1, w2, p, q)
+            for method in ("auto", "alternating"):
+                est = operator_norm(C, restarts=4, seed=0, method=method)
+                assert est.lower_bound <= bound * (1 + 1e-12)
+    # a diagonal w2 leaves the corner's image invariant under its modular
+    # group, and the bound is the norm
+    w1, w2 = faithful(PROF2, rng), Weight.diagonal(prof3, [0.5, 0.3, 0.2])
+    est = operator_norm(build_composition(corner, w1, w2, 3, "3/2"))
+    assert est.status == "exact"
+    bound = change_of_weights(w1, pushforward_density(corner, w2), 3, "3/2").bound
+    assert est.lower_bound == pytest.approx(bound, rel=1e-9)
 
 
 def test_norm_rank_one_map_exact():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nclp.compop import SuperOperator, build_composition
-from nclp.errors import NotFaithful, ProfileMismatch
+from nclp.errors import InvalidMorphism, NotFaithful, ProfileMismatch
 from nclp.haagerup import embed
 from nclp.jordan import (
     JordanMorphismSpec,
@@ -19,7 +19,7 @@ from nclp.jordan import (
 )
 from nclp.matcore import BlockMatrix, BlockProfile
 from nclp.sampling import element, generator, hermitian, psd, unitary
-from nclp.vnops import Weight, generate_algebra, weights_commute
+from nclp.vnops import Weight, generate_algebra, modular_conjugate, weights_commute
 
 PROF2 = BlockProfile([2])
 PROF23 = BlockProfile([2, 3])
@@ -254,16 +254,50 @@ def test_is_modular_invariant():
     full = generate_algebra(
         [BlockMatrix.matrix_unit(PROF2, 0, i, j) for i in range(2) for j in range(2)]
     )
-    assert is_modular_invariant(full, w, (0.5, 1.2))
+    assert is_modular_invariant(full, w)
     diag_w = Weight.diagonal(PROF2, [1.0, 2.0])
     diag_alg = generate_algebra(
         [BlockMatrix.diagonal(PROF2, [1.0, 0.0]), BlockMatrix.diagonal(PROF2, [0.0, 1.0])]
     )
-    assert is_modular_invariant(diag_alg, diag_w, (0.7, 1.9))
+    assert is_modular_invariant(diag_alg, diag_w)
     # the real span of {1, e12 + e21} is rotated out of itself
     sym = BlockMatrix(PROF2, [np.array([[0.0, 1.0], [1.0, 0.0]])])
     small = generate_algebra([sym])
-    assert not is_modular_invariant(small, diag_w, (0.7,))
+    assert not is_modular_invariant(small, diag_w)
+
+
+def test_is_modular_invariant_at_every_t():
+    # h = diag(1, 2): sigma_t is the identity at t = 2 pi / log 2, yet the
+    # algebra spanned by 1 and sigma_x is rotated out of itself at other t
+    w = Weight.diagonal(PROF2, [1.0, 2.0])
+    sigma_x = BlockMatrix(PROF2, [np.array([[0.0, 1.0], [1.0, 0.0]])])
+    B = generate_algebra([sigma_x])
+    resonant = 2 * np.pi / np.log(2.0)
+    assert B.span_residual(modular_conjugate(w, resonant, sigma_x)) < 1e-12
+    assert B.span_residual(modular_conjugate(w, 1.0, sigma_x)) > 0.1
+    assert not is_modular_invariant(B, w)
+
+
+def test_decompose_of_a_morphism_with_no_tiles():
+    dec = decompose(JordanMorphismSpec(PROF23, PROF2, []), Weight.diagonal(PROF2, [0.6, 0.4]))
+    for proj in (dec.z, dec.e, dec.e_z, dec.e_one_minus_z):
+        assert proj.matrix.fro_norm() == 0.0
+    for weight in (dec.weight_total, dec.weight_hom, dec.weight_anti):
+        assert weight.rho.fro_norm() == 0.0
+
+
+def test_invalid_morphisms_are_refused(monkeypatch):
+    # a tile unitary whose defect ||u u* - 1|| is above 1e-8 dim
+    almost = np.diag([1.0, 1.0 + 1e-7])
+    with pytest.raises(InvalidMorphism, match="not unitary"):
+        JordanMorphismSpec(PROF2, PROF2, [Tile(0, 0, 0, "H", almost)])
+    # a rank-one projection inside the range of an H tile is not central in
+    # the image algebra M_2
+    spec = identity_morphism(PROF2)
+    monkeypatch.setattr(JordanMorphismSpec, "hom_projection",
+                        lambda self: BlockMatrix.diagonal(PROF2, [1.0, 0.0]))
+    with pytest.raises(InvalidMorphism, match="not central"):
+        decompose(spec, Weight.diagonal(PROF2, [0.6, 0.4]))
 
 
 def test_block_unitary_count_must_match_destination_blocks():

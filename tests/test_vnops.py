@@ -206,6 +206,13 @@ def test_generated_unit_is_join_of_supports():
     assert basis.unit.allclose(e, tol=1e-8)
 
 
+def test_generate_algebra_of_zero_is_the_zero_algebra():
+    basis = generate_algebra([BlockMatrix.zeros(PROF23)])
+    assert basis.dimension == 0 and basis.elements == ()
+    assert basis.unit.fro_norm() == 0.0
+    assert basis.span_residual(BlockMatrix.identity(PROF23)) == pytest.approx(5 ** 0.5)
+
+
 def test_generate_algebra_contains_random_generators():
     rng = generator(8)
     for _ in range(5):
