@@ -2,13 +2,14 @@
 
 Builds the operator C_J : x -> embed(w2, J(unembed(w1, x))), bounds
 L^p -> L^q operator norms (an exact singular-value oracle at p = q = 2;
-for completely positive maps, closed forms at p = inf and q = 1 and a
-certified cone iteration in between; alternating duality alignment, a lower
-bound only, for every other map), solves the bounded change-of-weights
-problem (exact norm, attaining witness), recovers one-sided multipliers
-from module homomorphisms, and classifies which raw operators are
-composition operators, deciding exactly (on the pairs of matrix units)
-whether they preserve embedded projections.
+for completely positive maps with q <= p, closed forms at p = inf, at q = 1
+and, for one Kraus map per matched block pair, ||C#(1)||_rho, and a certified
+cone iteration for the others when 1 < q <= 2 <= p; alternating duality
+alignment, a lower bound only, for every other map), solves the bounded
+change-of-weights problem (exact norm, attaining witness), recovers
+one-sided multipliers from module homomorphisms, and classifies which raw
+operators are composition operators, deciding exactly (on the pairs of
+matrix units) whether they preserve embedded projections.
 
 An operator is its matrix on flat block coordinates (`SuperOperator`).
 The library builds every matrix in closed form, from `_sandwich_matrix`
@@ -33,7 +34,7 @@ from .errors import (
     ProfileMismatch,
     RatioMismatch,
 )
-from .exponents import Exponent, coerce, ratio, require_order
+from .exponents import Exponent, coerce, holder_complement, ratio, require_order
 from .haagerup import ExponentTriple
 from .jordan import (
     JordanMorphismSpec,
@@ -169,9 +170,9 @@ class NormEstimate:
 
     `upper_bound` is a proved upper bound, math.inf when there is none.  A
     norm is `exact` when the bounds agree within NORM_RTOL (the (2,2)
-    oracle, the closed forms and the change of weights, each with a
-    witness, and a cone iteration whose gap closed), `interval` when they
-    do not, and `lower-only` with no upper bound (the alternating
+    oracle, the endpoint and Holder closed forms and the change of weights,
+    each with a witness, and a cone iteration whose gap closed), `interval`
+    when they do not, and `lower-only` with no upper bound (the alternating
     maximiser).
 
     The maximiser's `iterations` is summed over the restarts, so it equals
@@ -323,46 +324,56 @@ def _random_start(profile: BlockProfile, stream) -> np.ndarray:
     ])
 
 
-def _is_completely_positive(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> bool:
-    """Whether the map with matrix `mat` is completely positive, tested exactly.
+def _choi_stacks(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> list | None:
+    """The Choi matrices of the map with matrix `mat` as (n, m, stack) per size pair, if the map
+    is completely positive, tested exactly; None if it is not.
 
     For a source block s of size n and a destination block t of size m, with
     B = mat[rows of t, cols of s], the Choi matrix sum_ij E_ij (x) C(E_ij) is
     B.reshape(m, m, n, n).transpose(2, 0, 3, 1).reshape(n*m, n*m), and C is
     completely positive iff every one of them is positive semidefinite.  The
-    Choi matrices are stacked per (n, m); each stack passes its Hermiticity
-    defect and one Cholesky factorisation of Choi + tol I, tol = _CHOI_TOL
-    times the Frobenius norm of mat, or C fails.  So the test is exact for
-    eigenvalues above -tol and needs no eigensolver.  The zero map passes.
+    Choi matrices are stacked per (n, m), entry k of a stack for the pair
+    (k // K, k % K) of the blocks of sizes m and n, K blocks of size n; each
+    stack passes its Hermiticity defect and one Cholesky factorisation of
+    Choi + tol I, tol = _CHOI_TOL times the Frobenius norm of mat, or C
+    fails.  So the test is exact for eigenvalues above -tol and needs no
+    eigensolver.  The zero map passes, with no stacks.
     """
     scale = float(np.linalg.norm(mat))
     if scale == 0.0:
-        return True
-    tol = _CHOI_TOL * scale
+        return []
+    tol, stacks = _CHOI_TOL * scale, []
     for n, ks, src in _size_groups(dom):
         for m, kt, dst in _size_groups(cod):
             pairs = mat[dst[:, None, :, None], src[None, :, None, :]].reshape(kt * ks, m, m, n, n)
             choi = pairs.transpose(0, 3, 1, 4, 2).reshape(kt * ks, n * m, n * m)
             if np.linalg.norm(choi - choi.conj().swapaxes(1, 2)) > tol:
-                return False
+                return None
             try:
                 np.linalg.cholesky(choi + tol * np.eye(n * m))
             except np.linalg.LinAlgError:
-                return False
-    return True
+                return None
+            stacks.append((n, m, choi))
+    return stacks
 
 
-def _completely_positive_matrix(C: SuperOperator) -> np.ndarray | None:
-    """The matrix of C if C is completely positive, else that of C o transpose if it is, else None.
+def _is_completely_positive(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> bool:
+    """Whether the map with matrix `mat` is completely positive (`_choi_stacks`)."""
+    return _choi_stacks(mat, dom, cod) is not None
+
+
+def _completely_positive_matrix(C: SuperOperator):
+    """(matrix, Choi stacks) of C if C is completely positive, else of C o transpose if so.
 
     Transposition is a Schatten isometry, so C o transpose has C's norms;
     this covers the composition operators of A-only morphisms.
     """
     mat, dom, cod = C.matrix(), C.domain_profile, C.codomain_profile
-    if _is_completely_positive(mat, dom, cod):
-        return mat
-    flipped = mat[:, _transpose_permutation(dom)]
-    return flipped if _is_completely_positive(flipped, dom, cod) else None
+    for candidate in (mat, mat[:, _transpose_permutation(dom)]):
+        stacks = _choi_stacks(candidate, dom, cod)
+        if stacks is not None:
+            return candidate, stacks
+    return None
 
 
 def _eigh_groups(profile: BlockProfile, flat: np.ndarray) -> list:
@@ -400,6 +411,51 @@ def _positive_endpoint(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
         return schatten_norm(BlockMatrix.unflat(cod, mat @ BlockMatrix.identity(dom).flat()), q)
     dual_unit = mat.conj().T @ BlockMatrix.identity(cod).flat()
     return schatten_norm(BlockMatrix.unflat(dom, dual_unit), p.conjugate())
+
+
+def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
+                       p: Exponent, q: Exponent, stacks: list) -> tuple | None:
+    """(lower, upper) for a completely positive map with one Kraus map per block pair over a
+    matching of blocks, q <= p; None for any other map.
+
+    Such a map sends x_s to A x_s A*, so C#(1) = A*A on s.  Holder with
+    1/q = 1/p + 1/rho gives ||A x A*||_q <= ||A*A||_rho ||x||_p, and over the
+    direct sum ||C|| <= ||C#(1)||_rho, attained at x = (C#(1)/top)^{rho/p}
+    (the support at p = inf, a top eigenprojection at p = q).  With tol =
+    _CHOI_TOL ||mat||_F, a pair of `_choi_stacks` is live when tr Choi > tol;
+    the map qualifies when no block is in two live pairs and each live Choi
+    is rank one up to tr - ||Choi||_F^2/tr <= tol, a bound on its trace
+    beyond the top eigenvalue.  The lower value is the witness's ||Cx||_q /
+    ||x||_p; the upper bound (1 + _CONE_ROUNDING) ||C#(1)||_rho adds those
+    defects and the traces of the other pairs, as a completely positive map
+    with Choi matrix R has norm at most tr R.
+    """
+    tol = _CHOI_TOL * float(np.linalg.norm(mat))
+    slack, src, dst = 0.0, [], []
+    for n, m, choi in stacks:
+        trace = choi.diagonal(axis1=1, axis2=2).sum(axis=-1).real
+        on = trace > tol
+        defect = trace[on] - np.einsum("kij,kij->k", choi[on], choi[on].conj()).real / trace[on]
+        if np.any(defect > tol):
+            return None
+        slack += float(np.sum(np.maximum(defect, 0.0)) + np.sum(trace[~on]))
+        ts, ss = np.divmod(np.flatnonzero(on), dom.dims.count(n))
+        src, dst = src + [(n, k) for k in ss], dst + [(m, k) for k in ts]
+    if len(set(src)) < len(src) or len(set(dst)) < len(dst):
+        return None
+    rho = holder_complement(p, q)
+    unit = _eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
+    lams = [np.maximum(lam, 0.0) for lam, _ in unit]
+    top = max(float(np.max(lam)) for lam in lams)
+    if top == 0.0:
+        return 0.0, slack
+    power = math.inf if rho.is_inf else float(rho.fraction * p.reciprocal())
+    values = [np.where(lam > SUPPORT_CUTOFF * top, (lam / top) ** power, 0.0) for lam in lams]
+    x = _from_eig_groups(dom, [V for _, V in unit], values)
+    lower = (schatten_norm(BlockMatrix.unflat(cod, mat @ x), q)
+             / float(_lp_norm(np.concatenate([v.ravel() for v in values]), p)))
+    return lower, (1.0 + _CONE_ROUNDING) * float(
+        _lp_norm(np.concatenate([lam.ravel() for lam in lams]), rho)) + slack
 
 
 def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
@@ -473,12 +529,16 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     "auto" takes, in order:
     - p = q = 2: the norm is the largest singular value of the matrix
       (exact);
-    - p = inf, q = 1, or 1 < q <= 2 <= p, when C or C o transpose is
-      completely positive (`_is_completely_positive` on the matrix):
-      transposition is a Schatten isometry, and such a map attains its norm
-      on positive elements (Audenaert, LAA 430, 2009).  p = inf and q = 1
-      are closed forms (`_positive_endpoint`, exact); otherwise the cone
-      iteration (`_cone_norm`) gives a lower value and a proved upper
+    - q <= p, when C or C o transpose is completely positive (`_choi_stacks`
+      on the matrix): transposition is a Schatten isometry, and such a map
+      attains its norm on positive elements (Audenaert, LAA 430, 2009).
+      p = inf and q = 1 are closed forms for every such map
+      (`_positive_endpoint`, exact); then, for one Kraus map per block pair
+      over a matching of blocks (H-only or A-only multiplicity-free
+      composition operators, the change of weights), the Holder closed form
+      ||C#(1)||_rho, 1/rho = 1/q - 1/p, with its witness
+      (`_single_kraus_norm`, exact); then, if 1 < q <= 2 <= p, the cone
+      iteration (`_cone_norm`), which gives a lower value and a proved upper
       bound, exact once they meet and an interval if they have not met
       after max_iter steps;
     - every other map: the alternating maximiser, a lower bound only.
@@ -507,15 +567,19 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
         return NormEstimate(lower_bound=top, iterations=0, restarts=0, seed=seed,
                             upper_bound=top)
     dom, cod = C.domain_profile, C.codomain_profile
-    endpoint = p.is_inf or q == _ONE
-    if method == "auto" and (endpoint or _ONE < q <= _TWO <= p):
-        positive = _completely_positive_matrix(C)
-        if positive is not None and endpoint:
-            value = _positive_endpoint(positive, dom, cod, p, q)
+    positive = _completely_positive_matrix(C) if method == "auto" and q <= p else None
+    if positive is not None:
+        mat, stacks = positive
+        if p.is_inf or q == _ONE:
+            value = _positive_endpoint(mat, dom, cod, p, q)
             return NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=seed,
                                 upper_bound=value)
-        if positive is not None:
-            lower, upper, steps, closed = _cone_norm(positive, dom, cod, p, q, max_iter)
+        bounds = _single_kraus_norm(mat, dom, cod, p, q, stacks)
+        if bounds is not None:
+            return NormEstimate(lower_bound=bounds[0], iterations=0, restarts=0, seed=seed,
+                                upper_bound=bounds[1])
+        if _ONE < q <= _TWO <= p:
+            lower, upper, steps, closed = _cone_norm(mat, dom, cod, p, q, max_iter)
             return NormEstimate(lower_bound=lower, iterations=steps, restarts=0, seed=seed,
                                 capped=int(not closed), upper_bound=upper)
     mat = C.matrix()

@@ -62,8 +62,8 @@ class JordanMorphismSpec:
 
     `matrix()` gives the map on flat block coordinates in closed form from
     the tiles; it is the one place that writes down a tile's action.
-    `apply`, `unit_image` and `hom_projection` act through it, and the
-    construction check runs on it.
+    `apply` and `unit_image` act through it, and the construction check
+    runs on it; `hom_projection` shares its tile columns (`_frame`).
     """
 
     __slots__ = ("profile1", "profile2", "tiles", "block_unitaries", "_matrix")
@@ -155,8 +155,7 @@ class JordanMorphismSpec:
             mat = np.zeros((p2.coord_dim, p1.coord_dim), dtype=complex)
             for t in self.tiles:
                 n, m = p1.dims[t.src], p2.dims[t.dst]
-                w = None if self.block_unitaries is None else self.block_unitaries[t.dst]
-                e = (np.eye(m, dtype=complex) if w is None else w)[:, t.offset : t.offset + n]
+                e = self._frame(t)
                 if t.conj_unitary is not None:
                     e = e @ t.conj_unitary
                 k = kron(e, e.conj())
@@ -177,15 +176,22 @@ class JordanMorphismSpec:
         """J(1), a projection in the destination algebra."""
         return self.apply(BlockMatrix.identity(self.profile1))
 
+    def _frame(self, t: Tile) -> np.ndarray:
+        """The columns W[:, offset:offset+n] of the tile's destination block unitary (or of 1)."""
+        w = None if self.block_unitaries is None else self.block_unitaries[t.dst]
+        w = np.eye(self.profile2.dims[t.dst], dtype=complex) if w is None else w
+        return w[:, t.offset : t.offset + self.profile1.dims[t.src]]
+
     def hom_projection(self) -> BlockMatrix:
         """The central projection z of the image algebra under which J is multiplicative.
 
-        z is the unit image of the sub-morphism made of the H tiles, under
-        the same block unitaries.
+        z is the unit image of the H tiles: per destination block, the sum of
+        E E* over its H tiles, E = `_frame` (a tile unitary U cancels in E U U* E*).
         """
-        hom = [t for t in self.tiles if t.kind == "H"]
-        return JordanMorphismSpec(self.profile1, self.profile2, hom,
-                                  self.block_unitaries).unit_image()
+        blocks = [np.zeros((m, m), dtype=complex) for m in self.profile2.dims]
+        for t in (t for t in self.tiles if t.kind == "H"):
+            blocks[t.dst] += self._frame(t) @ self._frame(t).conj().T
+        return BlockMatrix(self.profile2, blocks, copy=False)
 
     def covered_src_blocks(self, kind=None):
         if kind is None:

@@ -384,9 +384,16 @@ def test_norm_at_p_inf_is_exact(spec_path, tmp_path):
     assert results["status"] == "exact" and results["certified"] is True
 
 
-def test_norm_reports_no_upper_bound_off_the_positive_regime(spec_path, tmp_path):
-    # (3, 3) is outside the proved regime: the maximiser gives a lower bound only
-    code, report = machine_report(tmp_path, ["norm", spec_path, "--p", "3", "--q", "3"])
+def test_norm_reports_no_upper_bound_off_the_positive_regime(tmp_path):
+    # [1] into both diagonal entries of [2]: a positive map with two Kraus
+    # operators on one block pair, so no closed form applies, and (3, 3) is
+    # outside the cone's proved regime: the maximiser gives a lower bound only
+    spec = dict(BASE_SPEC, algebra1=[1], weight1=diag_weight_json([1.0]))
+    spec["morphism"] = {"tiles": [{"src": 0, "dst": 0, "offset": 0, "kind": "H"},
+                                  {"src": 0, "dst": 0, "offset": 1, "kind": "H"}]}
+    path = tmp_path / "multiplicity-2.json"
+    path.write_text(json.dumps(spec))
+    code, report = machine_report(tmp_path, ["norm", str(path), "--p", "3", "--q", "3"])
     assert code == 0
     results = report["results"]
     assert results["norm_upper_bound"] is None

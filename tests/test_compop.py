@@ -6,6 +6,7 @@ import pytest
 from nclp import compop
 from nclp.compop import (
     ClassifyResult,
+    NormEstimate,
     SuperOperator,
     _dual_maximizer,
     _reconstruct_tiles,
@@ -743,6 +744,18 @@ def test_positive_endpoints_match_change_of_weights():
             assert est.lower_bound == pytest.approx(cw.bound, rel=1e-13)
 
 
+def _cone(C, max_iter=200):
+    """The cone iteration alone on the matrix of C, as `operator_norm` reports it.
+
+    `operator_norm` takes the closed form first wherever it applies, the
+    change of weights included, so the cone is reached here directly.
+    """
+    lower, upper, steps, closed = compop._cone_norm(C.matrix(), C.domain_profile,
+                                                    C.codomain_profile, C.p, C.q, max_iter)
+    return NormEstimate(lower_bound=lower, iterations=steps, restarts=0, seed=0,
+                        capped=int(not closed), upper_bound=upper)
+
+
 def test_cone_matches_change_of_weights():
     rng = generator(63)
     for dims in ([2], [3, 2], [4]):
@@ -750,7 +763,7 @@ def test_cone_matches_change_of_weights():
         h, k = faithful(profile, rng), faithful(profile, rng)
         for p, q in CONE_PAIRS:
             cw = change_of_weights(h, k, p, q)
-            est = operator_norm(cw.operator)
+            est = _cone(cw.operator)
             assert est.status == "exact" and est.iterations >= 1
             assert est.lower_bound <= cw.bound * (1.0 + 1e-13) <= est.upper_bound * (1.0 + 2e-13)
             assert est.lower_bound == pytest.approx(cw.bound, rel=3e-12)
@@ -774,7 +787,7 @@ def test_cone_reports_an_open_gap():
     # one step cannot close the gap: the bounds form an interval, flagged as capped
     rng = generator(65)
     h, k = faithful(PROF23, rng), faithful(PROF23, rng)
-    est = operator_norm(change_of_weights(h, k, 3, "3/2").operator, max_iter=1)
+    est = _cone(change_of_weights(h, k, 3, "3/2").operator, max_iter=1)
     assert est.status == "interval" and not est.certified
     assert est.capped == 1 and est.iterations == 1
     assert 0.0 < est.lower_bound < est.upper_bound < np.inf
@@ -788,7 +801,7 @@ def test_cone_bound_holds_at_large_p():
     h, k = faithful(PROF23, rng), faithful(PROF23, rng)
     for p, status in ((20, "exact"), (1000, "interval"), ("1e6", "interval")):
         cw = change_of_weights(h, k, p, 2)
-        est = operator_norm(cw.operator)
+        est = _cone(cw.operator)
         assert est.status == status
         assert est.lower_bound <= cw.bound * (1.0 + 1e-13)
         assert est.upper_bound >= cw.bound * (1.0 - 1e-13)
@@ -807,10 +820,136 @@ def test_cone_stops_when_rounding_removes_the_support():
     h, k = weight(1e-9), weight(1e-9)
     for p, q in ((3, "3/2"), (4, 2)):
         cw = change_of_weights(h, k, p, q)
-        est = operator_norm(cw.operator)
+        est = _cone(cw.operator)
         assert est.status == "interval" and est.capped == 1 and est.iterations < 200
         assert est.lower_bound <= cw.bound * (1.0 + 1e-13)
         assert est.upper_bound >= cw.bound * (1.0 - 1e-13)
+
+
+# -- positive maps: the Holder closed form for one Kraus map per matched pair --
+
+HOLDER_PAIRS = CONE_PAIRS + [(3, 3), (5, 3), ("inf", "inf")]
+
+
+def test_single_kraus_norm_matches_change_of_weights():
+    rng = generator(71)
+    for dims in ([2], [3, 2], [4]):
+        profile = BlockProfile(dims)
+        h, k = faithful(profile, rng), faithful(profile, rng)
+        for p, q in HOLDER_PAIRS:
+            cw = change_of_weights(h, k, p, q)
+            est = operator_norm(cw.operator)
+            assert est.status == "exact", (dims, p, q)
+            assert est.iterations == est.restarts == est.capped == 0
+            assert est.lower_bound <= cw.bound * (1.0 + 1e-13) <= est.upper_bound * (1.0 + 2e-13)
+            assert est.lower_bound == pytest.approx(cw.bound, rel=1e-12)
+
+
+def test_single_kraus_norm_is_exact_where_the_cone_is_not():
+    # the inputs of the two cone tests above that end with an interval:
+    # (p-1)/q up to 5e5, and densities with eigenvalues down to 1e-9
+    rng = generator(67)
+    h, k = faithful(PROF23, rng), faithful(PROF23, rng)
+    cases = [(h, k, p, 2) for p in (20, 1000, "1e6")]
+    rng = generator(70)
+
+    def weight(low):
+        return Weight(BlockMatrix(PROF23, [(u * np.geomspace(low, 1.0, d)) @ u.conj().T
+                                           for d in PROF23 for u in [unitary(d, rng)]]))
+
+    h, k = weight(1e-9), weight(1e-9)
+    cases += [(h, k, p, q) for p, q in ((3, "3/2"), (4, 2))]
+    for h, k, p, q in cases:
+        cw = change_of_weights(h, k, p, q)
+        est = operator_norm(cw.operator)
+        assert est.status == "exact" and est.iterations == 0, (p, q)
+        assert est.lower_bound == pytest.approx(cw.bound, rel=1e-12)
+        assert est.lower_bound <= cw.bound * (1.0 + 1e-13) <= est.upper_bound * (1.0 + 2e-13)
+
+
+def _multiplicity_free_operators(rng):
+    """(label, H-only composition operator matrix, domain, codomain) of morphisms whose
+    tiles form a matching of blocks: permuted with unitaries, and not onto."""
+    prof32, prof31 = BlockProfile([3, 2]), BlockProfile([3, 1])
+    specs = [
+        ("permuted", JordanMorphismSpec(PROF23, prof32, [Tile(0, 1, 0, "H", unitary(2, rng)),
+                                                         Tile(1, 0, 0, "H")],
+                                        [unitary(3, rng), None])),
+        ("corner", JordanMorphismSpec(PROF2, prof31, [Tile(0, 0, 1, "H")])),
+        ("missed source", JordanMorphismSpec(PROF23, BlockProfile([4]), [Tile(1, 0, 1, "H")],
+                                             [unitary(4, rng)])),
+    ]
+    out = []
+    for label, spec in specs:
+        w1, w2 = faithful(spec.profile1, rng), faithful(spec.profile2, rng)
+        for kind in ("H", "A"):
+            mat = build_composition(_with_kind(spec, kind), w1, w2, 2, 2).matrix()
+            out.append((f"{label} {kind}", mat, spec.profile1, spec.profile2))
+    return out
+
+
+def test_single_kraus_norm_bounds_the_maximiser():
+    rng = generator(72)
+    for label, mat, dom, cod in _multiplicity_free_operators(rng):
+        for p, q in HOLDER_PAIRS:
+            C = SuperOperator.from_matrix(dom, cod, p, q, mat)
+            est = operator_norm(C)
+            alt = operator_norm(C, restarts=6, max_iter=200, seed=1, method="alternating")
+            assert est.status == "exact" and est.iterations == 0, (label, p, q)
+            assert alt.lower_bound <= est.upper_bound * (1.0 + 1e-13), (label, p, q)
+            assert est.lower_bound >= (1.0 - 1e-9) * alt.lower_bound, (label, p, q)
+
+
+def test_single_kraus_norm_is_scale_invariant():
+    rng = generator(73)
+    for label, mat, dom, cod in _multiplicity_free_operators(rng)[::2]:
+        for p, q in ((3, "3/2"), (5, 3)):
+            base = operator_norm(SuperOperator.from_matrix(dom, cod, p, q, mat))
+            for c in (1e-8, 1e-4, 3.0, 1e4, 1e8):
+                est = operator_norm(SuperOperator.from_matrix(dom, cod, p, q, c * mat))
+                assert est.status == "exact" and est.iterations == 0, (label, p, q, c)
+                assert est.lower_bound == pytest.approx(c * base.lower_bound, rel=1e-13)
+                assert est.upper_bound == pytest.approx(c * base.upper_bound, rel=1e-13)
+
+
+def test_maps_beyond_one_kraus_operator_per_matched_pair_reach_the_cone():
+    # two Kraus operators on one block pair; one source block feeding two
+    # destination blocks; two source blocks feeding one destination block
+    rng = generator(74)
+
+    def kraus(m, n):
+        K = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        return np.kron(K, K.conj())
+
+    prof3, prof21 = BlockProfile([3]), BlockProfile([2, 1])
+    cases = [
+        ("two Kraus", PROF2, prof3, kraus(3, 2) + kraus(3, 2)),
+        ("one source, two destinations", PROF2, prof21, np.vstack([kraus(2, 2), kraus(1, 2)])),
+        ("two sources, one destination", prof21, prof3, np.hstack([kraus(3, 2), kraus(3, 1)])),
+    ]
+    for label, dom, cod, mat in cases:
+        for p, q in CONE_PAIRS:
+            C = SuperOperator.from_matrix(dom, cod, p, q, mat)
+            est = operator_norm(C)
+            alt = operator_norm(C, restarts=6, max_iter=200, seed=1, method="alternating")
+            assert est.iterations >= 1 and est.status == "exact", (label, p, q)
+            assert alt.lower_bound <= est.upper_bound * (1.0 + 1e-13), (label, p, q)
+
+
+def test_single_kraus_slack_covers_a_defect_below_the_tolerance():
+    # x -> x + delta tr(x) P_0 on M_4 with delta = 4e-13: the Choi matrix is
+    # rank one up to a defect of about 7.5 delta, under the tolerance
+    # 1e-12 ||M||_F = 4e-12, and the (2, 2) norm, about 1 + 1.5 delta, is
+    # above ||C#(1)||_inf = 1 + delta; the slack keeps the upper bound above it
+    n, delta = 4, 4e-13
+    profile, p0 = BlockProfile([n]), np.diag([1.0, 0.0, 0.0, 0.0])
+    mat = np.eye(n * n) + delta * np.outer(p0.ravel(), np.eye(n).ravel())
+    stacks = compop._choi_stacks(mat, profile, profile)
+    two = Exponent(2)
+    lower, upper = compop._single_kraus_norm(mat, profile, profile, two, two, stacks)
+    top = float(np.linalg.svd(mat, compute_uv=False)[0])
+    assert top > 1.0 + 1.4 * delta
+    assert lower <= top * (1.0 + 1e-15) and top <= upper
 
 
 def test_zero_operator_is_exact_on_the_positive_path():

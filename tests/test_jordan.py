@@ -383,6 +383,18 @@ def test_hom_projection_matches_tile_walk():
     assert kinds == {("H",), ("A", "H"), ("A",)}
 
 
+def test_hom_projection_matches_the_sub_morphism_unit():
+    # the closed form against the construction it replaced: the unit image
+    # of the morphism made of the H tiles, under the same block unitaries
+    rng = generator(65)
+    for _ in range(40):
+        spec = random_morphism(rng)
+        hom = [t for t in spec.tiles if t.kind == "H"]
+        ref = JordanMorphismSpec(spec.profile1, spec.profile2, hom,
+                                 spec.block_unitaries).unit_image()
+        assert np.max(np.abs((spec.hom_projection() - ref).flat())) <= 1e-14
+
+
 def _reference_verify(fn, profile, samples, seed, tol=1e-9):
     """verify_jordan one sample at a time, on BlockMatrix draws and a materialised map.
 
