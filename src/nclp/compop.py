@@ -2,11 +2,11 @@
 
 Builds the operator C_J : x -> embed(w2, J(unembed(w1, x))), bounds
 L^p -> L^q operator norms (an exact singular-value oracle at p = q = 2;
-for completely positive maps with q <= p, closed forms at p = inf, at q = 1
-and, for one Kraus map per matched block pair, ||C#(1)||_rho, and a certified
-cone iteration for the others when 1 < q <= 2 <= p; alternating duality
-alignment, a lower bound only, for every other map), solves the bounded
-change-of-weights problem (exact norm, attaining witness), recovers
+for completely positive maps with q <= p, ||C(1)||_q at p = inf, the Holder
+closed form ||C#(1)||_rho at q = 1 and for one Kraus map per matched block
+pair, and a certified cone iteration for the others when 1 < q <= 2 <= p;
+alternating duality alignment, a lower bound only, for every other map),
+solves the change-of-weights problem by that Holder form, recovers
 one-sided multipliers from module homomorphisms, and classifies which raw
 operators are composition operators, deciding exactly (on the pairs of
 matrix units) whether they preserve embedded projections.
@@ -48,13 +48,10 @@ from .matcore import (
     SUPPORT_CUTOFF,
     BlockMatrix,
     BlockProfile,
-    _from_spectrum,
     _lp_norm,
-    _spectral_power,
     _transpose_permutation,
     block_stacks,
     flat_columns,
-    hermitian_eig,
     kron,
     schatten_norm,
 )
@@ -66,10 +63,11 @@ _TWO = Exponent(2)
 # The bounds of an exact norm agree within NORM_RTOL; the cone iteration runs
 # until its bounds do.
 NORM_RTOL = 1e-12
-# Relative rounding allowed in the cone's computed top eigenvalue lambda.  The
+# Relative rounding allowed in a computed top eigenvalue lambda.  The cone's
 # upper bound raises (1 + _CONE_ROUNDING) lambda to the power (p-1)/q, so the
 # allowance grows with that power, as the rounding does; a fixed relative
-# inflation of the bound would not cover it once (p-1)/q is large.
+# inflation of the bound would not cover it once (p-1)/q is large.  Holder
+# witnesses treat eigenvalues this close to the top as tied.
 _CONE_ROUNDING = 64 * np.finfo(float).eps
 # A Choi matrix passes as positive semidefinite down to an eigenvalue of
 # -_CHOI_TOL times the Frobenius norm of the operator's matrix: room for the
@@ -170,9 +168,9 @@ class NormEstimate:
 
     `upper_bound` is a proved upper bound, math.inf when there is none.  A
     norm is `exact` when the bounds agree within NORM_RTOL (the (2,2)
-    oracle, the endpoint and Holder closed forms and the change of weights,
-    each with a witness, and a cone iteration whose gap closed), `interval`
-    when they do not, and `lower-only` with no upper bound (the alternating
+    oracle, the p = inf closed form, the Holder closed form ||C#(1)||_rho,
+    with a witness except at q = 1, and a cone iteration whose gap closed),
+    `interval` when they do not, and `lower-only` with no upper bound (the alternating
     maximiser).
 
     The maximiser's `iterations` is summed over the restarts, so it equals
@@ -357,11 +355,6 @@ def _choi_stacks(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> list 
     return stacks
 
 
-def _is_completely_positive(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> bool:
-    """Whether the map with matrix `mat` is completely positive (`_choi_stacks`)."""
-    return _choi_stacks(mat, dom, cod) is not None
-
-
 def _completely_positive_matrix(C: SuperOperator):
     """(matrix, Choi stacks) of C if C is completely positive, else of C o transpose if so.
 
@@ -398,37 +391,47 @@ def _from_eig_groups(profile: BlockProfile, vecs: list, values: list) -> np.ndar
     return flat
 
 
-def _positive_endpoint(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
-                       p: Exponent, q: Exponent) -> float:
-    """The exact norm of a completely positive map at p = inf or at q = 1.
+def _holder_form(unit: list, p: Exponent, q: Exponent) -> tuple:
+    """(||P||_rho, f, ||x||_p) from the eigensystem `unit` (`_eigh_groups`) of P = C#(1) >= 0.
 
-    p = inf: ||C|| = ||C(1)||_q, attained at 1 (the sup-norm remark; it
-    holds for every 2-positive map).  q = 1: ||C|| = ||C#(1)||_{p*}, with
-    C# = mat^H, attained at C#(1)^{p*-1} normalised, because tr C(x) =
-    tr(x C#(1)) for x >= 0 and the norm is attained on positive elements.
+    1/rho = 1/q - 1/p.  A map that sends each source block to one
+    destination block as x -> A x A* has C#(1) = A*A there, and Holder gives
+    ||A x A*||_q <= ||A*A||_rho ||x||_p, so over the direct sum ||C|| <=
+    ||C#(1)||_rho, attained at the witness x = (P/top)^{rho/p}, top the
+    largest eigenvalue: x = V diag(f) V* per size group.  The support
+    convention makes x the support projection at p = inf, and at rho = inf
+    (p = q) the projection on the eigenvalues within _CONE_ROUNDING of top.
+    The spectrum is clipped at 0 and divided by top before the power: a huge
+    rho/p (p just above q) cannot overflow, and every value scales with P.
     """
-    if p.is_inf:
-        return schatten_norm(BlockMatrix.unflat(cod, mat @ BlockMatrix.identity(dom).flat()), q)
-    dual_unit = mat.conj().T @ BlockMatrix.identity(cod).flat()
-    return schatten_norm(BlockMatrix.unflat(dom, dual_unit), p.conjugate())
+    rho = holder_complement(p, q)
+    lams = [np.maximum(lam, 0.0) for lam, _ in unit]
+    top = max(float(np.max(lam)) for lam in lams)
+    if top == 0.0:
+        return 0.0, lams, 0.0
+    if rho.is_inf:
+        f = [(lam >= (1.0 - _CONE_ROUNDING) * top).astype(float) for lam in lams]
+    else:
+        power = float(rho.fraction * p.reciprocal())
+        f = [np.where(lam > SUPPORT_CUTOFF * top, (lam / top) ** power, 0.0) for lam in lams]
+    return (float(_lp_norm(np.concatenate([lam.ravel() for lam in lams]), rho)), f,
+            float(_lp_norm(np.concatenate([v.ravel() for v in f]), p)))
 
 
 def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
-                       p: Exponent, q: Exponent, stacks: list) -> tuple | None:
+                       p: Exponent, q: Exponent, stacks: list, unit: list) -> tuple | None:
     """(lower, upper) for a completely positive map with one Kraus map per block pair over a
     matching of blocks, q <= p; None for any other map.
 
-    Such a map sends x_s to A x_s A*, so C#(1) = A*A on s.  Holder with
-    1/q = 1/p + 1/rho gives ||A x A*||_q <= ||A*A||_rho ||x||_p, and over the
-    direct sum ||C|| <= ||C#(1)||_rho, attained at x = (C#(1)/top)^{rho/p}
-    (the support at p = inf, a top eigenprojection at p = q).  With tol =
-    _CHOI_TOL ||mat||_F, a pair of `_choi_stacks` is live when tr Choi > tol;
-    the map qualifies when no block is in two live pairs and each live Choi
-    is rank one up to tr - ||Choi||_F^2/tr <= tol, a bound on its trace
-    beyond the top eigenvalue.  The lower value is the witness's ||Cx||_q /
-    ||x||_p; the upper bound (1 + _CONE_ROUNDING) ||C#(1)||_rho adds those
-    defects and the traces of the other pairs, as a completely positive map
-    with Choi matrix R has norm at most tr R.
+    `unit` is the eigensystem of C#(1) and the bound and witness are
+    `_holder_form`'s.  With tol = _CHOI_TOL ||mat||_F, a pair of
+    `_choi_stacks` is live when tr Choi > tol; the map qualifies when no
+    block is in two live pairs and each live Choi is rank one up to
+    tr - ||Choi||_F^2/tr <= tol, a bound on its trace beyond the top
+    eigenvalue.  The lower value is the witness's ||Cx||_q / ||x||_p; the
+    upper bound (1 + _CONE_ROUNDING) ||C#(1)||_rho adds those defects and
+    the traces of the other pairs, as a completely positive map with Choi
+    matrix R has norm at most tr R.
     """
     tol = _CHOI_TOL * float(np.linalg.norm(mat))
     slack, src, dst = 0.0, [], []
@@ -443,23 +446,14 @@ def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
         src, dst = src + [(n, k) for k in ss], dst + [(m, k) for k in ts]
     if len(set(src)) < len(src) or len(set(dst)) < len(dst):
         return None
-    rho = holder_complement(p, q)
-    unit = _eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
-    lams = [np.maximum(lam, 0.0) for lam, _ in unit]
-    top = max(float(np.max(lam)) for lam in lams)
-    if top == 0.0:
-        return 0.0, slack
-    power = math.inf if rho.is_inf else float(rho.fraction * p.reciprocal())
-    values = [np.where(lam > SUPPORT_CUTOFF * top, (lam / top) ** power, 0.0) for lam in lams]
-    x = _from_eig_groups(dom, [V for _, V in unit], values)
-    lower = (schatten_norm(BlockMatrix.unflat(cod, mat @ x), q)
-             / float(_lp_norm(np.concatenate([v.ravel() for v in values]), p)))
-    return lower, (1.0 + _CONE_ROUNDING) * float(
-        _lp_norm(np.concatenate([lam.ravel() for lam in lams]), rho)) + slack
+    bound, f, x_norm = _holder_form(unit, p, q)
+    x = _from_eig_groups(dom, [V for _, V in unit], f)
+    lower = schatten_norm(BlockMatrix.unflat(cod, mat @ x), q) / x_norm if bound else 0.0
+    return lower, (1.0 + _CONE_ROUNDING) * bound + slack
 
 
 def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
-               p: Exponent, q: Exponent, max_iter: int):
+               p: Exponent, q: Exponent, unit: list, max_iter: int):
     """(lower, upper, steps, closed) for a completely positive map, 1 < q <= 2 <= p < inf.
 
     The step is x <- F(x) / ||F(x)||_p with F(x) = [C#((Cx)^{q-1})]^{1/(p-1)},
@@ -467,8 +461,9 @@ def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
     d = (q-1)/(p-1) < 1.  It starts from x = e, the support of C#(1): every
     positive maximiser lives under e, and x stays invertible on e, so x, F(x)
     and x^{-1/2} are all taken on e (the top rank(e) eigenvalues of each
-    block).  Each step gives the lower value ||Cx||_q / ||x||_p and the upper
-    bound (lambda ||x||_p^{1-d})^{(p-1)/q}, lambda the top eigenvalue of
+    block), read from `unit`, the eigensystem of C#(1).  Each step gives the
+    lower value ||Cx||_q / ||x||_p and the upper bound
+    (lambda ||x||_p^{1-d})^{(p-1)/q}, lambda the top eigenvalue of
     x^{-1/2} F(x) x^{-1/2}: a positive maximiser x* satisfies F(x*) =
     ||C||^{q/(p-1)} x*, and comparing x* with its least multiple of x above
     it bounds ||C||.  lambda is inflated by _CONE_ROUNDING before the power.
@@ -483,7 +478,6 @@ def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
     mat_h = mat.conj().T
     pf, qf = float(p), float(q)
     d = float((q.fraction - 1) / (p.fraction - 1))
-    unit = _eigh_groups(dom, mat_h @ BlockMatrix.identity(cod).flat())
     top = max(float(np.max(lam)) for lam, _ in unit)
     if top <= 0.0:                      # C#(1) = 0, so C = 0
         return 0.0, 0.0, 0, True
@@ -532,15 +526,16 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     - q <= p, when C or C o transpose is completely positive (`_choi_stacks`
       on the matrix): transposition is a Schatten isometry, and such a map
       attains its norm on positive elements (Audenaert, LAA 430, 2009).
-      p = inf and q = 1 are closed forms for every such map
-      (`_positive_endpoint`, exact); then, for one Kraus map per block pair
-      over a matching of blocks (H-only or A-only multiplicity-free
-      composition operators, the change of weights), the Holder closed form
-      ||C#(1)||_rho, 1/rho = 1/q - 1/p, with its witness
-      (`_single_kraus_norm`, exact); then, if 1 < q <= 2 <= p, the cone
-      iteration (`_cone_norm`), which gives a lower value and a proved upper
-      bound, exact once they meet and an interval if they have not met
-      after max_iter steps;
+      At p = inf the norm is ||C(1)||_q, attained at 1.  Else one eigh per
+      block size of C#(1), C# = mat^H, serves the rest: the Holder closed
+      form ||C#(1)||_rho, 1/rho = 1/q - 1/p (`_holder_form`), is the norm
+      of every such map at q = 1, rho = p* (tr C(x) = tr(x C#(1)) for
+      x >= 0), and of one Kraus map per block pair over a matching of
+      blocks (multiplicity-free H-only or A-only composition operators, the
+      change of weights; `_single_kraus_norm` evaluates the witness), all
+      exact; then, if 1 < q <= 2 <= p, the cone iteration (`_cone_norm`):
+      a lower value and a proved upper bound, exact once they meet and an
+      interval if they have not met after max_iter steps;
     - every other map: the alternating maximiser, a lower bound only.
     "alternating" is the maximiser alone.  `restarts` and `seed` serve
     the maximiser only.
@@ -570,16 +565,22 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     positive = _completely_positive_matrix(C) if method == "auto" and q <= p else None
     if positive is not None:
         mat, stacks = positive
-        if p.is_inf or q == _ONE:
-            value = _positive_endpoint(mat, dom, cod, p, q)
+        if p.is_inf:
+            image = mat @ BlockMatrix.identity(dom).flat()
+            value = schatten_norm(BlockMatrix.unflat(cod, image), q)
             return NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=seed,
                                 upper_bound=value)
-        bounds = _single_kraus_norm(mat, dom, cod, p, q, stacks)
+        unit = _eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
+        if q == _ONE:
+            value = _holder_form(unit, p, q)[0]
+            return NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=seed,
+                                upper_bound=value)
+        bounds = _single_kraus_norm(mat, dom, cod, p, q, stacks, unit)
         if bounds is not None:
             return NormEstimate(lower_bound=bounds[0], iterations=0, restarts=0, seed=seed,
                                 upper_bound=bounds[1])
         if _ONE < q <= _TWO <= p:
-            lower, upper, steps, closed = _cone_norm(mat, dom, cod, p, q, max_iter)
+            lower, upper, steps, closed = _cone_norm(mat, dom, cod, p, q, unit, max_iter)
             return NormEstimate(lower_bound=lower, iterations=steps, restarts=0, seed=seed,
                                 capped=int(not closed), upper_bound=upper)
     mat = C.matrix()
@@ -641,11 +642,13 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     The connecting element d = k^{1/(2q)} h^{-1/(2p)} satisfies
     |d h^{1/(2p)}|^2 = k^{1/q} exactly, and the induced map
     x -> d x d* (embed_p(w, a) -> embed_q(w0, eae), e the support of w0)
-    has norm ||  |d|^2 ||_r = ||d||_{2r}^2 for the Holder complement r,
-    attained at x = (d*d/t)^{r/p}, t the top eigenvalue (support convention:
-    the support projection at p = inf), or at r = inf on one top eigenvector
-    of d*d.  NoConvergence if the witness falls 1e-9 relative below the
-    bound or 1e-6 above it.
+    has norm ||  |d|^2 ||_r = ||d||_{2r}^2 for the Holder complement r: the
+    Holder closed form of this single-Kraus map, C#(1) = d*d.  Bound and
+    witness come from one eigh per block size of d*d (`_holder_form`):
+    x = (d*d/t)^{r/p}, t the top eigenvalue (support convention: the
+    support projection at p = inf), the top eigenprojection at r = inf.
+    NoConvergence if the witness's value ||d x d*||_q / ||x||_p falls 1e-9
+    relative below the bound or 1e-6 relative above it.
     """
     p, q = coerce(p), coerce(q)
     require_order(p, q)
@@ -656,22 +659,11 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     half_out = w0.power(q.reciprocal() / 2)   # k^{1/(2q)}; support proj at q = inf
     half_in = w.power(-p.reciprocal() / 2)    # h^{-1/(2p)}; identity at p = inf
     d = half_out @ half_in
-    dd = d.adjoint() @ d
-    bound = schatten_norm(dd, triple.r)
-    lams, V = hermitian_eig(dd)
-    if triple.r.is_inf:
-        values = [np.zeros_like(lam) for lam in lams]
-        values[int(np.argmax([lam[-1] for lam in lams]))][-1] = 1.0
-        witness = _from_spectrum(w.profile, values, V.blocks)
-    else:
-        # the witness is homogeneous of degree 0, so the spectrum is divided
-        # by its top first: (d*d)^{r/p} overflows when p is just above q
-        top = max(float(lam[-1]) for lam in lams)
-        witness = _spectral_power(w.profile, [lam / top for lam in lams] if top > 0 else lams,
-                                  V.blocks, float(triple.r.fraction * p.reciprocal()))
-    pushed = d @ witness @ d.adjoint()
-    value = schatten_norm(pushed, q) / schatten_norm(witness, p) if bound else 0.0
-    if value > bound + 1e-6 or value < bound * (1.0 - 1e-9):
+    unit = _eigh_groups(w.profile, (d.adjoint() @ d).flat())
+    bound, f, x_norm = _holder_form(unit, p, q)
+    witness = BlockMatrix.unflat(w.profile, _from_eig_groups(w.profile, [V for _, V in unit], f))
+    value = schatten_norm(d @ witness @ d.adjoint(), q) / x_norm if bound else 0.0
+    if not bound * (1.0 - 1e-9) <= value <= bound * (1.0 + 1e-6):
         raise NoConvergence(f"witness attains {value:.15g}, the bound is {bound:.15g}")
     est = NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=0, upper_bound=bound)
     return ChangeOfWeights(d=d, bound=bound, norm_estimate=est, witness=witness, triple=triple)
@@ -713,7 +705,7 @@ def change_of_weights_scale(w: Weight, w0: Weight, r, sample_pairs) -> ScaleRepo
         entries.append(ScaleEntry(
             p=p, q=q, bound=cw.bound,
             measured=cw.norm_estimate.lower_bound,
-            ok=cw.norm_estimate.lower_bound <= cw.bound + 1e-6,
+            ok=cw.norm_estimate.lower_bound <= cw.bound * (1.0 + 1e-6),
         ))
     return ScaleReport(ratio=r, entries=tuple(entries))
 

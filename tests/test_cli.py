@@ -336,6 +336,27 @@ def test_p_just_above_q_reports(spec_path, tmp_path):
         assert report["results"]["within_bound"] is True
 
 
+@pytest.mark.parametrize("scale", [s * 10.0 ** k for k in range(-12, 13, 3) for s in (1, 3)])
+def test_reports_pass_at_every_scale_of_the_second_weight(tmp_path, scale):
+    # every check is relative to the size of what it compares, so scaling
+    # weight2 and masses2 by a constant changes no verdict
+    scaled = json.loads(json.dumps(BASE_SPEC))
+    scaled["weight2"] = diag_weight_json([0.8 * scale, 0.2 * scale])
+    scaled["measure_space"]["masses2"] = [scale / 3] * 3
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(scaled))
+    code, report = machine_report(tmp_path, ["norm", str(path), "--p", "2", "--q", "1"])
+    assert code == 0
+    assert report["results"]["within_bound"] is True
+    assert report["results"]["status"] == "exact"
+    for args, key in ((["--p", "2", "--q", "1"], "within_bound"), (["--r", "2"], "all_ok")):
+        code, report = machine_report(tmp_path, ["change-of-weights", str(path)] + args)
+        assert code == 0 and report["results"][key] is True, args
+    for p, q in (("2", "1"), ("3", "1.5"), ("5", "1.25")):
+        code, report = machine_report(tmp_path, ["classical", str(path), "--p", p, "--q", q])
+        assert code == 0 and report["results"]["all_ok"] is True, (p, q)
+
+
 def test_classical_at_a_huge_exponent(spec_path, tmp_path):
     # the maximiser's cross-check must not beat the exact norm at s = 1e300
     code, report = machine_report(tmp_path, ["classical", spec_path, "--p", "1e300", "--q", "1e300"])

@@ -427,16 +427,28 @@ def _singular_target(profile, rng):
 
 
 def test_change_of_weights_witness_attains_bound():
-    rng = generator(23)
+    # the bound against ||d||_{2r}^2 from the singular values of d, which
+    # shares no code with the library; a tracial h = k makes every
+    # eigenvalue of d*d a tied top one, for the top eigenprojection at p = q
+    rng, tied = generator(23), generator(24)
     for dims in ([1], [2], [3, 2], [4, 1, 2]):
         profile = BlockProfile(dims)
         targets = [faithful(profile, rng), Weight(BlockMatrix.zeros(profile))]
         if profile.total_dim > 1:
             targets.append(_singular_target(profile, rng))
-        for target in targets:
-            h = faithful(profile, rng)
+        # 0.37 I written in a random basis, so rounding splits the tie
+        tracial = Weight(BlockMatrix(profile, [(u * 0.37) @ u.conj().T
+                                               for d in profile for u in [unitary(d, tied)]]))
+        for h, target in [(faithful(profile, rng), t) for t in targets] + [(tracial, tracial)]:
             for p, q in CW_PAIRS:
                 cw = change_of_weights(h, target, p, q)
+                s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in cw.d.blocks])
+                r = float(cw.triple.r)
+                oracle = np.max(s) ** 2 if np.isinf(r) else np.sum(s ** (2 * r)) ** (1 / r)
+                assert cw.bound == pytest.approx(oracle, rel=1e-12)
+                if h is tracial and np.isinf(r):
+                    # d*d is a multiple of 1: its top eigenprojection is 1
+                    assert cw.witness.allclose(BlockMatrix.identity(profile), 1e-12)
                 assert cw.norm_estimate.certified
                 if target.total() == 0.0:
                     assert cw.bound == 0.0 and cw.norm_estimate.lower_bound == 0.0
@@ -707,8 +719,8 @@ def test_complete_positivity_from_the_choi_matrices():
     for C, cp, cp_flipped in cases:
         dom, cod, mat = C.domain_profile, C.codomain_profile, C.matrix()
         flipped = mat[:, compop._transpose_permutation(dom)]
-        assert compop._is_completely_positive(mat, dom, cod) is cp
-        assert compop._is_completely_positive(flipped, dom, cod) is cp_flipped
+        assert (compop._choi_stacks(mat, dom, cod) is not None) is cp
+        assert (compop._choi_stacks(flipped, dom, cod) is not None) is cp_flipped
 
 
 def test_positive_norm_bounds_the_maximiser():
@@ -750,8 +762,9 @@ def _cone(C, max_iter=200):
     `operator_norm` takes the closed form first wherever it applies, the
     change of weights included, so the cone is reached here directly.
     """
-    lower, upper, steps, closed = compop._cone_norm(C.matrix(), C.domain_profile,
-                                                    C.codomain_profile, C.p, C.q, max_iter)
+    mat, dom, cod = C.matrix(), C.domain_profile, C.codomain_profile
+    unit = compop._eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
+    lower, upper, steps, closed = compop._cone_norm(mat, dom, cod, C.p, C.q, unit, max_iter)
     return NormEstimate(lower_bound=lower, iterations=steps, restarts=0, seed=0,
                         capped=int(not closed), upper_bound=upper)
 
@@ -946,7 +959,8 @@ def test_single_kraus_slack_covers_a_defect_below_the_tolerance():
     mat = np.eye(n * n) + delta * np.outer(p0.ravel(), np.eye(n).ravel())
     stacks = compop._choi_stacks(mat, profile, profile)
     two = Exponent(2)
-    lower, upper = compop._single_kraus_norm(mat, profile, profile, two, two, stacks)
+    unit = compop._eigh_groups(profile, mat.conj().T @ np.eye(n).ravel())
+    lower, upper = compop._single_kraus_norm(mat, profile, profile, two, two, stacks, unit)
     top = float(np.linalg.svd(mat, compute_uv=False)[0])
     assert top > 1.0 + 1.4 * delta
     assert lower <= top * (1.0 + 1e-15) and top <= upper
