@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -51,9 +51,11 @@ from .matcore import (
     _lp_norm,
     _transpose_permutation,
     block_stacks,
+    eigh_groups,
     flat_columns,
-    kron,
+    from_eig_groups,
     schatten_norm,
+    size_groups,
 )
 from .vnops import Weight, weights_commute
 
@@ -210,10 +212,10 @@ def _sandwich_matrix(left: BlockMatrix, right: BlockMatrix) -> np.ndarray:
     """Matrix of x -> left x right on flat block coordinates: blockdiag(kron(L_i, R_i^T))."""
     profile = left.profile
     mat = np.zeros((profile.coord_dim, profile.coord_dim), dtype=complex)
-    at = 0
-    for d, lb, rb in zip(profile.dims, left.blocks, right.blocks):
-        mat[at : at + d * d, at : at + d * d] = kron(lb, rb.T)
-        at += d * d
+    for d, m, rows in size_groups(profile):
+        lb = left.flat()[rows].reshape(m, d, 1, d, 1)
+        rb = right.flat()[rows].reshape(m, 1, d, 1, d).swapaxes(2, 4)
+        mat[rows[:, :, None], rows[:, None, :]] = (lb * rb).reshape(m, d * d, d * d)
     return mat
 
 
@@ -245,22 +247,6 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _size_groups(profile: BlockProfile) -> tuple:
-    """(d, m, rows) for each distinct block size d of the profile, smallest first.
-
-    m is the number of blocks of size d and rows the read-only (m, d*d)
-    array of their flat coordinates.  Computed once per profile.
-    """
-    starts = np.cumsum([0] + [d * d for d in profile.dims[:-1]])
-    groups = []
-    for d in sorted(set(profile.dims)):
-        rows = np.stack([at + np.arange(d * d) for at, n in zip(starts, profile.dims) if n == d])
-        rows.setflags(write=False)
-        groups.append((d, rows.shape[0], rows))
-    return tuple(groups)
-
-
 def _dual_maximizer(profile: BlockProfile, cols: np.ndarray, s: Exponent):
     """Per-column (norms, ys) for flat coordinate columns z_j of shape (coord_dim, k).
 
@@ -278,7 +264,7 @@ def _dual_maximizer(profile: BlockProfile, cols: np.ndarray, s: Exponent):
         return norms, cols * (1.0 / np.where(norms == 0.0, 1.0, norms))
     k = cols.shape[1]
     svds = []   # (rows, W, S, V*) per size, S of shape (k, m, d); 1x1: W the phase, V* None
-    for d, m, rows in _size_groups(profile):
+    for d, m, rows in size_groups(profile):
         z = cols.T[:, rows].reshape(k, m, d, d)
         if d == 1:
             sv = np.abs(z[..., 0])
@@ -341,8 +327,8 @@ def _choi_stacks(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> list 
     if scale == 0.0:
         return []
     tol, stacks = _CHOI_TOL * scale, []
-    for n, ks, src in _size_groups(dom):
-        for m, kt, dst in _size_groups(cod):
+    for n, ks, src in size_groups(dom):
+        for m, kt, dst in size_groups(cod):
             pairs = mat[dst[:, None, :, None], src[None, :, None, :]].reshape(kt * ks, m, m, n, n)
             choi = pairs.transpose(0, 3, 1, 4, 2).reshape(kt * ks, n * m, n * m)
             if np.linalg.norm(choi - choi.conj().swapaxes(1, 2)) > tol:
@@ -369,30 +355,8 @@ def _completely_positive_matrix(C: SuperOperator):
     return None
 
 
-def _eigh_groups(profile: BlockProfile, flat: np.ndarray) -> list:
-    """(eigenvalues, eigenvectors) per size group of a Hermitian element, ascending.
-
-    One eigh call per block size on the stack of its blocks; a 1x1 block is
-    its own eigenvalue.
-    """
-    out = []
-    for d, k, rows in _size_groups(profile):
-        blocks = flat[rows].reshape(k, d, d)
-        out.append((blocks[..., 0].real, np.ones((k, 1, 1))) if d == 1
-                   else np.linalg.eigh(blocks))
-    return out
-
-
-def _from_eig_groups(profile: BlockProfile, vecs: list, values: list) -> np.ndarray:
-    """Flat coordinates of sum V diag(values) V* per size group."""
-    flat = np.empty(profile.coord_dim, dtype=complex)
-    for (d, k, rows), V, f in zip(_size_groups(profile), vecs, values):
-        flat[rows] = ((V * f[:, None, :]) @ V.conj().swapaxes(1, 2)).reshape(k, d * d)
-    return flat
-
-
-def _holder_form(unit: list, p: Exponent, q: Exponent) -> tuple:
-    """(||P||_rho, f, ||x||_p) from the eigensystem `unit` (`_eigh_groups`) of P = C#(1) >= 0.
+def _holder_form(unit: tuple, p: Exponent, q: Exponent) -> tuple:
+    """(||P||_rho, f, ||x||_p) from the eigensystem `unit` (`eigh_groups`) of P = C#(1) >= 0.
 
     1/rho = 1/q - 1/p.  A map that sends each source block to one
     destination block as x -> A x A* has C#(1) = A*A there, and Holder gives
@@ -405,7 +369,7 @@ def _holder_form(unit: list, p: Exponent, q: Exponent) -> tuple:
     rho/p (p just above q) cannot overflow, and every value scales with P.
     """
     rho = holder_complement(p, q)
-    lams = [np.maximum(lam, 0.0) for lam, _ in unit]
+    lams = [np.maximum(lam, 0.0) for lam in unit[0]]
     top = max(float(np.max(lam)) for lam in lams)
     if top == 0.0:
         return 0.0, lams, 0.0
@@ -419,7 +383,7 @@ def _holder_form(unit: list, p: Exponent, q: Exponent) -> tuple:
 
 
 def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
-                       p: Exponent, q: Exponent, stacks: list, unit: list) -> tuple | None:
+                       p: Exponent, q: Exponent, stacks: list, unit: tuple) -> tuple | None:
     """(lower, upper) for a completely positive map with one Kraus map per block pair over a
     matching of blocks, q <= p; None for any other map.
 
@@ -447,13 +411,13 @@ def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
     if len(set(src)) < len(src) or len(set(dst)) < len(dst):
         return None
     bound, f, x_norm = _holder_form(unit, p, q)
-    x = _from_eig_groups(dom, [V for _, V in unit], f)
+    x = from_eig_groups(dom, unit[1], f).flat()
     lower = schatten_norm(BlockMatrix.unflat(cod, mat @ x), q) / x_norm if bound else 0.0
     return lower, (1.0 + _CONE_ROUNDING) * bound + slack
 
 
 def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
-               p: Exponent, q: Exponent, unit: list, max_iter: int):
+               p: Exponent, q: Exponent, unit: tuple, max_iter: int):
     """(lower, upper, steps, closed) for a completely positive map, 1 < q <= 2 <= p < inf.
 
     The step is x <- F(x) / ||F(x)||_p with F(x) = [C#((Cx)^{q-1})]^{1/(p-1)},
@@ -478,29 +442,29 @@ def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
     mat_h = mat.conj().T
     pf, qf = float(p), float(q)
     d = float((q.fraction - 1) / (p.fraction - 1))
-    top = max(float(np.max(lam)) for lam, _ in unit)
+    top = max(float(np.max(lam)) for lam in unit[0])
     if top <= 0.0:                      # C#(1) = 0, so C = 0
         return 0.0, 0.0, 0, True
-    on = [lam > SUPPORT_CUTOFF * top for lam, _ in unit]
-    vecs, xi = [V for _, V in unit], [mask.astype(float) for mask in on]
+    on = [lam > SUPPORT_CUTOFF * top for lam in unit[0]]
+    vecs, xi = unit[1], [mask.astype(float) for mask in on]
     x_norm = float(sum(int(np.sum(mask)) for mask in on)) ** (1.0 / pf)
     lower, upper = 0.0, math.inf
     for step in range(1, max_iter + 1):
-        y = mat @ _from_eig_groups(dom, vecs, xi)
+        y = mat @ from_eig_groups(dom, vecs, xi).flat()
         if q == _TWO:
             z, y_norm = y, float(np.linalg.norm(y))
         else:
-            spectra = _eigh_groups(cod, y)
-            lams = [np.maximum(lam, 0.0) for lam, _ in spectra]
+            lams, ws = eigh_groups(cod, y)
+            lams = [np.maximum(lam, 0.0) for lam in lams]
             y_norm = float(_lp_norm(np.concatenate([lam.ravel() for lam in lams]), q))
-            z = _from_eig_groups(cod, [V for _, V in spectra], [lam ** (qf - 1.0) for lam in lams])
+            z = from_eig_groups(cod, ws, [lam ** (qf - 1.0) for lam in lams]).flat()
         lower = max(lower, y_norm / x_norm)
-        spectra = _eigh_groups(dom, mat_h @ z)
+        lams, ws = eigh_groups(dom, mat_h @ z)
         phi = [np.where(mask, np.maximum(lam, 0.0), 0.0) ** (1.0 / (pf - 1.0))
-               for (lam, _), mask in zip(spectra, on)]
+               for lam, mask in zip(lams, on)]
         # x^{-1/2} F x^{-1/2} = T T* in the eigenbasis of x, T = xi^{-1/2} V* W phi^{1/2}
         lam_top = 0.0
-        for V, f, g, mask, (_, W) in zip(vecs, xi, phi, on, spectra):
+        for V, f, g, mask, W in zip(vecs, xi, phi, on, ws):
             inv_root = np.where(mask, 1.0 / np.sqrt(np.where(mask, f, 1.0)), 0.0)
             T = (V.conj().swapaxes(1, 2) @ W) * np.sqrt(g)[:, None, :] * inv_root[:, :, None]
             lam_top = max(lam_top, float(np.max(np.linalg.eigvalsh(T @ T.conj().swapaxes(1, 2)))))
@@ -512,7 +476,7 @@ def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
         if any(np.any(mask & (g <= SUPPORT_CUTOFF * phi_top)) for g, mask in zip(phi, on)):
             return lower, upper, step, False
         f_norm = float(_lp_norm(np.concatenate([g.ravel() for g in phi]), p))
-        vecs, xi, x_norm = [W for _, W in spectra], [g / f_norm for g in phi], 1.0
+        vecs, xi, x_norm = ws, [g / f_norm for g in phi], 1.0
     return lower, upper, max_iter, False
 
 
@@ -570,7 +534,7 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
             value = schatten_norm(BlockMatrix.unflat(cod, image), q)
             return NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=seed,
                                 upper_bound=value)
-        unit = _eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
+        unit = eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
         if q == _ONE:
             value = _holder_form(unit, p, q)[0]
             return NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=seed,
@@ -659,9 +623,9 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     half_out = w0.power(q.reciprocal() / 2)   # k^{1/(2q)}; support proj at q = inf
     half_in = w.power(-p.reciprocal() / 2)    # h^{-1/(2p)}; identity at p = inf
     d = half_out @ half_in
-    unit = _eigh_groups(w.profile, (d.adjoint() @ d).flat())
+    unit = eigh_groups(w.profile, (d.adjoint() @ d).flat())
     bound, f, x_norm = _holder_form(unit, p, q)
-    witness = BlockMatrix.unflat(w.profile, _from_eig_groups(w.profile, [V for _, V in unit], f))
+    witness = from_eig_groups(w.profile, unit[1], f)
     value = schatten_norm(d @ witness @ d.adjoint(), q) / x_norm if bound else 0.0
     if not bound * (1.0 - 1e-9) <= value <= bound * (1.0 + 1e-6):
         raise NoConvergence(f"witness attains {value:.15g}, the bound is {bound:.15g}")
@@ -834,11 +798,11 @@ def _projection_witness(J0: np.ndarray, profile1: BlockProfile, profile2: BlockP
     C = np.column_stack(a + b + [x + y for x in a for y in b])
     squares = flat_columns([x @ x for x in block_stacks(profile1, C)])
     c = BlockMatrix.unflat(profile1, C[:, np.argmax(defects(J0 @ C, J0 @ squares))])
-    eigs = [np.linalg.eigh(blk) for blk in c.hermitized().blocks]
-    values = np.sort(np.concatenate([lam for lam, _ in eigs]))
+    lams, vecs = eigh_groups(profile1, c.hermitized().flat())
+    values = np.sort(np.concatenate([lam.ravel() for lam in lams]))
     levels = values[np.concatenate([[True], np.diff(values) > 1e-9])]
-    spectral = [flat_columns([((vec * (np.abs(lam - level) <= 1e-9)) @ vec.conj().T)[None]
-                              for lam, vec in eigs])[:, 0] for level in levels]
+    spectral = [from_eig_groups(profile1, vecs, [(np.abs(lam - level) <= 1e-9).astype(float)
+                                                 for lam in lams]).flat() for level in levels]
     E = np.column_stack(spectral + [x + y for i, x in enumerate(spectral)
                                     for y in spectral[i + 1 :]])
     F = J0 @ E
@@ -981,7 +945,7 @@ def contraction_inclusion(wB: Weight, w2: Weight, inclusion: JordanMorphismSpec,
     Requires phi2 o inclusion <= C phi_B for a finite C: C is the top
     eigenvalue of rho_B^{-1/2} k rho_B^{-1/2}, k the pushforward density of
     phi2 (so phi2(inclusion(x)) = tr(k x)), and the operator inequality
-    C rho_B - k >= 0 is then checked exactly, with one eigvalsh per block,
+    C rho_B - k >= 0 is then checked exactly, with one eigh per block size,
     down to -1e-9 max(1, ||C rho_B||); DominationFails reports the smallest
     eigenvalue otherwise.  The map is bounded with norm controlled by C^{1/p}
     (up to a dimension-level constant).
@@ -998,8 +962,8 @@ def contraction_inclusion(wB: Weight, w2: Weight, inclusion: JordanMorphismSpec,
     if not np.isfinite(constant):
         raise DominationFails("no finite domination constant")
     dominating = wB.rho * constant
-    low = min(float(np.linalg.eigvalsh(blk)[0])
-              for blk in (dominating - pushed.rho).hermitized().blocks)
+    lams, _ = eigh_groups(wB.profile, (dominating - pushed.rho).hermitized().flat())
+    low = min(float(lam[:, 0].min()) for lam in lams)
     if low < -1e-9 * max(1.0, schatten_norm(dominating, "inf")):
         raise DominationFails(f"C rho_B - k has eigenvalue {low:.6e} < 0")
     bound = constant ** float(p.reciprocal())
@@ -1032,7 +996,6 @@ def splitting_inequality_check(hJ: Weight, hz: Weight, h1z: Weight, q) -> Splitt
         raise NotSummable(f"hJ != hz + h1z (residual {gap_sum:.3e})")
     inv_q = float(q.reciprocal())
     gap = hz.power(inv_q) + h1z.power(inv_q) - hJ.power(inv_q)
-    min_eig = min(
-        float(np.linalg.eigvalsh((blk + blk.conj().T) / 2)[0]) for blk in gap.blocks
-    )
+    lams, _ = eigh_groups(gap.profile, gap.hermitized().flat())
+    min_eig = min(float(lam[:, 0].min()) for lam in lams)
     return SplittingReport(min_gap_eigenvalue=min_eig, ok=min_eig >= -1e-9)

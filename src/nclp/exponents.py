@@ -18,26 +18,26 @@ class Exponent:
     """A point of [1, inf]; finite values stored as `Fraction`, inf as None.
 
     A finite value must fit in a float (BadExponent otherwise), so that
-    `float(p)` never overflows.
+    `float(p)` never overflows.  1/p, which every comparison reads, is kept.
     """
 
-    __slots__ = ("_frac",)
+    __slots__ = ("_frac", "_recip")
 
     def __init__(self, value):
         if isinstance(value, Exponent):
-            self._frac = value._frac
+            self._frac, self._recip = value._frac, value._recip
             return
         if isinstance(value, str):
             text = value.strip().lower()
             if text in ("inf", "infinity", "oo"):
-                self._frac = None
+                self._frac, self._recip = None, Fraction(0)
                 return
             try:
                 frac = Fraction(text)
             except (ValueError, ZeroDivisionError) as exc:
                 raise BadExponent(f"cannot parse exponent {value!r}") from exc
         elif isinstance(value, float) and math.isinf(value):
-            self._frac = None
+            self._frac, self._recip = None, Fraction(0)
             return
         else:
             try:
@@ -50,7 +50,7 @@ class Exponent:
             float(frac)
         except OverflowError as exc:
             raise BadExponent(f"exponent {value!r} is too large for a float") from exc
-        self._frac = frac
+        self._frac, self._recip = frac, 1 / frac
 
     @property
     def is_inf(self) -> bool:
@@ -64,7 +64,7 @@ class Exponent:
 
     def reciprocal(self) -> Fraction:
         """1/p as an exact rational; 0 for p = inf."""
-        return Fraction(0) if self._frac is None else 1 / self._frac
+        return self._recip
 
     def conjugate(self) -> "Exponent":
         """The dual exponent p* with 1/p + 1/p* = 1."""
@@ -96,11 +96,11 @@ class Exponent:
 
     def __le__(self, other):
         other = other if isinstance(other, Exponent) else Exponent(other)
-        return self.reciprocal() >= other.reciprocal()
+        return self._recip >= other._recip
 
     def __lt__(self, other):
         other = other if isinstance(other, Exponent) else Exponent(other)
-        return self.reciprocal() > other.reciprocal()
+        return self._recip > other._recip
 
     def __ge__(self, other):
         return not self < other

@@ -191,7 +191,7 @@ class JordanMorphismSpec:
         blocks = [np.zeros((m, m), dtype=complex) for m in self.profile2.dims]
         for t in (t for t in self.tiles if t.kind == "H"):
             blocks[t.dst] += self._frame(t) @ self._frame(t).conj().T
-        return BlockMatrix(self.profile2, blocks, copy=False)
+        return BlockMatrix(self.profile2, blocks)
 
     def covered_src_blocks(self, kind=None):
         if kind is None:
@@ -404,10 +404,8 @@ class ZDecomposition:
 
 
 def _central_projection(profile: BlockProfile, blocks_on) -> Projection:
-    blocks = []
-    for i, d in enumerate(profile.dims):
-        blocks.append(np.eye(d, dtype=complex) if i in blocks_on else np.zeros((d, d), dtype=complex))
-    return Projection(BlockMatrix(profile, blocks, copy=False))
+    on = [float(i in blocks_on) for i in range(profile.block_count)]
+    return Projection(BlockMatrix.diagonal(profile, np.repeat(on, profile.dims)))
 
 
 def _unit_values(J: JordanMorphismSpec, g: BlockMatrix) -> np.ndarray:

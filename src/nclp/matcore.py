@@ -1,16 +1,19 @@
 """Dense complex block-matrix kernel.
 
 Block-diagonal matrices over a fixed block profile are the universal carrier
-for algebra elements, L^p elements, densities and projections.  This module
-supplies the spectral calculus everything else is built on: Hermitian
-eigendecomposition (numpy.linalg.eigh), fractional powers with the support
-convention 0^t = 0, and Schatten norms and polar decomposition from
-numpy.linalg.svd.
+for algebra elements, L^p elements, densities and projections.  A
+`BlockMatrix` is one read-only flat array of its blocks' entries.  The
+spectral calculus everything else is built on is one kernel grouped by block
+size (`size_groups`): `eigh_groups` (one numpy.linalg.eigh per block size;
+a 1x1 block is its own eigenvalue) and its inverse `from_eig_groups`, with
+fractional powers under the support convention 0^t = 0; products, Schatten
+norms and polar decomposition (numpy.linalg.svd) also take one call per size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -46,11 +49,11 @@ class BlockProfile:
     def block_count(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    @property
+    @cached_property
     def coord_dim(self) -> int:
         """Dimension of the block-diagonal carrier, sum of n_i^2."""
         return sum(d * d for d in self.dims)
@@ -59,74 +62,107 @@ class BlockProfile:
         return iter(self.dims)
 
 
+def _index_blocks(profile: BlockProfile) -> list:
+    """The flat coordinates of each block, as (d, d) integer arrays."""
+    return [ix[0] for ix in block_stacks(profile, np.arange(profile.coord_dim)[:, None])]
+
+
+@lru_cache(maxsize=64)
+def size_groups(profile: BlockProfile) -> tuple:
+    """(d, m, rows) for each distinct block size d of the profile, smallest first.
+
+    m is the number of blocks of size d and rows the read-only (m, d*d)
+    array of their flat coordinates.  Computed once per profile.
+    """
+    groups = []
+    for d in sorted(set(profile.dims)):
+        rows = np.stack([ix.ravel() for ix in _index_blocks(profile) if len(ix) == d])
+        rows.setflags(write=False)
+        groups.append((d, rows.shape[0], rows))
+    return tuple(groups)
+
+
+@lru_cache(maxsize=64)
+def _transpose_permutation(profile: BlockProfile) -> np.ndarray:
+    """Read-only indices with x.transpose().flat() == x.flat()[perm]."""
+    perm = np.concatenate([ix.T.ravel() for ix in _index_blocks(profile)])
+    perm.setflags(write=False)
+    return perm
+
+
+@lru_cache(maxsize=64)
+def _diagonal_index(profile: BlockProfile) -> np.ndarray:
+    """Flat coordinates of the total_dim diagonal entries, in block order."""
+    return np.concatenate([ix.diagonal() for ix in _index_blocks(profile)])
+
+
 class BlockMatrix:
-    """Immutable block-diagonal complex matrix over a BlockProfile."""
+    """Immutable block-diagonal complex matrix over a BlockProfile, stored as its `flat()` array."""
 
-    __slots__ = ("profile", "blocks")
+    __slots__ = ("profile", "_flat")
 
-    def __init__(self, profile: BlockProfile, blocks, copy: bool = True):
+    def __init__(self, profile: BlockProfile, blocks):
         if len(blocks) != profile.block_count:
-            raise ProfileMismatch(
-                f"expected {profile.block_count} blocks, got {len(blocks)}"
-            )
-        prepared = []
-        for dim, blk in zip(profile.dims, blocks):
-            arr = np.array(blk, dtype=complex, copy=copy)
+            raise ProfileMismatch(f"expected {profile.block_count} blocks, got {len(blocks)}")
+        prepared = [np.asarray(blk, dtype=complex) for blk in blocks]
+        for dim, arr in zip(profile.dims, prepared):
             if arr.shape != (dim, dim):
-                raise ProfileMismatch(
-                    f"block of shape {arr.shape} does not match size {dim}"
-                )
-            arr.setflags(write=False)
-            prepared.append(arr)
+                raise ProfileMismatch(f"block of shape {arr.shape} does not match size {dim}")
+        self._own(profile, np.concatenate([arr.ravel() for arr in prepared]))
+
+    def _own(self, profile: BlockProfile, flat: np.ndarray):
+        flat.setflags(write=False)
         object.__setattr__(self, "profile", profile)
-        object.__setattr__(self, "blocks", tuple(prepared))
+        object.__setattr__(self, "_flat", flat)
+
+    @classmethod
+    def _of_flat(cls, profile: BlockProfile, flat: np.ndarray) -> "BlockMatrix":
+        """Owns `flat`, a fresh complex array that no one else holds; bypasses __init__."""
+        x = cls.__new__(cls)
+        x._own(profile, flat)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("BlockMatrix is immutable")
+
+    @property
+    def blocks(self) -> tuple:
+        """The (d, d) blocks, built on each read as read-only views of the flat storage."""
+        return tuple(stack[0] for stack in block_stacks(self.profile, self._flat[:, None]))
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zeros(cls, profile: BlockProfile) -> "BlockMatrix":
-        return cls(profile, [np.zeros((d, d), dtype=complex) for d in profile], copy=False)
+        return cls._of_flat(profile, np.zeros(profile.coord_dim, dtype=complex))
 
     @classmethod
     def identity(cls, profile: BlockProfile) -> "BlockMatrix":
-        return cls(profile, [np.eye(d, dtype=complex) for d in profile], copy=False)
+        return cls.diagonal(profile, np.ones(profile.total_dim))
 
     @classmethod
     def diagonal(cls, profile: BlockProfile, values) -> "BlockMatrix":
         """Diagonal matrix from a flat list of total_dim entries."""
         values = np.asarray(values, dtype=complex)
         if values.shape != (profile.total_dim,):
-            raise ProfileMismatch(
-                f"need {profile.total_dim} diagonal entries, got {values.shape}"
-            )
-        blocks, at = [], 0
-        for d in profile:
-            blocks.append(np.diag(values[at : at + d]))
-            at += d
-        return cls(profile, blocks, copy=False)
+            raise ProfileMismatch(f"need {profile.total_dim} diagonal entries, got {values.shape}")
+        flat = np.zeros(profile.coord_dim, dtype=complex)
+        flat[_diagonal_index(profile)] = values
+        return cls._of_flat(profile, flat)
 
     @classmethod
     def matrix_unit(cls, profile: BlockProfile, block: int, row: int, col: int) -> "BlockMatrix":
-        blocks = [np.zeros((d, d), dtype=complex) for d in profile]
-        blocks[block][row, col] = 1.0
-        return cls(profile, blocks, copy=False)
+        flat = np.zeros(profile.coord_dim, dtype=complex)
+        block_stacks(profile, flat[:, None])[block][0, row, col] = 1.0
+        return cls._of_flat(profile, flat)
 
     @classmethod
     def unflat(cls, profile: BlockProfile, vec) -> "BlockMatrix":
-        """Inverse of flat(): rebuild blocks from concatenated C-order entries."""
-        vec = np.asarray(vec, dtype=complex).ravel()
+        """Inverse of flat(): a copy of concatenated C-order entries."""
+        vec = np.array(vec, dtype=complex).ravel()
         if vec.size != profile.coord_dim:
-            raise ProfileMismatch(
-                f"need {profile.coord_dim} coordinates, got {vec.size}"
-            )
-        blocks, at = [], 0
-        for d in profile:
-            blocks.append(vec[at : at + d * d].reshape(d, d))
-            at += d * d
-        return cls(profile, blocks, copy=False)
+            raise ProfileMismatch(f"need {profile.coord_dim} coordinates, got {vec.size}")
+        return cls._of_flat(profile, vec)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -136,40 +172,40 @@ class BlockMatrix:
 
     def __add__(self, other):
         self._check_same(other)
-        return BlockMatrix(
-            self.profile, [a + b for a, b in zip(self.blocks, other.blocks)], copy=False
-        )
+        return BlockMatrix._of_flat(self.profile, self._flat + other._flat)
 
     def __sub__(self, other):
         self._check_same(other)
-        return BlockMatrix(
-            self.profile, [a - b for a, b in zip(self.blocks, other.blocks)], copy=False
-        )
+        return BlockMatrix._of_flat(self.profile, self._flat - other._flat)
 
     def __neg__(self):
-        return BlockMatrix(self.profile, [-a for a in self.blocks], copy=False)
+        return BlockMatrix._of_flat(self.profile, -self._flat)
 
     def __mul__(self, scalar):
-        return BlockMatrix(self.profile, [scalar * a for a in self.blocks], copy=False)
+        return BlockMatrix._of_flat(self.profile, scalar * self._flat)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        """One batched product per block size."""
         self._check_same(other)
-        return BlockMatrix(
-            self.profile, [a @ b for a, b in zip(self.blocks, other.blocks)], copy=False
-        )
+        a, b = self._flat, other._flat
+        out = np.empty(self.profile.coord_dim, dtype=complex)
+        for d, m, rows in size_groups(self.profile):
+            out[rows] = (a[rows].reshape(m, d, d) @ b[rows].reshape(m, d, d)).reshape(m, d * d)
+        return BlockMatrix._of_flat(self.profile, out)
 
     def adjoint(self) -> "BlockMatrix":
-        return BlockMatrix(self.profile, [a.conj().T for a in self.blocks], copy=False)
+        return BlockMatrix._of_flat(self.profile,
+                                    self._flat.conj()[_transpose_permutation(self.profile)])
 
     def transpose(self) -> "BlockMatrix":
-        return BlockMatrix(self.profile, [a.T for a in self.blocks], copy=False)
+        return BlockMatrix._of_flat(self.profile, self._flat[_transpose_permutation(self.profile)])
 
     def hermitized(self) -> "BlockMatrix":
-        return BlockMatrix(
-            self.profile, [(a + a.conj().T) / 2 for a in self.blocks], copy=False
-        )
+        flat = self._flat
+        return BlockMatrix._of_flat(
+            self.profile, (flat + flat.conj()[_transpose_permutation(self.profile)]) / 2)
 
     # -- scalars -------------------------------------------------------
 
@@ -177,23 +213,22 @@ class BlockMatrix:
         return self.blocks[i]
 
     def trace(self) -> complex:
-        return complex(sum(np.trace(a) for a in self.blocks))
+        return complex(np.sum(self._flat[_diagonal_index(self.profile)]))
 
     def hs_inner(self, other) -> complex:
         """Hilbert-Schmidt inner product <self, other> = sum tr(self_i* other_i)."""
         self._check_same(other)
-        return complex(
-            sum(np.vdot(a, b) for a, b in zip(self.blocks, other.blocks))
-        )
+        return complex(np.vdot(self._flat, other._flat))
 
     def fro_norm(self) -> float:
-        return float(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in self.blocks)))
+        return float(np.linalg.norm(self._flat))
 
     def max_abs(self) -> float:
-        return float(max(np.max(np.abs(a)) if a.size else 0.0 for a in self.blocks))
+        return float(np.max(np.abs(self._flat)))
 
     def flat(self) -> np.ndarray:
-        return np.concatenate([a.ravel() for a in self.blocks])
+        """The read-only flat coordinates: the blocks' entries concatenated in C order."""
+        return self._flat
 
     def allclose(self, other, tol: float = 1e-10) -> bool:
         return (self - other).fro_norm() <= tol
@@ -202,55 +237,83 @@ class BlockMatrix:
         return f"BlockMatrix(profile={self.profile.dims})"
 
 
-def hermitian_eig(H: BlockMatrix):
-    """Per-block eigensystem of a Hermitian block matrix.
+def _per_block(profile: BlockProfile, grouped) -> list:
+    """The rows of per-size-group arrays (one row per block of the group), in block order."""
+    rows = {d: iter(arr) for (d, _, _), arr in zip(size_groups(profile), grouped)}
+    return [next(rows[d]) for d in profile.dims]
 
-    The Hermiticity test allows HERMITIAN_TOL absolute plus 1e-10 relative defect
-    (embeddings compound rounding); the input is symmetrised before
-    numpy.linalg.eigh.  Returns (list of ascending eigenvalue arrays, unitary V).
+
+def eigh_groups(profile: BlockProfile, flat: np.ndarray) -> tuple:
+    """(lams, vecs) of a Hermitian element: per size group, eigenvalues (m, d), vectors (m, d, d).
+
+    One numpy.linalg.eigh per block size on the stack of its blocks, which
+    reads their lower triangles; eigenvalues ascend along each row.  A 1x1
+    block is its own eigenvalue, with eigenvector 1.
     """
-    defect = (H - H.adjoint()).fro_norm()
-    if defect > HERMITIAN_TOL + 1e-10 * H.fro_norm():
-        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tolerance")
-    eigenvalues = []
-    vectors = []
-    for blk in H.hermitized().blocks:
-        lam, v = np.linalg.eigh(blk)
-        eigenvalues.append(lam)
-        vectors.append(v)
-    return eigenvalues, BlockMatrix(H.profile, vectors, copy=False)
+    lams, vecs = [], []
+    for d, m, rows in size_groups(profile):
+        blocks = flat[rows].reshape(m, d, d)
+        lam, V = (blocks[..., 0].real, np.ones((m, 1, 1))) if d == 1 else np.linalg.eigh(blocks)
+        lams.append(lam)
+        vecs.append(V)
+    return lams, vecs
 
 
-def _from_spectrum(profile: BlockProfile, values, vectors) -> BlockMatrix:
-    """V diag(f) V* block by block, from per-block values f and unitaries V.
+def from_eig_groups(profile: BlockProfile, vecs: list, values: list) -> BlockMatrix:
+    """V diag(f) V* per size group, the inverse of `eigh_groups`.
 
-    Real values give a Hermitian matrix, symmetrised against rounding.
+    Real values give a Hermitian element, symmetrised against rounding.
     """
-    blocks = []
-    for f, v in zip(values, vectors):
-        blk = (v * f) @ v.conj().T
+    flat = np.empty(profile.coord_dim, dtype=complex)
+    for (d, m, rows), V, f in zip(size_groups(profile), vecs, values):
+        blk = (V * f[:, None, :]) @ V.conj().swapaxes(1, 2)
         if np.isrealobj(f):
-            blk = (blk + blk.conj().T) / 2
-        blocks.append(blk)
-    return BlockMatrix(profile, blocks, copy=False)
+            blk = (blk + blk.conj().swapaxes(1, 2)) / 2
+        flat[rows] = blk.reshape(m, d * d)
+    return BlockMatrix._of_flat(profile, flat)
 
 
-def _spectral_power(profile: BlockProfile, lams, vectors, t: float) -> BlockMatrix:
-    """V Lambda^t V* for a positive semidefinite spectrum, with 0^t = 0.
+def spectral_power(profile: BlockProfile, spectrum: tuple, t: float) -> BlockMatrix:
+    """V Lambda^t V* for a positive semidefinite `spectrum` (`eigh_groups`), with 0^t = 0.
 
     Eigenvalues at or below SUPPORT_CUTOFF times the largest count as zero,
     so t = 0 gives the support projection; t < 0 needs none of them.
     """
-    cutoff = SUPPORT_CUTOFF * max(max(float(l[-1]) for l in lams), 0.0)
-    if t < 0 and any(np.any(l <= cutoff) for l in lams):
+    lams, vecs = spectrum
+    cutoff = SUPPORT_CUTOFF * max(max(float(lam[:, -1].max()) for lam in lams), 0.0)
+    ons = [lam > cutoff for lam in lams]
+    if t < 0 and not all(np.all(on) for on in ons):
         raise SingularNegativePower("negative power of a singular positive matrix")
-    values = []
-    for lam in lams:
-        out = np.zeros_like(lam)
-        on = lam > cutoff
-        out[on] = 1.0 if t == 0 else lam[on] ** t
-        values.append(out)
-    return _from_spectrum(profile, values, vectors)
+    values = [np.power(lam, t, out=on.astype(float), where=on) for lam, on in zip(lams, ons)]
+    return from_eig_groups(profile, vecs, values)
+
+
+def psd_range(lams: list) -> tuple:
+    """(smallest, largest) eigenvalue of a spectrum; NotPSD below -PSD_TOL max(1, largest)."""
+    low = min(float(lam[:, 0].min()) for lam in lams)
+    top = max(float(lam[:, -1].max()) for lam in lams)
+    if low < -PSD_TOL * max(1.0, top):
+        raise NotPSD(f"minimum eigenvalue {low:.3e} below PSD tolerance")
+    return low, top
+
+
+def _hermitian_spectrum(H: BlockMatrix) -> tuple:
+    """`eigh_groups` of H symmetrised; NotHermitian past HERMITIAN_TOL plus 1e-10 relative."""
+    defect = (H - H.adjoint()).fro_norm()
+    if defect > HERMITIAN_TOL + 1e-10 * H.fro_norm():
+        raise NotHermitian(f"Hermiticity defect {defect:.3e} exceeds tolerance")
+    return eigh_groups(H.profile, H.hermitized().flat())
+
+
+def hermitian_eig(H: BlockMatrix):
+    """Per-block eigensystem of a Hermitian block matrix, from `eigh_groups`.
+
+    The Hermiticity test allows HERMITIAN_TOL absolute plus 1e-10 relative
+    defect (embeddings compound rounding).  Returns (list of ascending
+    eigenvalue arrays, unitary V).
+    """
+    lams, vecs = _hermitian_spectrum(H)
+    return _per_block(H.profile, lams), BlockMatrix(H.profile, _per_block(H.profile, vecs))
 
 
 def frac_power(P: BlockMatrix, t) -> BlockMatrix:
@@ -259,18 +322,16 @@ def frac_power(P: BlockMatrix, t) -> BlockMatrix:
     t >= 0 uses the support convention (zero eigenvalues map to zero, so
     P^0 is the support projection); t < 0 requires P positive definite.
     """
-    lams, V = hermitian_eig(P)
-    top = max(float(l[-1]) for l in lams)
-    floor = -PSD_TOL * max(1.0, top)
-    if any(float(l[0]) < floor for l in lams):
-        worst = min(float(l[0]) for l in lams)
-        raise NotPSD(f"minimum eigenvalue {worst:.3e} below PSD tolerance")
-    return _spectral_power(P.profile, lams, V.blocks, float(t))
+    spectrum = _hermitian_spectrum(P)
+    psd_range(spectrum[0])
+    return spectral_power(P.profile, spectrum, float(t))
 
 
 def singular_values(x: BlockMatrix):
-    """Per-block ascending singular values, from numpy.linalg.svd."""
-    return [np.linalg.svd(blk, compute_uv=False)[::-1] for blk in x.blocks]
+    """Per-block ascending singular values, from one numpy.linalg.svd per block size."""
+    return _per_block(x.profile, [
+        np.linalg.svd(x.flat()[rows].reshape(m, d, d), compute_uv=False)[:, ::-1]
+        for d, m, rows in size_groups(x.profile)])
 
 
 def block_stacks(profile: BlockProfile, cols: np.ndarray) -> list:
@@ -297,13 +358,6 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def _transpose_permutation(profile: BlockProfile) -> np.ndarray:
-    """Indices with x.transpose().flat() == x.flat()[perm]."""
-    starts = np.cumsum([0] + [d * d for d in profile.dims[:-1]])
-    return np.concatenate([at + np.arange(d * d).reshape(d, d).T.ravel()
-                           for at, d in zip(starts, profile.dims)])
-
-
 def _lp_norm(values: np.ndarray, p):
     """l^p norm of nonnegative values along the last axis.
 
@@ -325,14 +379,17 @@ def schatten_norm(x: BlockMatrix, p) -> float:
 def polar(x: BlockMatrix):
     """Polar decomposition x = u |x| with u a partial isometry, u*u = supp|x|.
 
-    From the SVD x = W S V* per block: |x| = V S V*, and u = W P V* with P
-    keeping the singular values above SUPPORT_CUTOFF times the block's largest.
+    From the SVD x = W S V* per block, one numpy.linalg.svd per block size:
+    |x| = V S V*, and u = W P V* with P keeping the singular values above
+    SUPPORT_CUTOFF times the block's largest.
     """
-    svds = [np.linalg.svd(blk) for blk in x.blocks]
-    u_blocks = [(w * (s > SUPPORT_CUTOFF * s[0])) @ vh for w, s, vh in svds]
-    absx = _from_spectrum(x.profile, [s for _, s, _ in svds],
-                          [vh.conj().T for _, _, vh in svds])
-    return BlockMatrix(x.profile, u_blocks, copy=False), absx
+    u, vecs, svals = np.empty(x.profile.coord_dim, dtype=complex), [], []
+    for d, m, rows in size_groups(x.profile):
+        w, s, vh = np.linalg.svd(x.flat()[rows].reshape(m, d, d))
+        u[rows] = ((w * (s > SUPPORT_CUTOFF * s[:, :1])[:, None, :]) @ vh).reshape(m, d * d)
+        vecs.append(vh.conj().swapaxes(1, 2))
+        svals.append(s)
+    return BlockMatrix._of_flat(x.profile, u), from_eig_groups(x.profile, vecs, svals)
 
 
 def support_of(P: BlockMatrix) -> BlockMatrix:

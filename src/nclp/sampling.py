@@ -25,7 +25,7 @@ def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def element(profile: BlockProfile, rng: np.random.Generator, scale: float = 1.0) -> BlockMatrix:
     """Complex Gaussian block matrix."""
-    return BlockMatrix(profile, [scale * _ginibre(d, rng) for d in profile], copy=False)
+    return BlockMatrix(profile, [scale * _ginibre(d, rng) for d in profile])
 
 
 def hermitian(profile: BlockProfile, rng: np.random.Generator, scale: float = 1.0) -> BlockMatrix:
@@ -33,7 +33,7 @@ def hermitian(profile: BlockProfile, rng: np.random.Generator, scale: float = 1.
     for d in profile:
         g = _ginibre(d, rng)
         blocks.append(scale * (g + g.conj().T) / 2)
-    return BlockMatrix(profile, blocks, copy=False)
+    return BlockMatrix(profile, blocks)
 
 
 def psd(profile: BlockProfile, rng: np.random.Generator, eps: float = 0.0) -> BlockMatrix:
@@ -42,7 +42,7 @@ def psd(profile: BlockProfile, rng: np.random.Generator, eps: float = 0.0) -> Bl
     for d in profile:
         g = _ginibre(d, rng) / np.sqrt(2.0 * d)
         blocks.append(g @ g.conj().T + eps * np.eye(d))
-    return BlockMatrix(profile, blocks, copy=False)
+    return BlockMatrix(profile, blocks)
 
 
 def unitary(n: int, rng: np.random.Generator) -> np.ndarray:

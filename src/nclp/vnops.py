@@ -11,22 +11,21 @@ weights and *-algebra generation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import NoConvergence, NotFaithful, NotPSD, ProfileMismatch
 from .matcore import (
-    PSD_TOL,
     SUPPORT_CUTOFF,
     BlockMatrix,
     BlockProfile,
-    _from_spectrum,
-    _spectral_power,
     block_stacks,
     commutator_norm,
+    eigh_groups,
     flat_columns,
-    hermitian_eig,
+    from_eig_groups,
+    psd_range,
+    spectral_power,
     support_of,
 )
 
@@ -75,8 +74,8 @@ class Weight:
         rho = rho.hermitized()
         object.__setattr__(self, "profile", rho.profile)
         object.__setattr__(self, "rho", rho)
-        if self._min_eig < -PSD_TOL * max(1.0, self._max_eig):
-            raise NotPSD(f"density has eigenvalue {self._min_eig:.3e}")
+        self._spectral = eigh_groups(rho.profile, rho.flat())
+        self._range = psd_range(self._spectral[0])
 
     def __setattr__(self, name, value):
         if name != "__dict__" and not name.startswith("_"):
@@ -93,25 +92,10 @@ class Weight:
         n = profile.total_dim
         return cls(BlockMatrix.identity(profile) * (total / n))
 
-    @cached_property
-    def _spectral(self):
-        lams, V = hermitian_eig(self.rho)
-        return lams, V
-
-    @property
-    def _max_eig(self) -> float:
-        lams, _ = self._spectral
-        return max(float(l[-1]) for l in lams)
-
-    @property
-    def _min_eig(self) -> float:
-        lams, _ = self._spectral
-        return min(float(l[0]) for l in lams)
-
     @property
     def is_faithful(self) -> bool:
-        top = self._max_eig
-        return top > 0.0 and self._min_eig > SUPPORT_CUTOFF * top
+        low, top = self._range
+        return top > 0.0 and low > SUPPORT_CUTOFF * top
 
     def require_faithful(self, what: str = "operation"):
         if not self.is_faithful:
@@ -120,9 +104,7 @@ class Weight:
     def value(self, a: BlockMatrix) -> complex:
         if a.profile != self.profile:
             raise ProfileMismatch("element profile differs from weight profile")
-        return complex(
-            sum(np.trace(r @ b) for r, b in zip(self.rho.blocks, a.blocks))
-        )
+        return complex(self.rho.flat() @ a.transpose().flat())
 
     def total(self) -> float:
         return float(self.rho.trace().real)
@@ -132,21 +114,19 @@ class Weight:
         t = float(t)
         if t < 0 and not self.is_faithful:
             raise NotFaithful("negative power of a non-faithful density")
-        lams, V = self._spectral
-        return _spectral_power(self.profile, lams, V.blocks, t)
+        return spectral_power(self.profile, self._spectral, t)
 
     def log_density(self) -> BlockMatrix:
         """log rho (faithful weights only), the generator of rho^{it} = exp(it log rho)."""
         self.require_faithful("log rho")
-        lams, V = self._spectral
-        return _from_spectrum(self.profile, [np.log(lam) for lam in lams], V.blocks)
+        lams, vecs = self._spectral
+        return from_eig_groups(self.profile, vecs, [np.log(lam) for lam in lams])
 
     def imaginary_power(self, t: float) -> BlockMatrix:
         """The unitary rho^{it} (faithful weights only)."""
         self.require_faithful("rho^{it}")
-        lams, V = self._spectral
-        phases = [np.exp(1j * t * np.log(lam)) for lam in lams]
-        return _from_spectrum(self.profile, phases, V.blocks)
+        lams, vecs = self._spectral
+        return from_eig_groups(self.profile, vecs, [np.exp(1j * t * np.log(lam)) for lam in lams])
 
 
 def support_projection(w: Weight) -> Projection:
@@ -297,7 +277,7 @@ def _algebra_unit(profile: BlockProfile, rows: np.ndarray) -> BlockMatrix:
     """
     stacks = block_stacks(profile, rows.T)
     gram = [np.einsum("kij,klj->il", X, X.conj()) for X in stacks]
-    unit = support_of(BlockMatrix(profile, gram, copy=False))
+    unit = support_of(BlockMatrix(profile, gram))
     defect = flat_columns([u @ X - X for u, X in zip(unit.blocks, stacks)])
     worst = float(np.max(np.linalg.norm(defect, axis=0), initial=0.0))
     if worst > 1e-8:

@@ -49,6 +49,7 @@ from nclp.matcore import (
     BlockProfile,
     _lp_norm,
     block_stacks,
+    eigh_groups,
     flat_columns,
     schatten_norm,
 )
@@ -763,7 +764,7 @@ def _cone(C, max_iter=200):
     change of weights included, so the cone is reached here directly.
     """
     mat, dom, cod = C.matrix(), C.domain_profile, C.codomain_profile
-    unit = compop._eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
+    unit = eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
     lower, upper, steps, closed = compop._cone_norm(mat, dom, cod, C.p, C.q, unit, max_iter)
     return NormEstimate(lower_bound=lower, iterations=steps, restarts=0, seed=0,
                         capped=int(not closed), upper_bound=upper)
@@ -959,7 +960,7 @@ def test_single_kraus_slack_covers_a_defect_below_the_tolerance():
     mat = np.eye(n * n) + delta * np.outer(p0.ravel(), np.eye(n).ravel())
     stacks = compop._choi_stacks(mat, profile, profile)
     two = Exponent(2)
-    unit = compop._eigh_groups(profile, mat.conj().T @ np.eye(n).ravel())
+    unit = eigh_groups(profile, mat.conj().T @ np.eye(n).ravel())
     lower, upper = compop._single_kraus_norm(mat, profile, profile, two, two, stacks, unit)
     top = float(np.linalg.svd(mat, compute_uv=False)[0])
     assert top > 1.0 + 1.4 * delta
@@ -1206,7 +1207,7 @@ def _reference_projection(profile, rng):
             keep = lam > rng.uniform(lam[0], lam[-1])
         blk = (v * keep.astype(float)) @ v.conj().T
         blocks.append((blk + blk.conj().T) / 2)
-    return BlockMatrix(profile, blocks, copy=False)
+    return BlockMatrix(profile, blocks)
 
 
 def _reference_classify(S, w1, w2, probes, seed):

@@ -55,3 +55,14 @@ def test_holder_complement_exact():
     assert holder_complement(INF, Exponent(2)) == Exponent(2)
     with pytest.raises(ExponentOrder):
         holder_complement(Exponent(1), Exponent(2))
+
+
+def test_reciprocal_is_computed_once(monkeypatch):
+    p, q = Exponent("3"), Exponent(Exponent("3/2"))
+    assert (p.reciprocal(), q.reciprocal(), INF.reciprocal()) == (Fraction(1, 3), Fraction(2, 3), 0)
+    divisions = []
+    div = Fraction.__truediv__
+    monkeypatch.setattr(Fraction, "__truediv__", lambda a, b: divisions.append(1) or div(a, b))
+    monkeypatch.setattr(Fraction, "__rtruediv__", lambda a, b: divisions.append(1) or div(b, a))
+    assert q <= p and not p < q and INF > p and p >= p and p.reciprocal() is p.reciprocal()
+    assert divisions == []

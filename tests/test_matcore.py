@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nclp.errors import BadExponent, NotHermitian, NotPSD, SingularNegativePower
+from nclp.errors import BadExponent, NotHermitian, NotPSD, ProfileMismatch, SingularNegativePower
 from nclp.matcore import (
     BlockMatrix,
     BlockProfile,
@@ -37,6 +39,15 @@ def test_profile_validation():
         BlockProfile([2, 0])
     assert BlockProfile([2, 3]).coord_dim == 13
     assert BlockProfile([2, 3]).total_dim == 5
+
+
+def test_profile_sizes_are_computed_once():
+    read, fresh = BlockProfile([2, 3]), BlockProfile([2, 3])
+    assert (read.coord_dim, read.total_dim) == (13, 5)
+    assert vars(read) == {"dims": (2, 3), "coord_dim": 13, "total_dim": 5}
+    assert [f.name for f in dataclasses.fields(BlockProfile)] == ["dims"]
+    assert read == fresh and hash(read) == hash(fresh)
+    assert read != BlockProfile([3, 2])
 
 
 def test_eig_diagonal_input():
@@ -181,7 +192,7 @@ def test_norm_monotonicity():
 
 
 def block_unitary(profile, rng):
-    return BlockMatrix(profile, [unitary(d, rng) for d in profile], copy=False)
+    return BlockMatrix(profile, [unitary(d, rng) for d in profile])
 
 
 def test_unitary_invariance():
@@ -244,3 +255,107 @@ def test_block_stacks_round_trip():
                 assert np.array_equal(stacks[b][k], x.blocks[b])
         assert np.array_equal(flat_columns(stacks), cols)
         assert flat_columns(block_stacks(profile, cols[:, :0])).shape == (profile.coord_dim, 0)
+
+
+MIXED = BlockProfile([1, 3, 1, 2, 3])
+
+
+def test_flat_operations_match_per_block_numpy():
+    rng = generator(13)
+    x, y = element(MIXED, rng), element(MIXED, rng)
+    xb, yb = [np.array(b) for b in x.blocks], [np.array(b) for b in y.blocks]
+    c = 0.7 - 1.3j
+
+    def same(got, blocks):
+        assert got.profile == MIXED
+        assert len(got.blocks) == len(blocks)
+        for g, b in zip(got.blocks, blocks):
+            np.testing.assert_array_equal(g, b)
+
+    same(x + y, [a + b for a, b in zip(xb, yb)])
+    same(x - y, [a - b for a, b in zip(xb, yb)])
+    same(c * x, [c * a for a in xb])
+    same(x * c, [c * a for a in xb])
+    same(-x, [-a for a in xb])
+    same(x.adjoint(), [a.conj().T for a in xb])
+    same(x.transpose(), [a.T for a in xb])
+    same(x.hermitized(), [(a + a.conj().T) / 2 for a in xb])
+    for g, a, b in zip((x @ y).blocks, xb, yb):
+        np.testing.assert_allclose(g, a @ b, rtol=0, atol=1e-14)
+    assert x.trace() == pytest.approx(sum(np.trace(a) for a in xb), abs=1e-14)
+    assert x.fro_norm() == pytest.approx(np.sqrt(sum(np.linalg.norm(a) ** 2 for a in xb)),
+                                         rel=1e-15)
+    assert x.hs_inner(y) == pytest.approx(sum(np.vdot(a, b) for a, b in zip(xb, yb)), abs=1e-13)
+    assert x.max_abs() == max(np.max(np.abs(a)) for a in xb)
+    np.testing.assert_array_equal(x.flat(), np.concatenate([a.ravel() for a in xb]))
+    same(BlockMatrix.unflat(MIXED, x.flat()), xb)
+    same(BlockMatrix.zeros(MIXED), [np.zeros((d, d)) for d in MIXED])
+    same(BlockMatrix.identity(MIXED), [np.eye(d) for d in MIXED])
+    values = np.arange(1.0, MIXED.total_dim + 1)
+    starts = np.cumsum([0] + list(MIXED.dims))
+    same(BlockMatrix.diagonal(MIXED, values),
+         [np.diag(values[s : s + d]) for s, d in zip(starts, MIXED.dims)])
+    for block, row, col in [(1, 2, 0), (3, 0, 1), (2, 0, 0), (-1, 1, 2)]:
+        expected = [np.zeros((d, d)) for d in MIXED]
+        expected[block][row, col] = 1.0
+        same(BlockMatrix.matrix_unit(MIXED, block, row, col), expected)
+    with pytest.raises(ProfileMismatch):
+        x + element(BlockProfile([1, 3, 1, 3, 2]), rng)
+
+
+def test_block_matrix_owns_its_storage():
+    rng = generator(14)
+    v = element(MIXED, rng).flat().copy()
+    kept = v.copy()
+    x = BlockMatrix.unflat(MIXED, v)
+    v[0] = 5.0
+    np.testing.assert_array_equal(x.flat(), kept)
+    assert x.blocks[0][0, 0] == kept[0]
+    blocks = [np.array(b) for b in element(MIXED, rng).blocks]
+    kept_blocks = [b.copy() for b in blocks]
+    y = BlockMatrix(MIXED, blocks)
+    for b in blocks:
+        assert b.flags.writeable
+        b[0, 0] = 7.0
+    for got, expected in zip(y.blocks, kept_blocks):
+        np.testing.assert_array_equal(got, expected)
+    for arr in (x.flat(), x.blocks[1]):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+
+
+def _per_block_power(P, t):
+    """Reference P^t: one numpy.linalg.eigh per block, support convention 0^t = 0."""
+    eigs = [np.linalg.eigh((b + b.conj().T) / 2) for b in P.blocks]
+    cutoff = 1e-12 * max(lam[-1] for lam, _ in eigs)
+    blocks = []
+    for lam, v in eigs:
+        f = np.zeros_like(lam)
+        on = lam > cutoff
+        f[on] = 1.0 if t == 0 else lam[on] ** t
+        blocks.append((v * f) @ v.conj().T)
+    return BlockMatrix(P.profile, blocks)
+
+
+def test_frac_power_matches_per_block_eigh():
+    rng = generator(15)
+    full = psd(MIXED, rng, eps=0.05)
+    # rank-deficient: a zero 1x1 block and a rank-one 3x3 block
+    blocks = [np.array(b) for b in psd(MIXED, rng, eps=0.05).blocks]
+    blocks[2] = np.zeros((1, 1))
+    u = unitary(3, rng)
+    blocks[4] = (u * np.array([0.0, 0.0, 2.0])) @ u.conj().T
+    singular = BlockMatrix(MIXED, blocks)
+    for P in (full, singular):
+        for t in (0, 0.25, 1 / 3, 0.5, 2):
+            got = frac_power(P, t)
+            assert (got - _per_block_power(P, t)).fro_norm() < 1e-12
+            # the inverse of the spectral kernel returns an exactly Hermitian element
+            np.testing.assert_array_equal(got.flat(), got.adjoint().flat())
+    assert support_of(singular).allclose(_per_block_power(singular, 0), tol=1e-12)
+    assert round(support_of(singular).trace().real) == MIXED.total_dim - 3
+    assert (frac_power(full, -0.5) - _per_block_power(full, -0.5)).fro_norm() < 1e-10
+    with pytest.raises(SingularNegativePower):
+        frac_power(singular, -0.5)
+    with pytest.raises(NotPSD):
+        frac_power(full - BlockMatrix.identity(MIXED) * 10.0, 0.5)

@@ -235,3 +235,40 @@ def test_projection_type():
     assert p.join(q).matrix.allclose(BlockMatrix.identity(PROF2))
     assert p.leq(Projection(BlockMatrix.identity(PROF2)))
     assert not Projection(BlockMatrix.identity(PROF2)).leq(p)
+
+
+def test_weights_on_atoms_need_no_eigensolver(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *rest: calls.append(a) or eigh(a, *rest))
+    atoms = BlockProfile([1] * 17)
+    masses = np.linspace(0.1, 2.0, 17)
+    w = Weight.diagonal(atoms, masses)
+    assert w.is_faithful
+    np.testing.assert_allclose(w.power(0.25).flat(), masses ** 0.25, rtol=1e-15)
+    np.testing.assert_allclose(w.log_density().flat(), np.log(masses), rtol=1e-15)
+    assert w.imaginary_power(0.5).allclose(BlockMatrix.diagonal(atoms, masses ** 0.5j), tol=1e-14)
+    assert calls == []
+    Weight(psd(BlockProfile([1, 2]), generator(3), eps=0.1)).power(0.5)
+    assert [a.shape for a in calls] == [(1, 2, 2)]
+
+
+def test_weight_power_matches_per_block_eigh():
+    mixed = BlockProfile([1, 3, 1, 2, 3])
+    rng = generator(16)
+    rho = psd(mixed, rng, eps=0.05)
+    w = Weight(rho)
+    eigs = [np.linalg.eigh(b) for b in rho.blocks]
+    for t in (0, 0.25, -0.5, 1.5):
+        ref = BlockMatrix(mixed, [(v * lam ** t) @ v.conj().T for lam, v in eigs])
+        assert (w.power(t) - ref).fro_norm() < 1e-12 * max(1.0, ref.fro_norm())
+    ref_log = BlockMatrix(mixed, [(v * np.log(lam)) @ v.conj().T for lam, v in eigs])
+    assert (w.log_density() - ref_log).fro_norm() < 1e-12
+    blocks = [np.array(b) for b in rho.blocks]
+    blocks[3] = np.zeros((2, 2))
+    singular = Weight(BlockMatrix(mixed, blocks))
+    assert round(singular.power(0).trace().real) == mixed.total_dim - 2
+    with pytest.raises(NotFaithful):
+        singular.power(-0.5)
+    with pytest.raises(NotPSD):
+        Weight(rho - BlockMatrix.identity(mixed) * 10.0)
