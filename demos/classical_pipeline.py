@@ -9,7 +9,6 @@ from nclp import (
     criterion,
     diagonal_consistency,
     eps_delta_modulus,
-    exact_diagonal_norm,
     five_step_pipeline,
     operator_norm,
     pushforward,
@@ -31,14 +30,14 @@ crit = criterion(T, m1, m2, 2, 1)
 print(f"\nr = {crit.r}, ||f||_r = {crit.norm_f:.6f}, bound = {crit.bound:.6f}")
 
 C = build_classical(T, m1, m2, 2, 1)
-exact = exact_diagonal_norm(T, m1, m2, 2, 1)
-iterative = operator_norm(C, restarts=6, seed=0, method="alternating").lower_bound
+exact = C.criterion.measured
+iterative = operator_norm(C.direct, restarts=6, seed=0, method="alternating").lower_bound
 print(f"exact norm {exact:.6f}, alternating maximiser {iterative:.6f}")
 print("(for q < p the Lagrange profile attains the bound exactly)")
 
 # The operator factors through five canonical stages; the composite agrees
 # with the direct construction and the middle stage is an isometry.
-pipe = five_step_pipeline(T, m1, m2, 2, 1)
+pipe = five_step_pipeline(C)
 print(f"\npullback partition of the domain: {pipe.partition.blocks}")
 print(f"five-step composite residual: {pipe.composite_residual:.2e}")
 print(f"stage-three isometry residual: {pipe.isometry_residual:.2e}")
@@ -51,5 +50,5 @@ print(f"delta*(eps=0.8) = {eps_delta_modulus(phi0, phi1, 0.8)}")
 print(f"delta*(eps=2.0) = {eps_delta_modulus(phi0, phi1, 2.0)}  (never reached)")
 
 # The commutative operator agrees with its diagonal noncommutative encoding.
-rep = diagonal_consistency(T, m1, m2, 2, 1)
+rep = diagonal_consistency(C)
 print(f"\ndiagonal consistency residual: {rep.max_residual:.2e}")

@@ -98,6 +98,7 @@ from .compop import (
     splitting_inequality_check,
 )
 from .classical import (
+    ClassicalOperator,
     ConsistencyReport,
     CriterionResult,
     FiniteMeasureSpace,

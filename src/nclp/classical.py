@@ -108,10 +108,7 @@ class Partition:
 
 
 def pushforward(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace):
-    """The measure m2 o T^{-1} on the atoms of X1, plus its support.
-
-    Returns (per-atom masses aligned with m1.atoms, support atom tuple).
-    """
+    """(masses of m2 o T^{-1} on the atoms of X1, aligned with m1.atoms; its support atoms)."""
     T.validate(m1, m2)
     out = np.zeros(m1.size)
     for y, x in T.mapping:
@@ -131,30 +128,53 @@ class CriterionResult:
     r: Exponent
     norm_f: float
     bound: float
+    measured: float        # the Lagrange witness's value, the exact norm
 
 
 def criterion(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
               p, q) -> CriterionResult:
-    """The boundedness criterion for the induced operator l^p(m1) -> l^q(m2).
+    """The boundedness criterion for the induced operator l^p(m1) -> l^q(m2), with its witness.
 
     r = p/(p-q), the conjugate of p/q: infinite when p = q, and 1 at
     p = inf with q finite.  The operator is bounded iff the derivative of
     m2 o T^{-1} lies in L^r(m1), and then its norm is at most norm_f^{1/q}
-    where norm_f is that L^r norm.
+    where norm_f is that L^r norm; the bound is attained (`exact_diagonal_norm`).
     """
-    p, q = coerce(p), coerce(q)
-    require_order(p, q)
-    f = rn_derivative(T, m1, m2)
+    return _classical(T, m1, m2, p, q).criterion
+
+
+def exact_diagonal_norm(pushed: np.ndarray, m1: FiniteMeasureSpace, p: Exponent, q: Exponent
+                        ) -> CriterionResult:
+    """The criterion and the exact norm of the classical operator whose pushforward is `pushed`.
+
+    With f = pushed / m1, the Lagrange profile g = f^{1/(p-q)} on the support
+    of f (for p = q, the indicator of the largest f) attains the norm: its
+    value ||g o T||_q / ||g||_p, `measured`, is the bound ||f||_r^{1/q} (0 when
+    f is 0, also at q = inf).  g and ||f||_r are taken from f / max f (the value
+    is homogeneous of degree 0 in g), so p just above q cannot overflow them.
+    Raises NoConvergence if the value exceeds the bound by more than 1e-9 relative.
+    """
+    masses = np.array(m1.mass)
+    f = pushed / masses
     r = ratio(p, q).conjugate()
     top = float(np.max(f))
-    if r.is_inf or top == 0.0:
-        norm_f = top
+    pos = np.where(f > 0)[0]
+    if pos.size == 0:
+        return CriterionResult(r=r, norm_f=top, bound=0.0, measured=0.0)
+    pf, qf, rf = float(p), float(q), float(r)
+    norm_f = top if r.is_inf else top * float(np.sum(masses * (f / top) ** rf)) ** (1.0 / rf)
+    bound = norm_f ** (1.0 / qf)
+    g = np.zeros_like(f)
+    if p == q:
+        g[max(pos, key=lambda i: f[i])] = 1.0
     else:
-        # top is factored out: f ** r overflows when p is just above q
-        rf = float(r)
-        norm_f = top * float(np.sum(np.array(m1.mass) * (f / top) ** rf)) ** (1.0 / rf)
-    bound = norm_f ** (1.0 / float(q))
-    return CriterionResult(r=r, norm_f=norm_f, bound=bound)
+        g[pos] = (f[pos] / top) ** (1.0 / (pf - qf))
+    num = float(np.sum(masses * f * g ** qf)) ** (1.0 / qf)
+    den = float(np.sum(masses * g ** pf)) ** (1.0 / pf)   # > 0: g is 1 at the largest f
+    measured = num / den
+    if measured > bound * (1.0 + 1e-9):
+        raise NoConvergence(f"measured norm {measured:.12f} exceeds criterion bound {bound:.12f}")
+    return CriterionResult(r=r, norm_f=norm_f, bound=bound, measured=measured)
 
 
 def _index_map(dom: FiniteMeasureSpace, cod: FiniteMeasureSpace, p, q,
@@ -174,70 +194,54 @@ def _max_column_norm(mat: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(mat, axis=0), initial=0.0))
 
 
-def exact_diagonal_norm(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
-                        p, q) -> float:
-    """Exact l^p(m1) -> l^q(m2) norm of the composition operator, from its witness.
+@dataclass(frozen=True, eq=False)
+class ClassicalOperator:
+    """f -> f o T (zero off the domain), `direct`, with its pushforward and its criterion.
 
-    The Lagrange profile g = f^{1/(p-q)} on the support of the derivative f
-    (for p = q, the indicator of the largest f) attains the norm, and its
-    value ||g o T||_q / ||g||_p is the criterion bound ||f||_r^{1/q}.  The
-    value is homogeneous of degree 0 in g, so g is taken from f / max f:
-    f^{1/(p-q)} overflows when p is just above q.
+    On embedded coordinates x = f m1^{1/p}, `direct` sends atom T(y) to atom y
+    with scale m2(y)^{1/q} / m1(T(y))^{1/p}.
     """
+
+    T: PointMap
+    m1: FiniteMeasureSpace
+    m2: FiniteMeasureSpace
+    p: Exponent
+    q: Exponent
+    pushed: np.ndarray
+    support: tuple
+    criterion: CriterionResult
+    direct: SuperOperator
+
+
+def _classical(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
+               p, q) -> ClassicalOperator:
+    """The operator, its pushforward and its criterion, without the maximiser's cross-check."""
     p, q = coerce(p), coerce(q)
     require_order(p, q)
-    f = rn_derivative(T, m1, m2)
-    masses = np.array(m1.mass)
-    pos = np.where(f > 0)[0]
-    if pos.size == 0:
-        return 0.0
-    pf, qf = float(p), float(q)
-    g = np.zeros_like(f)
-    if p == q:
-        g[max(pos, key=lambda i: f[i])] = 1.0
-    else:
-        g[pos] = (f[pos] / np.max(f)) ** (1.0 / (pf - qf))
-    num = float(np.sum(masses * f * g ** qf)) ** (1.0 / qf)
-    den = float(np.sum(masses * g ** pf)) ** (1.0 / pf)
-    return num / den if den > 0 else 0.0
-
-
-def _classical_map(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
-                   p: Exponent, q: Exponent) -> SuperOperator:
-    """f -> f o T without norm checks: atom T(y) to atom y, scale m2(y)^{1/q} / m1(T(y))^{1/p}."""
-    T.validate(m1, m2)
+    pushed, support = pushforward(T, m1, m2)
     rows = [m2.index(y) for y, _ in T.mapping]
     cols = [m1.index(x) for _, x in T.mapping]
     w1 = np.array(m1.mass) ** float(p.reciprocal())
     w2 = np.array(m2.mass) ** float(q.reciprocal())
-    return _index_map(m1, m2, p, q, rows, cols, w2[rows] * (1.0 / w1[cols]))
+    return ClassicalOperator(
+        T=T, m1=m1, m2=m2, p=p, q=q, pushed=pushed, support=support,
+        criterion=exact_diagonal_norm(pushed, m1, p, q),
+        direct=_index_map(m1, m2, p, q, rows, cols, w2[rows] * (1.0 / w1[cols])))
 
 
 def build_classical(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
-                    p, q) -> SuperOperator:
-    """The composition operator f -> f o T (zero off the domain) as a diagonal map.
+                    p, q) -> ClassicalOperator:
+    """The checked classical composition operator.
 
-    On embedded coordinates x = f m1^{1/p} it sends atom T(y) to atom y with
-    scale m2(y)^{1/q} / m1(T(y))^{1/p}.  Asserts the measured norm against
-    the criterion bound: the exact norm (exact_diagonal_norm) must stay
-    within 1e-9 relative of the bound, and the alternating maximiser is run
-    as an independent cross-check from below, within 1e-6 relative of it.
+    The exact norm is checked against the criterion bound when it is
+    formed (`exact_diagonal_norm`); the alternating maximiser is then run as
+    an independent cross-check from below, within 1e-6 relative of it.
     """
-    p, q = coerce(p), coerce(q)
-    require_order(p, q)
-    op = _classical_map(T, m1, m2, p, q)
-    crit = criterion(T, m1, m2, p, q)
-    measured = exact_diagonal_norm(T, m1, m2, p, q)
-    if measured > crit.bound * (1.0 + 1e-9):
-        raise NoConvergence(
-            f"measured norm {measured:.12f} exceeds criterion bound {crit.bound:.12f}"
-        )
-    est = operator_norm(op, restarts=3, max_iter=60, seed=3, method="alternating")
-    if est.lower_bound > measured * (1.0 + 1e-6):
-        raise NoConvergence(
-            f"alternating maximiser {est.lower_bound:.12f} beats the exact norm"
-        )
-    return op
+    C = _classical(T, m1, m2, p, q)
+    est = operator_norm(C.direct, restarts=3, max_iter=60, seed=3, method="alternating")
+    if est.lower_bound > C.criterion.measured * (1.0 + 1e-6):
+        raise NoConvergence(f"alternating maximiser {est.lower_bound:.12f} beats the exact norm")
+    return C
 
 
 @dataclass(frozen=True)
@@ -254,8 +258,7 @@ class PipelineResult:
     isometry_residual: float
 
 
-def five_step_pipeline(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
-                       p, q) -> PipelineResult:
+def five_step_pipeline(C: ClassicalOperator) -> PipelineResult:
     """Factor the composition operator through its five canonical stages.
 
     Each stage is an index map plus a scale (`_index_map`), so the
@@ -265,12 +268,8 @@ def five_step_pipeline(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpa
     within 1e-10 of the direct operator's largest column norm.  The third stage is
     an exact isometry, checked on the basis and three seeded probes.
     """
-    p, q = coerce(p), coerce(q)
-    require_order(p, q)
-    T.validate(m1, m2)
-    pushed, support = pushforward(T, m1, m2)
+    T, m1, m2, p, q, support = C.T, C.m1, C.m2, C.p, C.q, C.support
     part = Partition.from_preimages(T)
-    direct = _classical_map(T, m1, m2, p, q)
     if not support:
         # empty domain: the operator factors through the zero space, so every
         # stage degenerates to the zero map into the target
@@ -278,11 +277,11 @@ def five_step_pipeline(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpa
         return PipelineResult(
             restriction=zero, change=zero, isometry=zero, refinement=zero,
             extension=zero, partition=part,
-            composite_residual=_max_column_norm(direct.matrix()), isometry_residual=0.0,
+            composite_residual=_max_column_norm(C.direct.matrix()), isometry_residual=0.0,
         )
     z_idx = [m1.index(a) for a in support]
     space_z1 = FiniteMeasureSpace(support, [m1.mass[i] for i in z_idx])
-    space_z_nu = FiniteMeasureSpace(support, pushed[z_idx])
+    space_z_nu = FiniteMeasureSpace(support, C.pushed[z_idx])
     # blocks of the pullback algebra, in bijection with the support atoms
     block_labels = tuple("|".join(str(y) for y in blk) for blk in part.blocks)
     block_targets = [T.image_of(blk[0]) for blk in part.blocks]
@@ -318,7 +317,7 @@ def five_step_pipeline(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpa
     return PipelineResult(
         restriction=restriction, change=change, isometry=isometry,
         refinement=refinement, extension=extension, partition=part,
-        composite_residual=_max_column_norm(composite.matrix() - direct.matrix()),
+        composite_residual=_max_column_norm(composite.matrix() - C.direct.matrix()),
         isometry_residual=iso_res,
     )
 
@@ -363,8 +362,7 @@ class ConsistencyReport:
     ok: bool
 
 
-def diagonal_consistency(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
-                         p, q) -> ConsistencyReport:
+def diagonal_consistency(C: ClassicalOperator) -> ConsistencyReport:
     """Cross-validate the classical operator against the diagonal noncommutative one.
 
     Encodes the spaces as diagonal-block algebras with the masses as
@@ -373,9 +371,8 @@ def diagonal_consistency(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureS
     difference of their matrices against the largest column norm of the
     classical one.
     """
-    p, q = coerce(p), coerce(q)
-    spec = point_map_morphism(T, m1, m2)
-    c_nc = build_composition(spec, m1.weight(), m2.weight(), p, q)
-    direct = _classical_map(T, m1, m2, p, q).matrix()
+    spec = point_map_morphism(C.T, C.m1, C.m2)
+    c_nc = build_composition(spec, C.m1.weight(), C.m2.weight(), C.p, C.q)
+    direct = C.direct.matrix()
     worst = _max_column_norm(c_nc.matrix() - direct)
     return ConsistencyReport(max_residual=worst, ok=worst <= 1e-9 * _max_column_norm(direct))

@@ -119,7 +119,9 @@ class JordanMorphismSpec:
         object.__setattr__(self, "tiles", tuple(norm_tiles))
         object.__setattr__(self, "block_unitaries", bus)
         object.__setattr__(self, "_matrix", None)
-        self._self_check()
+        if any(t.conj_unitary is not None for t in norm_tiles) or any(
+                w is not None for w in bus or ()):
+            self._self_check()
 
     def __setattr__(self, name, value):
         raise AttributeError("JordanMorphismSpec is immutable")
@@ -128,7 +130,10 @@ class JordanMorphismSpec:
         """The Jordan laws on every pair of matrix units (`jordan_defect`), to JORDAN_TOL.
 
         J(1) is then a projection too: J(1)^2 - J(1) is a sum of the
-        residuals on the pairs (E_ii, E_kk).
+        residuals on the pairs (E_ii, E_kk).  Run only when a unitary is
+        given: without one, each tile copies its source block (transposed for
+        A) onto its own diagonal range, so the matrix is 0/1 with at most one
+        1 per row, the laws hold, and `jordan_defect` returns exactly 0.0.
         """
         worst, _ = jordan_defect(self.matrix(), self.profile1, self.profile2)
         if worst > JORDAN_TOL:

@@ -13,6 +13,7 @@ import pytest
 from nclp.classical import (
     FiniteMeasureSpace,
     PointMap,
+    _classical,
     diagonal_consistency,
     criterion as classical_criterion,
     eps_delta_modulus,
@@ -294,10 +295,11 @@ def test_criterion_08_classical_layer():
         }
         Tk = PointMap(mapping)
         pq = [(2, 1), (3, "1.5"), (2, 2)][k % 3]
-        pipe = five_step_pipeline(Tk, s1, s2, *pq)
+        Ck = _classical(Tk, s1, s2, *pq)
+        pipe = five_step_pipeline(Ck)
         worst_pipe = max(worst_pipe, pipe.composite_residual, pipe.isometry_residual)
         assert pipe.composite_residual < 1e-10
-        cons = diagonal_consistency(Tk, s1, s2, *pq)
+        cons = diagonal_consistency(Ck)
         worst_cons = max(worst_cons, cons.max_residual)
         assert cons.max_residual < 1e-9
     clock.done(

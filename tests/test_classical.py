@@ -7,12 +7,11 @@ from nclp.classical import (
     FiniteMeasureSpace,
     Partition,
     PointMap,
-    _classical_map,
+    _classical,
     build_classical,
     criterion,
     diagonal_consistency,
     eps_delta_modulus,
-    exact_diagonal_norm,
     five_step_pipeline,
     point_map_morphism,
     pushforward,
@@ -98,17 +97,29 @@ def test_criterion_identity_probability():
         criterion(Ti, m1, m1, 1, 2)
 
 
+def test_zero_operator_has_bound_zero():
+    # an empty domain gives f = 0: the bound ||f||_r^{1/q} is 0 like the
+    # witness's value, also at q = inf, where 0 ** (1/q) would read 1
+    _, m1, m2 = running_example()
+    for p, q in (("inf", "inf"), (2, 1), ("inf", 2)):
+        crit = criterion(PointMap({}), m1, m2, p, q)
+        assert crit.bound == crit.measured == 0.0
+    T, m1, m2 = running_example()
+    crit = criterion(T, m1, m2, "inf", "inf")
+    assert crit.bound == crit.measured == 1.0
+
+
 def test_build_classical_running_example():
     T, m1, m2 = running_example()
     C = build_classical(T, m1, m2, 2, 1)
     # basis action: indicator of 'a' pulled back to {x, y}
     x = BlockMatrix.diagonal(m1.profile(), [1.0, 0.0])  # embedded indicator * mass^(1/2)
-    out = C.apply(x)
+    out = C.direct.apply(x)
     f_a = 1.0 / 0.5 ** 0.5
     expected = np.array([1 / 3 * f_a, 1 / 3 * f_a, 0.0])
     assert np.allclose([b[0, 0].real for b in out.blocks], expected)
-    measured = exact_diagonal_norm(T, m1, m2, 2, 1)
-    crit = criterion(T, m1, m2, 2, 1)
+    crit = C.criterion
+    measured = crit.measured
     assert measured <= crit.bound + 1e-9
     # q = 1 with the full-support Lagrange profile attains the bound
     assert measured == pytest.approx(crit.bound, abs=1e-6)
@@ -118,7 +129,7 @@ def test_build_classical_empty_domain():
     _, m1, m2 = running_example()
     C = build_classical(PointMap({}), m1, m2, 2, 1)
     x = BlockMatrix.diagonal(m1.profile(), [1.0, 2.0])
-    assert C.apply(x).fro_norm() == 0.0
+    assert C.direct.apply(x).fro_norm() == 0.0
 
 
 def test_sharpness_on_random_spaces():
@@ -127,8 +138,7 @@ def test_sharpness_on_random_spaces():
         T, m1, m2 = random_space_pair(rng, max_atoms=6)
         for p, q in ((2, 1), (3, 1.5), (2, 2)):
             crit = criterion(T, m1, m2, p, q)
-            measured = exact_diagonal_norm(T, m1, m2, p, q)
-            assert measured <= crit.bound + 1e-9
+            assert crit.measured <= crit.bound + 1e-9
 
 
 def test_bound_attained_for_constant_derivative():
@@ -140,8 +150,7 @@ def test_bound_attained_for_constant_derivative():
     assert np.allclose(rn_derivative(T, m1, m2), [2.0, 2.0])
     for p in (2, 3, 4):
         crit = criterion(T, m1, m2, p, 1)
-        measured = exact_diagonal_norm(T, m1, m2, p, 1)
-        assert measured == pytest.approx(crit.bound, abs=1e-6)
+        assert crit.measured == pytest.approx(crit.bound, abs=1e-6)
 
 
 PAIRS = [(2, 1), (3, "3/2"), (2, 2), (4, 2), ("inf", 2), ("inf", 1), (1, 1),
@@ -180,7 +189,7 @@ def test_closed_form_matches_support_search():
     cases.append((PointMap({}),) + running_example()[1:])
     for T, m1, m2 in cases:
         for p, q in PAIRS:
-            closed = exact_diagonal_norm(T, m1, m2, p, q)
+            closed = criterion(T, m1, m2, p, q).measured
             searched = _reference_search(T, m1, m2, p, q)
             assert abs(closed - searched) <= 1e-15 * searched
 
@@ -202,15 +211,15 @@ def test_witness_attains_exact_norm():
             else:
                 g[f > 0] = f[f > 0] ** (1.0 / (float(p) - float(q)))
             x = BlockMatrix.diagonal(m1.profile(), g * np.array(m1.mass) ** float(p.reciprocal()))
-            C = _classical_map(T, m1, m2, p, q)
-            value = schatten_norm(C.apply(x), q) / schatten_norm(x, p)
-            assert value == pytest.approx(exact_diagonal_norm(T, m1, m2, p, q), rel=1e-12)
-            assert value == pytest.approx(criterion(T, m1, m2, p, q).bound, rel=1e-12)
+            C = _classical(T, m1, m2, p, q)
+            value = schatten_norm(C.direct.apply(x), q) / schatten_norm(x, p)
+            assert value == pytest.approx(C.criterion.measured, rel=1e-12)
+            assert value == pytest.approx(C.criterion.bound, rel=1e-12)
 
 
 def test_pipeline_running_example():
     T, m1, m2 = running_example()
-    res = five_step_pipeline(T, m1, m2, 2, 1)
+    res = five_step_pipeline(_classical(T, m1, m2, 2, 1))
     assert res.partition.blocks == (("x", "y"), ("z",))
     assert res.composite_residual < 1e-10
     assert res.isometry_residual < 1e-10
@@ -218,10 +227,10 @@ def test_pipeline_running_example():
 
 def test_pipeline_identity_and_constant():
     m1 = FiniteMeasureSpace(["a", "b"], [0.5, 0.5])
-    res = five_step_pipeline(PointMap({"a": "a", "b": "b"}), m1, m1, 3, 1.5)
+    res = five_step_pipeline(_classical(PointMap({"a": "a", "b": "b"}), m1, m1, 3, 1.5))
     assert res.composite_residual < 1e-10
     _, m1b, m2 = running_example()
-    res_c = five_step_pipeline(PointMap({"x": "a", "y": "a", "z": "a"}), m1b, m2, 2, 1)
+    res_c = five_step_pipeline(_classical(PointMap({"x": "a", "y": "a", "z": "a"}), m1b, m2, 2, 1))
     assert len(res_c.partition.blocks) == 1
     assert res_c.composite_residual < 1e-10
 
@@ -230,7 +239,7 @@ def test_pipeline_random_spaces():
     rng = generator(1)
     for _ in range(20):
         T, m1, m2 = random_space_pair(rng, max_atoms=6)
-        res = five_step_pipeline(T, m1, m2, 2, 1)
+        res = five_step_pipeline(_classical(T, m1, m2, 2, 1))
         assert res.composite_residual < 1e-10
         assert res.isometry_residual < 1e-10
 
@@ -257,7 +266,7 @@ def test_isometry_residual_matches_probe_loop(monkeypatch):
         if not T.mapping:
             continue
         for p, q in ((2, 1), (3, "3/2"), ("inf", 2), (4, 4)):
-            res = five_step_pipeline(T, m1, m2, p, q)
+            res = five_step_pipeline(_classical(T, m1, m2, p, q))
             n = res.isometry.domain_profile.block_count
             iso_rng = np.random.default_rng(17)
             probes = [np.eye(n)[i] for i in range(n)]
@@ -337,7 +346,7 @@ def _reference_stages(T, m1, m2, p, q):
 
 
 def test_classical_matrices_match_closures():
-    # the classical map (as build_classical returns it, without its norm
+    # the classical map (as build_classical holds it, without its norm
     # checks) and the five stages are index-plus-scale
     # matrices; each equals the materialisation of the closure it replaced
     rng = generator(4)
@@ -345,8 +354,9 @@ def test_classical_matrices_match_closures():
     cases += [random_space_pair(rng, max_atoms=6) for _ in range(12)]
     for T, m1, m2 in cases:
         for p, q in ((2, 1), (3, "3/2"), (2, 2), ("inf", 2), ("inf", "inf")):
-            res = five_step_pipeline(T, m1, m2, p, q)
-            ops = [_classical_map(T, m1, m2, Exponent(p), Exponent(q)), res.restriction,
+            C = _classical(T, m1, m2, p, q)
+            res = five_step_pipeline(C)
+            ops = [C.direct, res.restriction,
                    res.change, res.isometry, res.refinement, res.extension]
             for op, (closure, profile) in zip(ops, _reference_stages(T, m1, m2, p, q)):
                 ref, cod = materialise(closure, profile)
@@ -378,15 +388,15 @@ def test_eps_delta_monotone():
 
 def test_diagonal_consistency():
     T, m1, m2 = running_example()
-    rep = diagonal_consistency(T, m1, m2, 2, 1)
+    rep = diagonal_consistency(_classical(T, m1, m2, 2, 1))
     assert rep.ok and rep.max_residual < 1e-9
     # identity map: exact agreement
     Ti = PointMap({"a": "a", "b": "b"})
-    rep_i = diagonal_consistency(Ti, m1, m1, 2, 2)
+    rep_i = diagonal_consistency(_classical(Ti, m1, m1, 2, 2))
     assert rep_i.ok
     # proper subset domain: same extend-by-zero pattern on both sides
     Tp = PointMap({"x": "a"})
-    rep_p = diagonal_consistency(Tp, m1, m2, 2, 1)
+    rep_p = diagonal_consistency(_classical(Tp, m1, m2, 2, 1))
     assert rep_p.ok
 
 
@@ -394,7 +404,7 @@ def test_diagonal_consistency_random():
     rng = generator(3)
     for _ in range(25):
         T, m1, m2 = random_space_pair(rng, max_atoms=5)
-        rep = diagonal_consistency(T, m1, m2, 2, 1)
+        rep = diagonal_consistency(_classical(T, m1, m2, 2, 1))
         assert rep.ok
 
 

@@ -215,6 +215,38 @@ def test_classical_report(spec_path, tmp_path):
     assert results["all_ok"] is True
 
 
+def test_classical_builds_its_operator_once(tmp_path, monkeypatch):
+    # one pushforward, one direct map plus the five stages, one pinned
+    # maximiser run, and no pair check on the unitary-free point-map morphism
+    from nclp import classical, cli, compop, jordan
+
+    modules = (classical, cli, compop, jordan)
+    counts = dict.fromkeys(["pushforward", "_index_map", "jordan_defect", "operator_norm"], 0)
+    for name in counts:
+        original = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for m in modules:
+            if getattr(m, name, None) is original:
+                monkeypatch.setattr(m, name, counted)
+    spec = json.loads(json.dumps(BASE_SPEC))
+    atoms1 = [f"a{j}" for j in range(14)]
+    atoms2 = [f"b{j}" for j in range(17)]
+    spec["measure_space"] = {
+        "atoms1": atoms1, "masses1": [0.1 + 0.13 * j for j in range(14)],
+        "atoms2": atoms2, "masses2": [1.9 - 0.1 * j for j in range(17)],
+        "map": {atoms2[j]: atoms1[j % 14] for j in range(16)},
+    }
+    path = tmp_path / "atoms.json"
+    path.write_text(json.dumps(spec))
+    code, report = machine_report(tmp_path, ["classical", str(path), "--p", "3", "--q", "1.5"])
+    assert code == 0 and report["results"]["all_ok"] is True
+    assert counts == {"pushforward": 1, "_index_map": 6, "jordan_defect": 0, "operator_norm": 1}
+
+
 def test_classical_rejects_reversed_exponents(spec_path):
     assert main(["classical", spec_path, "--p", "1", "--q", "2"]) == 2
 

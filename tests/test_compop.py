@@ -606,7 +606,8 @@ def test_operator_norm_matches_per_block_reference(monkeypatch):
     T = PointMap({f"b{i}": f"a{int(rng.integers(0, 8))}" for i in range(14)})
     profile = BlockProfile([2, 1, 3])
     h, k = faithful(profile, rng), faithful(profile, rng)
-    operators = [build_classical(T, m1, m2, p, q) for p, q in ((3, "3/2"), ("inf", 2), (2, 1))]
+    operators = [build_classical(T, m1, m2, p, q).direct
+                 for p, q in ((3, "3/2"), ("inf", 2), (2, 1))]
     operators += [change_of_weights(h, k, p, q).operator for p, q in ((3, "3/2"), (2, 1), ("inf", 3))]
     for C in operators:
         for restarts, max_iter, seed in ((3, 60, 3), (16, 200, 0)):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nclp.classical import FiniteMeasureSpace, PointMap, point_map_morphism
 from nclp.compop import SuperOperator, build_composition
 from nclp.errors import InvalidMorphism, NotFaithful, ProfileMismatch
 from nclp.haagerup import embed
@@ -10,6 +11,7 @@ from nclp.jordan import (
     decompose,
     identity_morphism,
     is_modular_invariant,
+    jordan_defect,
     materialise,
     pushforward_density,
     random_morphism,
@@ -298,6 +300,31 @@ def test_invalid_morphisms_are_refused(monkeypatch):
                         lambda self: BlockMatrix.diagonal(PROF2, [1.0, 0.0]))
     with pytest.raises(InvalidMorphism, match="not central"):
         decompose(spec, Weight.diagonal(PROF2, [0.6, 0.4]))
+
+
+def test_tile_unitary_that_breaks_the_laws_is_refused():
+    # diag(1, 1 + 5e-9) passes as unitary (defect 1e-8 < 2e-8), but
+    # J(E_22) = (1 + 5e-9)^2 E_22 is not a projection: residual 2e-8
+    almost = np.diag([1.0, 1.0 + 5e-9])
+    with pytest.raises(InvalidMorphism, match="tile data does not define a Jordan morphism"):
+        JordanMorphismSpec(PROF2, PROF2, [Tile(0, 0, 0, "H", almost)])
+
+
+def test_unitary_free_tiles_have_no_jordan_defect():
+    # without unitaries the constructor skips the pair check, which would
+    # find exactly 0.0: the matrix is 0/1 with at most one 1 per row
+    m1 = FiniteMeasureSpace(["a", "b", "c"], [0.5, 0.25, 2.0])
+    m2 = FiniteMeasureSpace(["x", "y", "z", "w"], [1.0, 0.5, 0.3, 0.2])
+    specs = [identity_morphism(PROF23), transpose_morphism(PROF23),
+             point_map_morphism(PointMap({"x": "a", "y": "a", "w": "c"}), m1, m2),
+             point_map_morphism(PointMap({}), m1, m2)]
+    rng = generator(71)
+    for _ in range(30):
+        spec = random_morphism(rng)
+        specs.append(JordanMorphismSpec(spec.profile1, spec.profile2, [
+            Tile(t.src, t.dst, t.offset, t.kind) for t in spec.tiles]))
+    for spec in specs:
+        assert jordan_defect(spec.matrix(), spec.profile1, spec.profile2)[0] == 0.0
 
 
 def test_block_unitary_count_must_match_destination_blocks():
