@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -299,13 +299,24 @@ def _dual_maximizer(profile: BlockProfile, cols: np.ndarray, s: Exponent):
     return norms, ys.T
 
 
+@lru_cache(maxsize=64)
+def _start_index(profile: BlockProfile) -> tuple:
+    """Read-only (real, imag) positions of each flat coordinate in one draw of 2 * coord_dim
+    normals, block by block the d*d real parts and then the d*d imaginary parts."""
+    sizes = [d * d for d in profile]
+    offset = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    real = np.arange(profile.coord_dim) + offset
+    imag = real + np.repeat(sizes, sizes)
+    real.setflags(write=False)
+    imag.setflags(write=False)
+    return real, imag
+
+
 def _random_start(profile: BlockProfile, stream) -> np.ndarray:
-    """Flat coordinates of a complex Gaussian element drawn from one seed stream."""
-    rng = np.random.default_rng(stream)
-    return np.concatenate([
-        (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))).ravel()
-        for d in profile
-    ])
+    """Flat coordinates of a complex Gaussian element drawn from one seed stream, in one call."""
+    z = np.random.default_rng(stream).standard_normal(2 * profile.coord_dim)
+    real, imag = _start_index(profile)
+    return z[real] + 1j * z[imag]
 
 
 def _choi_stacks(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> list | None:

@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -280,7 +282,7 @@ def test_unknown_section_warning(tmp_path, capsys):
     assert "ignoring unknown section" in capsys.readouterr().err
 
 
-def test_parse_error_paths(tmp_path):
+def test_parse_error_paths(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
     assert main(["check-jordan", str(path)]) == 1
@@ -290,6 +292,21 @@ def test_parse_error_paths(tmp_path):
     path2 = tmp_path / "npsd.json"
     path2.write_text(json.dumps(spec))
     assert main(["norm", str(path2), "--p", "2", "--q", "1"]) == 1
+    capsys.readouterr()
+    # JSON true and false are not integers, though Python's bool is an int
+    tile = {"src": 0, "dst": 0, "offset": 0, "kind": "H"}
+    for command, change, where in (
+        ("norm", {"algebra1": [True]}, "algebra1[0]"),
+        ("check-jordan", {"algebra2": [2, False]}, "algebra2[1]"),
+        ("check-jordan", {"morphism": {"tiles": [dict(tile, offset=False)]}},
+         "morphism.tiles[0].offset"),
+        ("check-jordan", {"morphism": {"tiles": [dict(tile, src=True)]}},
+         "morphism.tiles[0].src"),
+    ):
+        path3 = tmp_path / "bool.json"
+        path3.write_text(json.dumps(dict(BASE_SPEC, **change)))
+        assert main([command, str(path3), "--p", "2", "--q", "1"]) == 1, where
+        assert capsys.readouterr().err.startswith(f"input error: {where}: ")
 
 
 def _with_measure_field(key, value):
@@ -315,8 +332,10 @@ def _with_weight_entry(which, value):
     ("classical", _with_measure_field("masses1", 0.5), "measure_space.masses1"),
     ("norm", _with_weight_entry("weight1", [float("nan"), 0.0]), "weight1[0][0][0]"),
     ("norm", _with_weight_entry("weight2", [0.8, float("-inf")]), "weight2[0][0][0]"),
+    ("classical", _with_measure_field("masses1", [True, 0.5]), "measure_space.masses1[0]"),
+    ("norm", _with_weight_entry("weight1", [True, 0.0]), "weight1[0][0][0]"),
 ], ids=["text-mass", "null-mass", "nan-mass", "infinite-mass", "list-atom", "atoms-object",
-        "masses-number", "nan-entry", "infinite-entry"])
+        "masses-number", "nan-entry", "infinite-entry", "boolean-mass", "boolean-entry"])
 def test_malformed_numbers_are_input_errors(tmp_path, capsys, command, spec, where):
     # json reads NaN and Infinity; neither they nor a non-numeric mass or an
     # unhashable atom may escape as a traceback
@@ -419,12 +438,63 @@ def test_non_finite_results_are_refused(spec_path, tmp_path, monkeypatch, capsys
         report.put("entries", [{"bound": float("inf")}, {"bound": float("nan")}])
         return report, 0
 
-    monkeypatch.setitem(cli._HANDLERS, "norm", handler)
     out = tmp_path / "report.json"
-    code = main(["norm", spec_path, "--format", "machine", "--out", str(out)])
+    assert main(["check-jordan", spec_path, "--format", "machine", "--out", str(out)]) == 0
+    before = out.read_bytes()
+    monkeypatch.setitem(cli._HANDLERS, "norm", handler)
+    fresh = tmp_path / "fresh.json"
+    code = main(["norm", spec_path, "--format", "machine", "--out", str(fresh)])
     assert code == 2
-    assert not out.exists()
+    assert not fresh.exists()
     assert "non-finite result in entries" in capsys.readouterr().err
+    # the refusal comes before the file is opened: an earlier report stays whole
+    assert main(["norm", spec_path, "--format", "machine", "--out", str(out)]) == 2
+    assert out.read_bytes() == before
+
+
+def _without_wall_time(text):
+    return [line for line in text.splitlines() if '"wall_time_s"' not in line]
+
+
+def test_report_written_over_a_longer_one(spec_path, tmp_path):
+    # --out writes in place and then cuts the file to the report's length
+    out = tmp_path / "report.json"
+    args = ["--p", "2", "--q", "1", "--format", "machine"]
+    assert main(["change-of-weights", spec_path, *args, "--out", str(out)]) == 0
+    longer = out.stat().st_size
+    assert main(["check-jordan", spec_path, *args, "--out", str(out)]) == 0
+    fresh = tmp_path / "fresh.json"
+    assert main(["check-jordan", spec_path, *args, "--out", str(fresh)]) == 0
+    assert out.stat().st_size < longer
+    assert json.loads(out.read_text())["command"] == "check-jordan"
+    assert _without_wall_time(out.read_text()) == _without_wall_time(fresh.read_text())
+
+
+def test_report_to_a_special_file(spec_path):
+    # a file that cannot be truncated is written and not cut
+    assert main(["check-jordan", spec_path, "--format", "machine", "--out", "/dev/null"]) == 0
+
+
+def test_new_report_file_mode(spec_path, tmp_path):
+    # a new report file gets the permissions open(path, "w") gives it
+    old_mask = os.umask(0o027)
+    try:
+        with open(tmp_path / "reference.txt", "w"):
+            pass
+        assert main(["check-jordan", spec_path, "--out", str(tmp_path / "report.txt")]) == 0
+    finally:
+        os.umask(old_mask)
+    mode = stat.S_IMODE((tmp_path / "report.txt").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "reference.txt").stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_out_is_an_input_error(spec_path, tmp_path, capsys, target):
+    code = main(["check-jordan", spec_path, "--out", str(tmp_path / target)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("input error: --out: cannot write report: ")
+    assert "Traceback" not in err
 
 
 def test_norm_at_p_inf_is_exact(spec_path, tmp_path):

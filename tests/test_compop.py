@@ -622,6 +622,22 @@ def test_operator_norm_matches_per_block_reference(monkeypatch):
             assert est.lower_bound == pytest.approx(ref.lower_bound, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("dims", [[1] * 17, [2, 3, 1], [4], [2, 2], [3, 1, 3, 2]])
+def test_random_start_matches_per_block_draws(dims):
+    # one draw of 2 * coord_dim normals, gathered block by block as d*d real
+    # then d*d imaginary parts, is the stream the per-block draws consumed
+    def reference(profile, stream):
+        rng = np.random.default_rng(stream)
+        return np.concatenate([
+            (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))).ravel()
+            for d in profile
+        ])
+
+    profile = BlockProfile(dims)
+    for stream in np.random.SeedSequence(3).spawn(5):
+        assert np.array_equal(compop._random_start(profile, stream), reference(profile, stream))
+
+
 def test_dual_maximizer_huge_exponent():
     # at s = 1e300 every top ratio S/norm rounds to 1, so y must be scaled
     # by the top singular value, not by the norm, to keep ||y||_{s*} = 1;
