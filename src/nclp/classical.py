@@ -168,7 +168,9 @@ def exact_diagonal_norm(pushed: np.ndarray, m1: FiniteMeasureSpace, p: Exponent,
     if p == q:
         g[max(pos, key=lambda i: f[i])] = 1.0
     else:
-        g[pos] = (f[pos] / top) ** (1.0 / (pf - qf))
+        # 1/(p-q) from the exact rationals: p just above q may have float(p) == float(q)
+        lagrange = 0.0 if p.is_inf else float(1 / (p.fraction - q.fraction))
+        g[pos] = (f[pos] / top) ** lagrange
     num = float(np.sum(masses * f * g ** qf)) ** (1.0 / qf)
     den = float(np.sum(masses * g ** pf)) ** (1.0 / pf)   # > 0: g is 1 at the largest f
     measured = num / den

@@ -165,8 +165,13 @@ def _measure_space(value, path):
         if not isinstance(value[key], list):
             raise SpecFileError(f"{path}.{key}", "expected a list")
         for i, item in enumerate(value[key]):
-            if key.startswith("atoms") and isinstance(item, (list, dict)):
-                raise SpecFileError(f"{path}.{key}[{i}]", "atom labels are strings or numbers")
+            # JSON object keys are strings, and true == 1 in Python
+            if key == "atoms2" and not isinstance(item, str):
+                raise SpecFileError(f"{path}.{key}[{i}]",
+                                    "atoms2 labels are strings: they are the keys of map")
+            if key == "atoms1" and isinstance(item, (list, dict, bool)):
+                raise SpecFileError(f"{path}.{key}[{i}]",
+                                    "atoms1 labels are strings or numbers, not booleans")
             if key.startswith("masses") and not _is_finite_number(item):
                 raise SpecFileError(f"{path}.{key}[{i}]", "masses are finite numbers")
     try:

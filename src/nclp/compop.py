@@ -366,11 +366,12 @@ def _completely_positive_matrix(C: SuperOperator):
     return None
 
 
-def _holder_form(unit: tuple, p: Exponent, q: Exponent) -> tuple:
+def _holder_form(unit: tuple, p: Exponent, rho: Exponent) -> tuple:
     """(||P||_rho, f, ||x||_p) from the eigensystem `unit` (`eigh_groups`) of P = C#(1) >= 0.
 
-    1/rho = 1/q - 1/p.  A map that sends each source block to one
-    destination block as x -> A x A* has C#(1) = A*A there, and Holder gives
+    rho is the Holder complement of (p, q): 1/rho = 1/q - 1/p.  A map that
+    sends each source block to one destination block as x -> A x A* has
+    C#(1) = A*A there, and Holder gives
     ||A x A*||_q <= ||A*A||_rho ||x||_p, so over the direct sum ||C|| <=
     ||C#(1)||_rho, attained at the witness x = (P/top)^{rho/p}, top the
     largest eigenvalue: x = V diag(f) V* per size group.  The support
@@ -379,7 +380,6 @@ def _holder_form(unit: tuple, p: Exponent, q: Exponent) -> tuple:
     The spectrum is clipped at 0 and divided by top before the power: a huge
     rho/p (p just above q) cannot overflow, and every value scales with P.
     """
-    rho = holder_complement(p, q)
     lams = [np.maximum(lam, 0.0) for lam in unit[0]]
     top = max(float(np.max(lam)) for lam in lams)
     if top == 0.0:
@@ -421,7 +421,7 @@ def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
         src, dst = src + [(n, k) for k in ss], dst + [(m, k) for k in ts]
     if len(set(src)) < len(src) or len(set(dst)) < len(dst):
         return None
-    bound, f, x_norm = _holder_form(unit, p, q)
+    bound, f, x_norm = _holder_form(unit, p, holder_complement(p, q))
     x = from_eig_groups(dom, unit[1], f).flat()
     lower = schatten_norm(BlockMatrix.unflat(cod, mat @ x), q) / x_norm if bound else 0.0
     return lower, (1.0 + _CONE_ROUNDING) * bound + slack
@@ -547,7 +547,7 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
                                 upper_bound=value)
         unit = eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
         if q == _ONE:
-            value = _holder_form(unit, p, q)[0]
+            value = _holder_form(unit, p, holder_complement(p, q))[0]
             return NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=seed,
                                 upper_bound=value)
         bounds = _single_kraus_norm(mat, dom, cod, p, q, stacks, unit)
@@ -635,7 +635,7 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     half_in = w.power(-p.reciprocal() / 2)    # h^{-1/(2p)}; identity at p = inf
     d = half_out @ half_in
     unit = eigh_groups(w.profile, (d.adjoint() @ d).flat())
-    bound, f, x_norm = _holder_form(unit, p, q)
+    bound, f, x_norm = _holder_form(unit, p, triple.r)
     witness = from_eig_groups(w.profile, unit[1], f)
     value = schatten_norm(d @ witness @ d.adjoint(), q) / x_norm if bound else 0.0
     if not bound * (1.0 - 1e-9) <= value <= bound * (1.0 + 1e-6):

@@ -4,12 +4,19 @@ Exponents live in [1, inf].  Finite values are kept as exact rationals so
 that derived quantities (conjugates, Holder complements, ratios) carry no
 float error: p = q must give r = inf exactly, never an overflowing float.
 Infinity is a distinct case of the type, never a float sentinel.
+
+Exponent values repeat, so each is parsed, and each derived exponent
+formed, once per value: a bounded cache maps a str, int, float or Fraction
+to one shared (immutable) instance, and the conjugate, the Holder
+complement and the ratio are memoised.  An instance carries float(p) and
+its hash; comparisons read the exact reciprocals.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BadExponent, ExponentOrder
 
@@ -18,39 +25,31 @@ class Exponent:
     """A point of [1, inf]; finite values stored as `Fraction`, inf as None.
 
     A finite value must fit in a float (BadExponent otherwise), so that
-    `float(p)` never overflows.  1/p, which every comparison reads, is kept.
+    `float(p)` never overflows.  1/p, float(p) and the hash are kept; the
+    conjugate is kept once asked for.
     """
 
-    __slots__ = ("_frac", "_recip")
+    __slots__ = ("_frac", "_recip", "_float", "_hash", "_conj")
 
-    def __init__(self, value):
+    def __new__(cls, value):
         if isinstance(value, Exponent):
-            self._frac, self._recip = value._frac, value._recip
-            return
-        if isinstance(value, str):
-            text = value.strip().lower()
-            if text in ("inf", "infinity", "oo"):
-                self._frac, self._recip = None, Fraction(0)
-                return
-            try:
-                frac = Fraction(text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise BadExponent(f"cannot parse exponent {value!r}") from exc
-        elif isinstance(value, float) and math.isinf(value):
-            self._frac, self._recip = None, Fraction(0)
-            return
+            return value
+        if isinstance(value, (str, int, float, Fraction)):
+            return _parse_cached(value)
+        return _parse(value)
+
+    @classmethod
+    def _of(cls, frac: Fraction | None) -> "Exponent":
+        self = object.__new__(cls)
+        self._frac, self._hash, self._conj = frac, hash(frac), None
+        if frac is None:
+            self._recip, self._float = Fraction(0), math.inf
         else:
-            try:
-                frac = Fraction(value)
-            except (TypeError, ValueError) as exc:
-                raise BadExponent(f"cannot interpret exponent {value!r}") from exc
-        if frac < 1:
-            raise BadExponent(f"exponent {value!r} is below 1")
-        try:
-            float(frac)
-        except OverflowError as exc:
-            raise BadExponent(f"exponent {value!r} is too large for a float") from exc
-        self._frac, self._recip = frac, 1 / frac
+            self._recip, self._float = 1 / frac, float(frac)
+        return self
+
+    def __reduce__(self):
+        return Exponent, (str(self),)
 
     @property
     def is_inf(self) -> bool:
@@ -68,11 +67,14 @@ class Exponent:
 
     def conjugate(self) -> "Exponent":
         """The dual exponent p* with 1/p + 1/p* = 1."""
-        if self._frac is None:
-            return Exponent(1)
-        if self._frac == 1:
-            return INF
-        return Exponent(self._frac / (self._frac - 1))
+        if self._conj is None:
+            if self._frac is None:
+                self._conj = Exponent(1)
+            elif self._frac == 1:
+                self._conj = INF
+            else:
+                self._conj = Exponent(self._frac / (self._frac - 1))
+        return self._conj
 
     def scaled(self, k) -> "Exponent":
         """k * p (inf stays inf)."""
@@ -81,7 +83,7 @@ class Exponent:
         return Exponent(self._frac * Fraction(k))
 
     def __float__(self) -> float:
-        return math.inf if self._frac is None else float(self._frac)
+        return self._float
 
     def __eq__(self, other):
         if not isinstance(other, Exponent):
@@ -92,7 +94,7 @@ class Exponent:
         return self._frac == other._frac
 
     def __hash__(self):
-        return hash(self._frac)
+        return self._hash
 
     def __le__(self, other):
         other = other if isinstance(other, Exponent) else Exponent(other)
@@ -115,6 +117,34 @@ class Exponent:
         return "inf" if self._frac is None else str(self._frac)
 
 
+def _parse(value) -> Exponent:
+    """A new Exponent from a string, a number or anything Fraction accepts."""
+    if isinstance(value, str):
+        text = value.strip().lower()
+        if text in ("inf", "infinity", "oo"):
+            return Exponent._of(None)
+        try:
+            frac = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise BadExponent(f"cannot parse exponent {value!r}") from exc
+    elif isinstance(value, float) and math.isinf(value):
+        return Exponent._of(None)
+    else:
+        try:
+            frac = Fraction(value)
+        except (TypeError, ValueError) as exc:
+            raise BadExponent(f"cannot interpret exponent {value!r}") from exc
+    if frac < 1:
+        raise BadExponent(f"exponent {value!r} is below 1")
+    try:
+        float(frac)
+    except OverflowError as exc:
+        raise BadExponent(f"exponent {value!r} is too large for a float") from exc
+    return Exponent._of(frac)
+
+
+_parse_cached = lru_cache(maxsize=64, typed=True)(_parse)
+
 INF = Exponent("inf")
 
 
@@ -129,6 +159,7 @@ def require_order(p: Exponent, q: Exponent) -> None:
         raise ExponentOrder(f"need q <= p, got q = {q} > p = {p}")
 
 
+@lru_cache(maxsize=64, typed=True)
 def holder_complement(p: Exponent, q: Exponent) -> Exponent:
     """The exponent r with 1/q = 1/p + 1/r; r = inf when p = q."""
     require_order(p, q)
@@ -138,6 +169,7 @@ def holder_complement(p: Exponent, q: Exponent) -> Exponent:
     return Exponent(1 / inv_r)
 
 
+@lru_cache(maxsize=64, typed=True)
 def ratio(p: Exponent, q: Exponent) -> Exponent:
     """p/q with the convention inf/inf = 1."""
     if p.is_inf and q.is_inf:

@@ -97,6 +97,17 @@ def test_criterion_identity_probability():
         criterion(Ti, m1, m1, 1, 2)
 
 
+def test_p_a_hair_above_q():
+    # p > q with float(p) == float(q): the Lagrange power 1/(p-q) is taken
+    # from the rationals, and the witness still attains the bound
+    T, m1, m2 = running_example()
+    for p, q, bound in (("1.0000000000000000001", "1", 4 / 3), (10 ** 17 + 1, 10 ** 17, 1.0)):
+        assert float(Exponent(p)) == float(Exponent(q))
+        crit = criterion(T, m1, m2, p, q)
+        assert crit.bound == pytest.approx(bound, rel=1e-12)
+        assert crit.measured == pytest.approx(crit.bound, rel=1e-12)
+
+
 def test_zero_operator_has_bound_zero():
     # an empty domain gives f = 0: the bound ||f||_r^{1/q} is 0 like the
     # witness's value, also at q = inf, where 0 ** (1/q) would read 1

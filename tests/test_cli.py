@@ -295,6 +295,7 @@ def test_parse_error_paths(tmp_path, capsys):
     capsys.readouterr()
     # JSON true and false are not integers, though Python's bool is an int
     tile = {"src": 0, "dst": 0, "offset": 0, "kind": "H"}
+    space = BASE_SPEC["measure_space"]
     for command, change, where in (
         ("norm", {"algebra1": [True]}, "algebra1[0]"),
         ("check-jordan", {"algebra2": [2, False]}, "algebra2[1]"),
@@ -302,11 +303,24 @@ def test_parse_error_paths(tmp_path, capsys):
          "morphism.tiles[0].offset"),
         ("check-jordan", {"morphism": {"tiles": [dict(tile, src=True)]}},
          "morphism.tiles[0].src"),
+        # atoms2 labels are the keys of map, and JSON keys are strings
+        ("classical", {"measure_space": dict(space, atoms2=[1, 2, 3],
+                                             map={"1": "a", "2": "a", "3": "b"})},
+         "measure_space.atoms2[0]"),
+        ("classical", {"measure_space": dict(space, atoms2=["x", True, "z"])},
+         "measure_space.atoms2[1]"),
+        ("classical", {"measure_space": dict(space, atoms1=[True, 1],
+                                             map={"x": True, "y": True, "z": 1})},
+         "measure_space.atoms1[0]"),
     ):
         path3 = tmp_path / "bool.json"
         path3.write_text(json.dumps(dict(BASE_SPEC, **change)))
         assert main([command, str(path3), "--p", "2", "--q", "1"]) == 1, where
         assert capsys.readouterr().err.startswith(f"input error: {where}: ")
+    # numbers are atoms1 labels, as the values of map
+    numeric = dict(space, atoms1=[1, 2], map={"x": 1, "y": 1, "z": 2})
+    path3.write_text(json.dumps(dict(BASE_SPEC, measure_space=numeric)))
+    assert main(["classical", str(path3), "--p", "2", "--q", "1"]) == 0
 
 
 def _with_measure_field(key, value):

@@ -1,10 +1,16 @@
 import math
+import pickle
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from nclp.compop import change_of_weights, operator_norm
 from nclp.errors import BadExponent, ExponentOrder
 from nclp.exponents import INF, Exponent, holder_complement, ratio
+from nclp.haagerup import ExponentTriple
+from nclp.matcore import BlockMatrix, BlockProfile
+from nclp.vnops import Weight
 
 
 def test_parse_forms():
@@ -66,3 +72,66 @@ def test_reciprocal_is_computed_once(monkeypatch):
     monkeypatch.setattr(Fraction, "__rtruediv__", lambda a, b: divisions.append(1) or div(b, a))
     assert q <= p and not p < q and INF > p and p >= p and p.reciprocal() is p.reciprocal()
     assert divisions == []
+
+
+def test_floats_that_tie_compare_exactly():
+    # float(10**17 + 1) == float(10**17): the exact values decide
+    p, q = Exponent(10 ** 17 + 1), Exponent(10 ** 17)
+    assert float(p) == float(q)
+    assert p != q and q < p and not p <= q and p > q and not q >= p
+    assert holder_complement(p, q) == Exponent(10 ** 34 + 10 ** 17)
+    assert Exponent("1.0000000000000000001") > Exponent(1)
+    assert Exponent("1.0000000000000000001") != 1
+
+
+def test_one_value_many_inputs():
+    forms = [Exponent("3/2"), Exponent(Fraction(3, 2)), Exponent(1.5), Exponent(" 1.5 ")]
+    assert all(e == forms[0] for e in forms) and len({hash(e) for e in forms}) == 1
+    assert hash(forms[0]) == hash(Fraction(3, 2))
+    assert Exponent("3/2") is Exponent("3/2") and Exponent(forms[1]) is forms[1]
+    assert (str(forms[2]), repr(forms[2])) == ("3/2", "Exponent('3/2')")
+    assert forms[2].fraction == Fraction(3, 2)
+    assert float(forms[2]) == 1.5 and float(INF) == math.inf
+    assert pickle.loads(pickle.dumps(forms[2])) == forms[2]
+    for value in ([2], np.array(2.5)):
+        with pytest.raises(BadExponent):
+            Exponent(value)
+
+
+def test_derived_exponents_follow_the_pair():
+    # memoised per pair: an entry handed to another pair would show here
+    for p, q, r, p_over_q in (("3", "3/2", "3", "2"), ("3", "2", "6", "3/2"), ("4", "2", "4", "2"),
+                              ("3", "1", "3/2", "3"), ("inf", "2", "2", "inf"),
+                              ("2", "2", "inf", "1"), ("3", "3/2", "3", "2")):
+        p, q = Exponent(p), Exponent(q)
+        triple = ExponentTriple.from_pq(p, q)
+        assert (triple.p, triple.q, triple.r, triple.p_conj) == (p, q, Exponent(r), p.conjugate())
+        assert (holder_complement(p, q), ratio(p, q)) == (Exponent(r), Exponent(p_over_q))
+        assert ExponentTriple.from_pq(str(p), str(q)) == triple
+    with pytest.raises(ExponentOrder):
+        ExponentTriple.from_pq("3/2", "3")
+
+
+def _diagonal_weight(values):
+    return Weight(BlockMatrix(BlockProfile((len(values),)), [np.diag(values).astype(complex)]))
+
+
+def test_warm_exponent_arithmetic_is_cached(monkeypatch):
+    # a change of weights and the norm of its operator at a pair already
+    # seen: the Fractions left are the call sites' reciprocal() / 2, the
+    # Holder power rho/p in _holder_form and the check 1/q - 1/p - 1/r = 0
+    # of the ExponentTriple
+    h, k = _diagonal_weight([0.3, 0.7]), _diagonal_weight([0.6, 0.4])
+    operator_norm(change_of_weights(h, k, "3", "3/2").operator)
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__",
+                        staticmethod(lambda cls, *a, **kw: made.append(1) or new(cls, *a, **kw)))
+    counts = []
+    for _ in range(2):
+        made.clear()
+        cw = change_of_weights(h, k, "3", "3/2")
+        counts.append(len(made))
+        operator_norm(cw.operator)
+        counts.append(len(made) - counts[-1])
+    assert counts[:2] == counts[2:] and counts[0] <= 6 and counts[1] <= 1
