@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compop import SuperOperator, build_composition, operator_norm
+from .compop import SuperOperator, build_composition
 from .errors import NoConvergence, ProfileMismatch, TooLarge
-from .exponents import Exponent, coerce, ratio, require_order
+from .exponents import Exponent, coerce, holder_complement, ratio, require_order
 from .jordan import JordanMorphismSpec, Tile
 from .matcore import BlockProfile, _lp_norm
 from .vnops import Weight
@@ -138,9 +138,10 @@ def criterion(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
     r = p/(p-q), the conjugate of p/q: infinite when p = q, and 1 at
     p = inf with q finite.  The operator is bounded iff the derivative of
     m2 o T^{-1} lies in L^r(m1), and then its norm is at most norm_f^{1/q}
-    where norm_f is that L^r norm; the bound is attained (`exact_diagonal_norm`).
+    where norm_f is that L^r norm; the bound is attained (`exact_diagonal_norm`),
+    and the witness's value is checked against the direct map (`build_classical`).
     """
-    return _classical(T, m1, m2, p, q).criterion
+    return build_classical(T, m1, m2, p, q).criterion
 
 
 def exact_diagonal_norm(pushed: np.ndarray, m1: FiniteMeasureSpace, p: Exponent, q: Exponent
@@ -201,7 +202,7 @@ class ClassicalOperator:
     """f -> f o T (zero off the domain), `direct`, with its pushforward and its criterion.
 
     On embedded coordinates x = f m1^{1/p}, `direct` sends atom T(y) to atom y
-    with scale m2(y)^{1/q} / m1(T(y))^{1/p}.
+    with scale m2(y)^{1/q} / m1(T(y))^{1/p}; `criterion.measured` is its norm.
     """
 
     T: PointMap
@@ -215,9 +216,16 @@ class ClassicalOperator:
     direct: SuperOperator
 
 
-def _classical(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
-               p, q) -> ClassicalOperator:
-    """The operator, its pushforward and its criterion, without the maximiser's cross-check."""
+def build_classical(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
+                    p, q) -> ClassicalOperator:
+    """The classical composition operator, with its criterion checked twice.
+
+    The witness's value is checked against the bound (`exact_diagonal_norm`),
+    then against the norm of the direct matrix M in closed form: each row of M
+    has at most one entry, so ||Mx||_q^q = sum_j |x_j|^q c_j^q with c_j the
+    q-norm of column j, and by Holder ||M|| = ||c||_rho, 1/rho = 1/q - 1/p.
+    The two must agree within 1e-9 relative, or NoConvergence is raised.
+    """
     p, q = coerce(p), coerce(q)
     require_order(p, q)
     pushed, support = pushforward(T, m1, m2)
@@ -225,25 +233,14 @@ def _classical(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
     cols = [m1.index(x) for _, x in T.mapping]
     w1 = np.array(m1.mass) ** float(p.reciprocal())
     w2 = np.array(m2.mass) ** float(q.reciprocal())
-    return ClassicalOperator(
-        T=T, m1=m1, m2=m2, p=p, q=q, pushed=pushed, support=support,
-        criterion=exact_diagonal_norm(pushed, m1, p, q),
-        direct=_index_map(m1, m2, p, q, rows, cols, w2[rows] * (1.0 / w1[cols])))
-
-
-def build_classical(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
-                    p, q) -> ClassicalOperator:
-    """The checked classical composition operator.
-
-    The exact norm is checked against the criterion bound when it is
-    formed (`exact_diagonal_norm`); the alternating maximiser is then run as
-    an independent cross-check from below, within 1e-6 relative of it.
-    """
-    C = _classical(T, m1, m2, p, q)
-    est = operator_norm(C.direct, restarts=3, max_iter=60, seed=3, method="alternating")
-    if est.lower_bound > C.criterion.measured * (1.0 + 1e-6):
-        raise NoConvergence(f"alternating maximiser {est.lower_bound:.12f} beats the exact norm")
-    return C
+    crit = exact_diagonal_norm(pushed, m1, p, q)
+    direct = _index_map(m1, m2, p, q, rows, cols, w2[rows] * (1.0 / w1[cols]))
+    columns = float(_lp_norm(_lp_norm(np.abs(direct.matrix()).T, q), holder_complement(p, q)))
+    if not (1.0 - 1e-9) * columns <= crit.measured <= (1.0 + 1e-9) * columns:
+        raise NoConvergence(f"witness value {crit.measured:.12g} disagrees with the "
+                            f"column norm form {columns:.12g}")
+    return ClassicalOperator(T=T, m1=m1, m2=m2, p=p, q=q, pushed=pushed, support=support,
+                             criterion=crit, direct=direct)
 
 
 @dataclass(frozen=True)
@@ -268,7 +265,7 @@ def five_step_pipeline(C: ClassicalOperator) -> PipelineResult:
     operator on a basis: `composite_residual` is the largest column norm of
     the difference of the two matrices, checked (by `nclp classical`)
     within 1e-10 of the direct operator's largest column norm.  The third stage is
-    an exact isometry, checked on the basis and three seeded probes.
+    an exact isometry, checked on the basis and three seeded probes within 1e-10.
     """
     T, m1, m2, p, q, support = C.T, C.m1, C.m2, C.p, C.q, C.support
     part = Partition.from_preimages(T)

@@ -530,7 +530,7 @@ def cmd_classical(spec: SpecDocument, args) -> tuple[Report, int]:
     report = Report("classical", spec,
                     {"p": str(p), "q": str(q)},
                     {"pipeline_residual": 1e-10, "bound_slack": 1e-9}, args.seed)
-    C = build_classical(T, m1, m2, p, q)  # refuses a norm above the bound
+    C = build_classical(T, m1, m2, p, q)  # refuses a norm that fails either exact check
     pipeline = five_step_pipeline(C)
     consistency = diagonal_consistency(C)
     report.put("r", C.criterion.r)
@@ -540,9 +540,10 @@ def cmd_classical(spec: SpecDocument, args) -> tuple[Report, int]:
     report.put("pipeline_residual", pipeline.composite_residual)
     report.put("isometry_residual", pipeline.isometry_residual)
     report.put("diagonal_consistency_residual", consistency.max_residual)
-    # slacks relative to the direct map, so no verdict depends on scale
+    # slacks relative to the direct map, so no verdict depends on scale; the
+    # isometry (stage III) has scale 1 on embedded coordinates
     ok = (pipeline.composite_residual <= 1e-10 * _max_column_norm(C.direct.matrix())
-          and consistency.ok)
+          and pipeline.isometry_residual <= 1e-10 and consistency.ok)
     report.put("all_ok", ok)
     return report, 0 if ok else 2
 

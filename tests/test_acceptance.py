@@ -13,7 +13,7 @@ import pytest
 from nclp.classical import (
     FiniteMeasureSpace,
     PointMap,
-    _classical,
+    build_classical,
     diagonal_consistency,
     criterion as classical_criterion,
     eps_delta_modulus,
@@ -295,7 +295,7 @@ def test_criterion_08_classical_layer():
         }
         Tk = PointMap(mapping)
         pq = [(2, 1), (3, "1.5"), (2, 2)][k % 3]
-        Ck = _classical(Tk, s1, s2, *pq)
+        Ck = build_classical(Tk, s1, s2, *pq)
         pipe = five_step_pipeline(Ck)
         worst_pipe = max(worst_pipe, pipe.composite_residual, pipe.isometry_residual)
         assert pipe.composite_residual < 1e-10

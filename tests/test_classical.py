@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,7 +8,6 @@ from nclp.classical import (
     FiniteMeasureSpace,
     Partition,
     PointMap,
-    _classical,
     build_classical,
     criterion,
     diagonal_consistency,
@@ -17,7 +17,8 @@ from nclp.classical import (
     pushforward,
     rn_derivative,
 )
-from nclp.errors import ExponentOrder, ProfileMismatch, TooLarge
+from nclp.compop import operator_norm
+from nclp.errors import ExponentOrder, NoConvergence, ProfileMismatch, TooLarge
 from nclp.exponents import Exponent
 from nclp.jordan import materialise
 from nclp.matcore import BlockMatrix, BlockProfile, schatten_norm
@@ -222,15 +223,44 @@ def test_witness_attains_exact_norm():
             else:
                 g[f > 0] = f[f > 0] ** (1.0 / (float(p) - float(q)))
             x = BlockMatrix.diagonal(m1.profile(), g * np.array(m1.mass) ** float(p.reciprocal()))
-            C = _classical(T, m1, m2, p, q)
+            C = build_classical(T, m1, m2, p, q)
             value = schatten_norm(C.direct.apply(x), q) / schatten_norm(x, p)
             assert value == pytest.approx(C.criterion.measured, rel=1e-12)
             assert value == pytest.approx(C.criterion.bound, rel=1e-12)
 
 
+def test_maximiser_stays_below_exact_norm():
+    # the pinned alternating maximiser, from below, never beats the exact norm
+    rng = generator(33)
+    for _ in range(30):
+        T, m1, m2 = random_space_pair(rng)
+        for p, q in PAIRS:
+            C = build_classical(T, m1, m2, p, q)
+            est = operator_norm(C.direct, restarts=3, max_iter=60, seed=3, method="alternating")
+            assert est.lower_bound <= C.criterion.measured * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-6, 1 - 1e-6])
+def test_build_classical_refuses_an_off_witness(monkeypatch, factor):
+    # a witness value 1e-6 relative off is refused by the column norm form
+    from nclp import classical
+
+    exact = classical.exact_diagonal_norm
+
+    def off(*args):
+        crit = exact(*args)
+        return dataclasses.replace(crit, measured=crit.measured * factor)
+
+    monkeypatch.setattr(classical, "exact_diagonal_norm", off)
+    T, m1, m2 = running_example()
+    for p, q in PAIRS:
+        with pytest.raises(NoConvergence):
+            build_classical(T, m1, m2, p, q)
+
+
 def test_pipeline_running_example():
     T, m1, m2 = running_example()
-    res = five_step_pipeline(_classical(T, m1, m2, 2, 1))
+    res = five_step_pipeline(build_classical(T, m1, m2, 2, 1))
     assert res.partition.blocks == (("x", "y"), ("z",))
     assert res.composite_residual < 1e-10
     assert res.isometry_residual < 1e-10
@@ -238,10 +268,11 @@ def test_pipeline_running_example():
 
 def test_pipeline_identity_and_constant():
     m1 = FiniteMeasureSpace(["a", "b"], [0.5, 0.5])
-    res = five_step_pipeline(_classical(PointMap({"a": "a", "b": "b"}), m1, m1, 3, 1.5))
+    res = five_step_pipeline(build_classical(PointMap({"a": "a", "b": "b"}), m1, m1, 3, 1.5))
     assert res.composite_residual < 1e-10
     _, m1b, m2 = running_example()
-    res_c = five_step_pipeline(_classical(PointMap({"x": "a", "y": "a", "z": "a"}), m1b, m2, 2, 1))
+    res_c = five_step_pipeline(
+        build_classical(PointMap({"x": "a", "y": "a", "z": "a"}), m1b, m2, 2, 1))
     assert len(res_c.partition.blocks) == 1
     assert res_c.composite_residual < 1e-10
 
@@ -250,7 +281,7 @@ def test_pipeline_random_spaces():
     rng = generator(1)
     for _ in range(20):
         T, m1, m2 = random_space_pair(rng, max_atoms=6)
-        res = five_step_pipeline(_classical(T, m1, m2, 2, 1))
+        res = five_step_pipeline(build_classical(T, m1, m2, 2, 1))
         assert res.composite_residual < 1e-10
         assert res.isometry_residual < 1e-10
 
@@ -269,7 +300,6 @@ def test_isometry_residual_matches_probe_loop(monkeypatch):
             scale = 2.0 * np.asarray(scale)
         return index_map(dom, cod, p, q, rows, cols, scale)
 
-    monkeypatch.setattr(classical, "_index_map", doubled_isometry)
     rng = generator(5)
     checked = 0
     for _ in range(8):
@@ -277,7 +307,11 @@ def test_isometry_residual_matches_probe_loop(monkeypatch):
         if not T.mapping:
             continue
         for p, q in ((2, 1), (3, "3/2"), ("inf", 2), (4, 4)):
-            res = five_step_pipeline(_classical(T, m1, m2, p, q))
+            # the direct map is built unscaled: build_classical checks its norm
+            C = build_classical(T, m1, m2, p, q)
+            with monkeypatch.context() as patched:
+                patched.setattr(classical, "_index_map", doubled_isometry)
+                res = five_step_pipeline(C)
             n = res.isometry.domain_profile.block_count
             iso_rng = np.random.default_rng(17)
             probes = [np.eye(n)[i] for i in range(n)]
@@ -357,15 +391,15 @@ def _reference_stages(T, m1, m2, p, q):
 
 
 def test_classical_matrices_match_closures():
-    # the classical map (as build_classical holds it, without its norm
-    # checks) and the five stages are index-plus-scale
-    # matrices; each equals the materialisation of the closure it replaced
+    # the classical map (as build_classical holds it) and the five stages
+    # are index-plus-scale matrices; each equals the materialisation of the
+    # closure it replaced
     rng = generator(4)
     cases = [running_example(), (PointMap({}),) + running_example()[1:]]
     cases += [random_space_pair(rng, max_atoms=6) for _ in range(12)]
     for T, m1, m2 in cases:
         for p, q in ((2, 1), (3, "3/2"), (2, 2), ("inf", 2), ("inf", "inf")):
-            C = _classical(T, m1, m2, p, q)
+            C = build_classical(T, m1, m2, p, q)
             res = five_step_pipeline(C)
             ops = [C.direct, res.restriction,
                    res.change, res.isometry, res.refinement, res.extension]
@@ -399,15 +433,15 @@ def test_eps_delta_monotone():
 
 def test_diagonal_consistency():
     T, m1, m2 = running_example()
-    rep = diagonal_consistency(_classical(T, m1, m2, 2, 1))
+    rep = diagonal_consistency(build_classical(T, m1, m2, 2, 1))
     assert rep.ok and rep.max_residual < 1e-9
     # identity map: exact agreement
     Ti = PointMap({"a": "a", "b": "b"})
-    rep_i = diagonal_consistency(_classical(Ti, m1, m1, 2, 2))
+    rep_i = diagonal_consistency(build_classical(Ti, m1, m1, 2, 2))
     assert rep_i.ok
     # proper subset domain: same extend-by-zero pattern on both sides
     Tp = PointMap({"x": "a"})
-    rep_p = diagonal_consistency(_classical(Tp, m1, m2, 2, 1))
+    rep_p = diagonal_consistency(build_classical(Tp, m1, m2, 2, 1))
     assert rep_p.ok
 
 
@@ -415,7 +449,7 @@ def test_diagonal_consistency_random():
     rng = generator(3)
     for _ in range(25):
         T, m1, m2 = random_space_pair(rng, max_atoms=5)
-        rep = diagonal_consistency(_classical(T, m1, m2, 2, 1))
+        rep = diagonal_consistency(build_classical(T, m1, m2, 2, 1))
         assert rep.ok
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import stat
@@ -218,8 +219,8 @@ def test_classical_report(spec_path, tmp_path):
 
 
 def test_classical_builds_its_operator_once(tmp_path, monkeypatch):
-    # one pushforward, one direct map plus the five stages, one pinned
-    # maximiser run, and no pair check on the unitary-free point-map morphism
+    # one pushforward, one direct map plus the five stages, no maximiser
+    # run, and no pair check on the unitary-free point-map morphism
     from nclp import classical, cli, compop, jordan
 
     modules = (classical, cli, compop, jordan)
@@ -246,7 +247,19 @@ def test_classical_builds_its_operator_once(tmp_path, monkeypatch):
     path.write_text(json.dumps(spec))
     code, report = machine_report(tmp_path, ["classical", str(path), "--p", "3", "--q", "1.5"])
     assert code == 0 and report["results"]["all_ok"] is True
-    assert counts == {"pushforward": 1, "_index_map": 6, "jordan_defect": 0, "operator_norm": 1}
+    assert counts == {"pushforward": 1, "_index_map": 6, "jordan_defect": 0, "operator_norm": 0}
+
+
+def test_classical_gates_on_the_isometry_residual(spec_path, tmp_path, monkeypatch):
+    # stage III is an isometry of scale 1, so its residual is held to 1e-10
+    from nclp import cli
+
+    pipeline = cli.five_step_pipeline
+    monkeypatch.setattr(cli, "five_step_pipeline", lambda C: dataclasses.replace(
+        pipeline(C), isometry_residual=1e-6))
+    code, report = machine_report(tmp_path, ["classical", spec_path])
+    assert code == 2 and report["results"]["all_ok"] is False
+    assert report["results"]["isometry_residual"] == 1e-6
 
 
 def test_classical_rejects_reversed_exponents(spec_path):
