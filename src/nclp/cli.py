@@ -80,13 +80,14 @@ def _complex_entry(value, path):
     return complex(re_part, im_part)
 
 
-def _matrix(value, dim, path):
+def _matrix(value, dim, path, cols=None):
+    cols = cols or dim
     if not isinstance(value, list) or len(value) != dim:
         raise SpecFileError(path, f"expected {dim} rows")
     rows = []
     for i, row in enumerate(value):
-        if not isinstance(row, list) or len(row) != dim:
-            raise SpecFileError(f"{path}[{i}]", f"expected {dim} entries")
+        if not isinstance(row, list) or len(row) != cols:
+            raise SpecFileError(f"{path}[{i}]", f"expected {cols} entries")
         rows.append([_complex_entry(e, f"{path}[{i}][{j}]") for j, e in enumerate(row)])
     return np.array(rows, dtype=complex)
 
@@ -193,17 +194,8 @@ def _measure_space(value, path):
 def _superoperator(value, profile1, profile2, p, q, path) -> SuperOperator:
     if not isinstance(value, dict) or "matrix" not in value:
         raise SpecFileError(path, "superoperator section needs a matrix field")
-    rows = value["matrix"]
-    d1, d2 = profile1.coord_dim, profile2.coord_dim
-    if not isinstance(rows, list) or len(rows) != d2:
-        raise SpecFileError(f"{path}.matrix", f"expected {d2} rows")
-    mat = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != d1:
-            raise SpecFileError(f"{path}.matrix[{i}]", f"expected {d1} entries")
-        mat.append([_complex_entry(e, f"{path}.matrix[{i}][{j}]")
-                    for j, e in enumerate(row)])
-    return SuperOperator.from_matrix(profile1, profile2, p, q, np.array(mat))
+    mat = _matrix(value["matrix"], profile2.coord_dim, f"{path}.matrix", profile1.coord_dim)
+    return SuperOperator.from_matrix(profile1, profile2, p, q, mat)
 
 
 class SpecDocument:
@@ -553,6 +545,8 @@ def cmd_modular(spec: SpecDocument, args) -> tuple[Report, int]:
     w = spec.weight(1, profile1)
     v = spec.weight(2, profile1)
     t_values = args.t if args.t else [0.0, 0.7, 1.3]
+    if not all(math.isfinite(t) for t in t_values):
+        raise SpecFileError("--t", "modular group parameters are finite numbers")
     report = Report("modular", spec,
                     {"t": t_values, "seed": args.seed},
                     {"commutator": 1e-9, "orbit": 1e-8}, args.seed)
@@ -601,7 +595,7 @@ _PARSER.add_argument("--q", default=None, help="codomain exponent")
 _PARSER.add_argument("--r", default=None, help="ratio p/q for scale mode")
 _PARSER.add_argument("--restarts", type=int, default=16,
                      help="maximiser restarts, at least 1 (used by norm only)")
-_PARSER.add_argument("--seed", type=int, default=0)
+_PARSER.add_argument("--seed", type=int, default=0, help="at least 0")
 _PARSER.add_argument("--t", type=float, nargs="+", default=None,
                      help="modular group parameters")
 _PARSER.add_argument("--out", default=None, help="write the report to a file")
@@ -612,6 +606,8 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     if args.restarts < 1:
         _PARSER.error(f"--restarts must be at least 1, got {args.restarts}")
+    if args.seed < 0:
+        _PARSER.error(f"--seed must be at least 0, got {args.seed}")
     try:
         spec = SpecDocument.load(args.spec)
         report, code = _HANDLERS[args.command](spec, args)

@@ -527,10 +527,9 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     """
     if method not in ("auto", "alternating"):
         raise ValueError(f"unknown method {method!r}")
-    if restarts < 1 or max_iter < 1:
-        raise ValueError(
-            f"need restarts >= 1 and max_iter >= 1, got {restarts} and {max_iter}"
-        )
+    if restarts < 1 or max_iter < 1 or seed < 0:
+        raise ValueError(f"need restarts >= 1, max_iter >= 1 and seed >= 0, "
+                         f"got {restarts}, {max_iter} and {seed}")
     p, q = C.p, C.q
     if method == "auto" and p == _TWO and q == _TWO:
         top = float(np.linalg.svd(C.matrix(), compute_uv=False)[0])
@@ -823,15 +822,15 @@ def _projection_witness(J0: np.ndarray, profile1: BlockProfile, profile2: BlockP
             float(residuals[k]))
 
 
-def _projection_frame(P: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the range of a (numerical) projection, fixed by P alone.
+def _pivot_columns(P: np.ndarray) -> np.ndarray:
+    """Columns of a (numerical) projection P that span its range, fixed by P alone.
 
     The rank is the rounded trace.  Pivoted Cholesky picks that many
-    columns X of P, each time the first index within 1e-9 of the largest
-    remaining diagonal, and the frame is X (X*X)^{-1/2}.  Every step is a
-    function of P, so a rounding-level change of P moves the frame at
-    rounding level only; eigenvectors would carry phases, and a basis of
-    the degenerate eigenspace, chosen by the rounding noise.
+    columns of P, each time the first index within 1e-9 of the largest
+    remaining diagonal.  Each step is a function of P, so a rounding-level
+    change of P moves the columns at rounding level only; eigenvectors
+    would carry phases, and a basis of the degenerate eigenspace, chosen by
+    the rounding noise.
     """
     H = (P + P.conj().T) / 2
     R, picked = H, []
@@ -840,9 +839,7 @@ def _projection_frame(P: np.ndarray) -> np.ndarray:
         j = int(np.argmax(diag >= diag.max() - 1e-9))
         picked.append(j)
         R = R - np.outer(R[:, j], R[j]) / diag[j]
-    X = H[:, picked]
-    lam, v = np.linalg.eigh(X.conj().T @ X)
-    return X @ (v / np.sqrt(lam)) @ v.conj().T
+    return H[:, picked]
 
 
 def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockProfile,
@@ -859,17 +856,23 @@ def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockPr
     part of J(E_12), and its maps are the H parts of J(E_i1); the A
     extractor is Y* Y, Y the A part of J(E_12), and its maps are the A
     parts of J(E_1l).  A 1x1 source is the H case with extractor J(E_11)
-    and no maps.  Each column w of `_projection_frame` of an extractor gives
-    one tile, with frame columns w and the maps applied to w.  The unitary
-    of block d is those frames followed by
-    `_projection_frame(1 - W W*)`, so it depends on J0 only, not on the
-    rounding inside an eigensolver or a QR.
+    and no maps.  Each `_pivot_columns` column x of an extractor gives one
+    tile, with columns x and the maps applied to x.  Block d's tile columns
+    are stacked and orthonormalised once, W = `polar(stack)`, and its
+    unitary is W followed by `polar(_pivot_columns(1 - W W*))`: unitary to
+    rounding also for a J0 a hair off a Jordan map, and for an exact one
+    (block-diagonal Gram) each tile's frame is that of its own extractor.
+    It depends on J0 only, not on the rounding inside an eigensolver or a QR.
     """
+    def polar(X):  # X (X*X)^{-1/2}, the orthonormal frame nearest to X (Fan & Hoffman 1955)
+        lam, v = np.linalg.eigh(X.conj().T @ X)
+        return X @ (v / np.sqrt(lam)) @ v.conj().T
+
     src_at = np.cumsum([0] + [n * n for n in profile1.dims])
     dst_at = np.cumsum([0] + [m * m for m in profile2.dims])
     tiles, block_unitaries = [], []
     for d, m in enumerate(profile2.dims):
-        frames, offset = [], 0
+        columns, offset = [], 0
         for s, n in enumerate(profile1.dims):
             F = J0[dst_at[d] : dst_at[d + 1], src_at[s] : src_at[s + 1]].T.reshape(n, n, m, m)
             if np.linalg.norm(F) <= tol:
@@ -881,13 +884,13 @@ def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockPr
                 parts = [("H", X @ X.conj().T, [F[i, i] @ F[i, 0] for i in range(1, n)]),
                          ("A", Y.conj().T @ Y, [F[0, l] @ F[0, 0] for l in range(1, n)])]
             for kind, extractor, maps in parts:
-                for w in _projection_frame(extractor).T:
+                for x in _pivot_columns(extractor).T:
                     tiles.append(Tile(src=s, dst=d, offset=offset, kind=kind))
-                    frames.append(np.column_stack([w] + [g @ w for g in maps]))
+                    columns += [x] + [g @ x for g in maps]
                     offset += n
-        W = np.column_stack(frames) if frames else np.zeros((m, 0), dtype=complex)
+        W = polar(np.column_stack(columns)) if columns else np.zeros((m, 0), dtype=complex)
         block_unitaries.append(
-            np.column_stack([W, _projection_frame(np.eye(m) - W @ W.conj().T)]))
+            np.column_stack([W, polar(_pivot_columns(np.eye(m) - W @ W.conj().T))]))
     return JordanMorphismSpec(profile1, profile2, tiles, block_unitaries)
 
 
@@ -902,16 +905,16 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
     units (`jordan_defect`), with no sampling.  J0 is one closed-form
     product, sandwich(post) S.matrix() sandwich(pre) with pre = h^{1/(2p)}
     and post = k^{-1/(2q)} (`_sandwich_matrix`); no map is called.  A
-    survivor is factored back into an explicit tile morphism
-    (`_reconstruct_tiles`, whose frames depend on J0 alone), and its
-    closed-form `matrix()` must reproduce J0 on every matrix unit.
+    survivor is factored back into a tile morphism (`_reconstruct_tiles`,
+    valid for every survivor), whose `matrix()` must reproduce J0 on every
+    matrix unit.
 
-    A reject carries a projection witness built from the worst pair
-    (`_projection_witness`); on a reconstruction gap that pair's residual is
-    within tolerance, and the witness is still a projection.  The tolerance
-    1e-7 is looser than the algebra tolerance because two embeddings
-    compound their rounding.  `seed` is not used: the verdict does not
-    depend on it.  Weights off S's profiles are refused (ProfileMismatch).
+    Every call on valid inputs ends in ACCEPT, or in REJECT with a
+    projection witness from the worst pair (`_projection_witness`; after a
+    reconstruction gap that pair is within tolerance and the witness is
+    still a projection).  The tolerance 1e-7 is looser than the algebra
+    tolerance because two embeddings compound their rounding.  `seed` is not
+    used.  Weights off S's profiles (ProfileMismatch) or not faithful are refused.
     """
     if S.domain_profile != w1.profile or S.codomain_profile != w2.profile:
         raise ProfileMismatch("the weights do not match the operator's profiles")

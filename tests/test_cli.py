@@ -8,7 +8,7 @@ import pytest
 
 from nclp.cli import main
 from nclp.compop import build_composition
-from nclp.jordan import transpose_morphism
+from nclp.jordan import identity_morphism, transpose_morphism
 from nclp.matcore import BlockProfile
 from nclp.vnops import Weight
 
@@ -123,6 +123,22 @@ def test_norm_zero_restarts_is_a_usage_error(spec_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_norm_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # [2] into [4] as an H tile and an A tile: no closed form, so the
+    # maximiser would seed its restarts from the negative seed
+    spec = dict(BASE_SPEC, algebra2=[4], weight2=diag_weight_json([0.4, 0.3, 0.2, 0.1]),
+                morphism={"tiles": [{"src": 0, "dst": 0, "offset": 0, "kind": "H"},
+                                    {"src": 0, "dst": 0, "offset": 2, "kind": "A"}]})
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["norm", str(path), "--p", "4", "--q", "4", "--seed", "-1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_check_jordan_zero_samples_is_a_usage_error(spec_path, tmp_path, capsys):
     out = tmp_path / "report.json"
     for samples in ("0", "-3"):
@@ -187,6 +203,40 @@ def test_classify_dimension_error(tmp_path):
     path = tmp_path / "cls_dim.json"
     path.write_text(json.dumps(spec))
     assert main(["classify", str(path), "--p", "2", "--q", "1"]) == 1
+
+
+def test_classify_a_rounding_hair_off_the_base_operator_ends_in_a_verdict(tmp_path, capsys):
+    prof = BlockProfile([2])
+    w1 = Weight.diagonal(prof, [0.5, 0.5])
+    w2 = Weight.diagonal(prof, [0.8, 0.2])
+    mat = np.array(build_composition(identity_morphism(prof), w1, w2, 2, 1).matrix())
+    rng = np.random.default_rng(0)
+    mat += 1e-9 * np.abs(mat).max() * (rng.standard_normal(mat.shape)
+                                        + 1j * rng.standard_normal(mat.shape))
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(dict(BASE_SPEC, superoperator={
+        "matrix": [[c2(z) for z in row] for row in mat]})))
+    code, report = machine_report(tmp_path, ["classify", str(path), "--p", "2", "--q", "1"])
+    assert code in (0, 2)
+    assert report["results"]["verdict"] in ("ACCEPT", "REJECT")
+    assert not any(line.startswith("refused:") for line in capsys.readouterr().err.splitlines())
+
+
+def test_superoperator_parse_errors_name_their_path(tmp_path, capsys):
+    # [2] into [3]: 9 rows of 4 entries
+    spec = dict(BASE_SPEC, algebra2=[3], weight2=diag_weight_json([0.5, 0.3, 0.2]))
+    row = [c2(0.0)] * 4
+    bad_entry = [row] * 9
+    bad_entry[1] = row[:2] + [[1.0]] + row[3:]
+    for matrix, where, message in (
+        ([row] * 8, "superoperator.matrix", "expected 9 rows"),
+        ([row] * 8 + [row[:3]], "superoperator.matrix[8]", "expected 4 entries"),
+        (bad_entry, "superoperator.matrix[1][2]", "complex entries must be [re, im] pairs"),
+    ):
+        path = tmp_path / "superop.json"
+        path.write_text(json.dumps(dict(spec, superoperator={"matrix": matrix})))
+        assert main(["classify", str(path), "--p", "2", "--q", "1"]) == 1
+        assert capsys.readouterr().err == f"input error: {where}: {message}\n"
 
 
 def test_change_of_weights_report(spec_path, tmp_path):
@@ -272,6 +322,15 @@ def test_modular_report(spec_path, tmp_path):
     results = report["results"]
     assert results["weights_commute"] is True
     assert results["modular_orbit"][0]["orbit_residual"] == 0.0
+
+
+@pytest.mark.parametrize("fmt", ["human", "machine"])
+@pytest.mark.parametrize("t", ["nan", "inf", "1e999"])
+def test_modular_non_finite_t_is_an_input_error(spec_path, tmp_path, capsys, fmt, t):
+    out = tmp_path / "report.txt"
+    assert main(["modular", spec_path, "--t", "0", t, "--format", fmt, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("input error: --t: ")
+    assert not out.exists()
 
 
 def test_modular_noncommuting(tmp_path):

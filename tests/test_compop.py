@@ -1343,6 +1343,39 @@ def test_reconstruction_gauge_is_fixed_by_the_matrix():
                 np.testing.assert_allclose(rebuilt.matrix(), J0, rtol=0.0, atol=1e-12)
 
 
+def test_classifier_ends_in_a_verdict_a_rounding_hair_off_a_morphism():
+    # a composition operator plus relative noise eps: each destination
+    # block's rebuilt frames are orthonormalised together, so the rebuilt
+    # spec is a valid morphism and the comparison with J0 alone decides
+    profiles = ([2], [3], [2, 2], [1, 2], [4, 3], [2, 3])
+    for eps in (1e-9, 1e-8, 3e-8):
+        rng = generator(5)
+        for k in range(300):
+            profile = BlockProfile(profiles[k % 6])
+            spec = random_morphism(rng, profile1=profile)
+            w1 = Weight(psd(profile, rng, eps=0.15))
+            w2 = Weight(psd(spec.profile2, rng, eps=0.15))
+            mat = build_composition(spec, w1, w2, 2, 1).matrix()
+            noise = rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape)
+            S = SuperOperator.from_matrix(profile, spec.profile2, 2, 1,
+                                          mat + eps * np.abs(mat).max() * noise)
+            res = classify_characteristic_preserving(S, w1, w2)
+            if res.accepted:
+                for u in res.morphism.block_unitaries:
+                    np.testing.assert_allclose(u @ u.conj().T, np.eye(len(u)),
+                                               rtol=0.0, atol=1e-12)
+            else:
+                e = res.witness[0]
+                assert (e - e.adjoint()).fro_norm() <= 1e-9
+                assert (e @ e - e).fro_norm() <= 1e-9
+
+
+def test_norm_refuses_a_negative_seed():
+    # SeedSequence takes no negative entropy; the maximiser path needs the seed
+    with pytest.raises(ValueError, match="seed >= 0"):
+        operator_norm(identity_operator(PROF2, 3), seed=-1)
+
+
 def test_classifier_verdict_does_not_depend_on_the_seed():
     # total_dim 13 is past the 4096 diagonal patterns that probing could
     # afford; the exact check decides the same under every seed
