@@ -282,10 +282,9 @@ def five_step_pipeline(C: ClassicalOperator) -> PipelineResult:
     space_z1 = FiniteMeasureSpace(support, [m1.mass[i] for i in z_idx])
     space_z_nu = FiniteMeasureSpace(support, C.pushed[z_idx])
     # blocks of the pullback algebra, in bijection with the support atoms
-    block_labels = tuple("|".join(str(y) for y in blk) for blk in part.blocks)
     block_targets = [T.image_of(blk[0]) for blk in part.blocks]
     space_blocks = FiniteMeasureSpace(
-        block_labels, [sum(m2.mass_of(y) for y in blk) for blk in part.blocks])
+        part.blocks, [sum(m2.mass_of(y) for y in blk) for blk in part.blocks])
     y_atoms = tuple(y for y in m2.atoms if y in set(T.domain))
     space_y = FiniteMeasureSpace(y_atoms, [m2.mass_of(y) for y in y_atoms])
     inv_p, inv_q = float(p.reciprocal()), float(q.reciprocal())

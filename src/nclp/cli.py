@@ -416,7 +416,7 @@ def cmd_check_jordan(spec: SpecDocument, args) -> tuple[Report, int]:
     morphism = spec.morphism(profile1, profile2)
     report = Report("check-jordan", spec, {"seed": args.seed},
                     {"pass_residual": 1e-9}, args.seed)
-    result = verify_jordan(morphism, seed=args.seed)
+    result = verify_jordan(morphism)
     report.put("verdict", "PASS" if result.passed else "FAIL")
     report.put("max_residual", result.max_residual)
     report.put("tiles", _tiles_out(morphism))

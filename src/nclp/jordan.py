@@ -60,10 +60,21 @@ def _as_unitary(u, dim, what):
 class JordanMorphismSpec:
     """A normal Jordan *-morphism between block profiles, stored as tiles.
 
-    `matrix()` gives the map on flat block coordinates in closed form from
-    the tiles; it is the one place that writes down a tile's action.
-    `apply` and `unit_image` act through it, and the construction check
-    runs on it; `hom_projection` shares its tile columns (`_frame`).
+    Each tile has a frame E (`_frame`) and sends x to E x E* (E x^T E* for
+    an A tile).  `matrix()` writes that action down in closed form, and
+    `apply` and `unit_image` act through it; `hom_projection` sums E E*.
+
+    The constructor refuses tile data that is not a Jordan morphism by one
+    Gram test per destination block.  With F = [E_t ...] the block's tile
+    frames side by side, G = F*F - 1 and A = (+)_t a_t for a source element
+    a (a_t its source block, transposed for an A tile), J(a) = F A F* there,
+    J(a*) = J(a)* and
+        J(a)J(b) + J(b)J(a) - J(ab + ba) = F A G B F* + F B G A F*.
+    On matrix units ||A||, ||B|| <= 1, so every `jordan_defect` residual is
+    at most 2 ||F||^2 ||G|| <= 2d(1 + d), d = ||G||_2 from one `eigvalsh`:
+    refusing 2d(1 + d) > JORDAN_TOL is never looser than the pair check,
+    and G = 0 makes J a Jordan morphism.  A block with no unitary has
+    disjoint identity columns as frames (G = 0) and is skipped.
     """
 
     __slots__ = ("profile1", "profile2", "tiles", "block_unitaries", "_matrix")
@@ -119,39 +130,27 @@ class JordanMorphismSpec:
         object.__setattr__(self, "tiles", tuple(norm_tiles))
         object.__setattr__(self, "block_unitaries", bus)
         object.__setattr__(self, "_matrix", None)
-        if any(t.conj_unitary is not None for t in norm_tiles) or any(
-                w is not None for w in bus or ()):
-            self._self_check()
+        for dst, group in by_dst.items():
+            if (bus is None or bus[dst] is None) and all(t.conj_unitary is None for t in group):
+                continue
+            F = np.column_stack([self._frame(t) for t in group])
+            d = float(np.abs(np.linalg.eigvalsh(F.conj().T @ F - np.eye(F.shape[1]))).max())
+            if not 2 * d * (1 + d) <= JORDAN_TOL:  # a NaN frame is refused too
+                raise InvalidMorphism(
+                    f"tile data does not define a Jordan morphism (block {dst}: {d=:.3e})")
 
     def __setattr__(self, name, value):
         raise AttributeError("JordanMorphismSpec is immutable")
-
-    def _self_check(self):
-        """The Jordan laws on every pair of matrix units (`jordan_defect`), to JORDAN_TOL.
-
-        J(1) is then a projection too: J(1)^2 - J(1) is a sum of the
-        residuals on the pairs (E_ii, E_kk).  Run only when a unitary is
-        given: without one, each tile copies its source block (transposed for
-        A) onto its own diagonal range, so the matrix is 0/1 with at most one
-        1 per row, the laws hold, and `jordan_defect` returns exactly 0.0.
-        """
-        worst, _ = jordan_defect(self.matrix(), self.profile1, self.profile2)
-        if worst > JORDAN_TOL:
-            raise InvalidMorphism(
-                f"tile data does not define a Jordan morphism (residual {worst:.3e})")
 
     # -- action ---------------------------------------------------------
 
     def matrix(self) -> np.ndarray:
         """Read-only matrix of J on flat block coordinates (cached).
 
-        Built in closed form, not by calling `apply`: with W the unitary of
-        the tile's destination block (identity if none), U the tile unitary
-        (identity if none), n the source block size and
-        E = W[:, offset:offset+n] U, a tile sends x to E x E* (E x^T E* for
-        an A tile).  In C-order flat coordinates that is kron(E, conj E),
-        with the columns permuted (i, j) -> (j, i) for an A tile; the tiles'
-        terms are summed into the (destination, source) block of the matrix.
+        Built in closed form from the tile frames E, not by calling `apply`:
+        in C-order flat coordinates a tile is kron(E, conj E), with the
+        columns permuted (i, j) -> (j, i) for an A tile; the tiles' terms are
+        summed into the (destination, source) block of the matrix.
         """
         if self._matrix is None:
             p1, p2 = self.profile1, self.profile2
@@ -161,8 +160,6 @@ class JordanMorphismSpec:
             for t in self.tiles:
                 n, m = p1.dims[t.src], p2.dims[t.dst]
                 e = self._frame(t)
-                if t.conj_unitary is not None:
-                    e = e @ t.conj_unitary
                 k = kron(e, e.conj())
                 if t.kind == "A":
                     k = k.reshape(m * m, n, n).swapaxes(1, 2).reshape(m * m, n * n)
@@ -182,20 +179,22 @@ class JordanMorphismSpec:
         return self.apply(BlockMatrix.identity(self.profile1))
 
     def _frame(self, t: Tile) -> np.ndarray:
-        """The columns W[:, offset:offset+n] of the tile's destination block unitary (or of 1)."""
+        """The tile's frame W[:, offset:offset+n] U (block unitary W, tile unitary U; 1 if none)."""
         w = None if self.block_unitaries is None else self.block_unitaries[t.dst]
         w = np.eye(self.profile2.dims[t.dst], dtype=complex) if w is None else w
-        return w[:, t.offset : t.offset + self.profile1.dims[t.src]]
+        e = w[:, t.offset : t.offset + self.profile1.dims[t.src]]
+        return e if t.conj_unitary is None else e @ t.conj_unitary
 
     def hom_projection(self) -> BlockMatrix:
         """The central projection z of the image algebra under which J is multiplicative.
 
         z is the unit image of the H tiles: per destination block, the sum of
-        E E* over its H tiles, E = `_frame` (a tile unitary U cancels in E U U* E*).
+        E E* over its H tiles, E = `_frame`.
         """
         blocks = [np.zeros((m, m), dtype=complex) for m in self.profile2.dims]
         for t in (t for t in self.tiles if t.kind == "H"):
-            blocks[t.dst] += self._frame(t) @ self._frame(t).conj().T
+            e = self._frame(t)
+            blocks[t.dst] += e @ e.conj().T
         return BlockMatrix(self.profile2, blocks)
 
     def covered_src_blocks(self, kind=None):

@@ -10,6 +10,7 @@ from nclp.cli import main
 from nclp.compop import build_composition
 from nclp.jordan import identity_morphism, transpose_morphism
 from nclp.matcore import BlockProfile
+from nclp.sampling import generator, unitary
 from nclp.vnops import Weight
 
 
@@ -298,6 +299,49 @@ def test_classical_builds_its_operator_once(tmp_path, monkeypatch):
     code, report = machine_report(tmp_path, ["classical", str(path), "--p", "3", "--q", "1.5"])
     assert code == 0 and report["results"]["all_ok"] is True
     assert counts == {"pushforward": 1, "_index_map": 6, "jordan_defect": 0, "operator_norm": 0}
+
+
+def test_classical_when_an_atom_label_holds_a_bar(tmp_path):
+    spec = json.loads(json.dumps(BASE_SPEC))
+    spec["measure_space"] = {
+        "atoms1": ["X", "Y"], "masses1": [0.5, 0.7],
+        "atoms2": ["a|b", "a", "b"], "masses2": [0.3, 0.2, 0.6],
+        "map": {"a|b": "X", "a": "Y", "b": "Y"},
+    }
+    path = tmp_path / "bar.json"
+    path.write_text(json.dumps(spec))
+    code, report = machine_report(tmp_path, ["classical", str(path), "--p", "2", "--q", "1"])
+    assert code == 0 and report["results"]["all_ok"] is True
+
+
+def test_check_jordan_runs_the_pair_check_once(tmp_path, monkeypatch):
+    # a tile unitary and a block unitary: the constructor checks the frames,
+    # and only verify_jordan runs the pair check
+    from nclp import compop, jordan
+
+    calls = []
+    original = jordan.jordan_defect
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for m in (compop, jordan):
+        monkeypatch.setattr(m, "jordan_defect", counted)
+    rng = generator(31)
+    spec = json.loads(json.dumps(BASE_SPEC))
+    spec["algebra2"] = [3]
+    spec["weight2"] = diag_weight_json([0.5, 0.3, 0.2])
+    spec["morphism"] = {
+        "tiles": [{"src": 0, "dst": 0, "offset": 1, "kind": "A",
+                   "unitary": [[c2(z) for z in row] for row in unitary(2, rng)]}],
+        "block_unitaries": [[[c2(z) for z in row] for row in unitary(3, rng)]],
+    }
+    path = tmp_path / "unitaries.json"
+    path.write_text(json.dumps(spec))
+    code, report = machine_report(tmp_path, ["check-jordan", str(path)])
+    assert code == 0 and report["results"]["verdict"] == "PASS"
+    assert len(calls) == 1
 
 
 def test_classical_gates_on_the_isometry_residual(spec_path, tmp_path, monkeypatch):

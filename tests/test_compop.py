@@ -1370,6 +1370,28 @@ def test_classifier_ends_in_a_verdict_a_rounding_hair_off_a_morphism():
                 assert (e @ e - e).fro_norm() <= 1e-9
 
 
+def test_classifier_runs_the_pair_check_once_on_an_accept(monkeypatch):
+    # once on J0; the rebuilt spec's constructor checks its frames only
+    from nclp import jordan
+
+    rng = generator(8)
+    spec = random_morphism(rng, profile1=PROF23)
+    w1, w2 = faithful(PROF23, rng), faithful(spec.profile2, rng)
+    S = build_composition(spec, w1, w2, 2, 1)
+    calls = []
+    original = jordan.jordan_defect
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for m in (compop, jordan):
+        monkeypatch.setattr(m, "jordan_defect", counted)
+    res = classify_characteristic_preserving(S, w1, w2)
+    assert res.accepted and res.morphism.block_unitaries is not None
+    assert len(calls) == 1
+
+
 def test_norm_refuses_a_negative_seed():
     # SeedSequence takes no negative entropy; the maximiser path needs the seed
     with pytest.raises(ValueError, match="seed >= 0"):

@@ -6,6 +6,7 @@ from nclp.compop import SuperOperator, build_composition
 from nclp.errors import InvalidMorphism, NotFaithful, ProfileMismatch
 from nclp.haagerup import embed
 from nclp.jordan import (
+    JORDAN_TOL,
     JordanMorphismSpec,
     Tile,
     decompose,
@@ -308,6 +309,60 @@ def test_tile_unitary_that_breaks_the_laws_is_refused():
     almost = np.diag([1.0, 1.0 + 5e-9])
     with pytest.raises(InvalidMorphism, match="tile data does not define a Jordan morphism"):
         JordanMorphismSpec(PROF2, PROF2, [Tile(0, 0, 0, "H", almost)])
+
+
+def test_frame_check_is_never_looser_than_the_pair_check():
+    # every unitary of a random morphism moved by eps (N + iN), log10 eps
+    # uniform on [-11.5, -8]: whatever the constructor accepts passes the
+    # exact pair check
+    rng = generator(2024)
+    counts = {"accepted": 0, "refused": 0}
+
+    def moved(u, eps):
+        return None if u is None else u + eps * (
+            rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
+
+    specs = []
+    for _ in range(400):
+        spec = random_morphism(rng)
+        eps = 10.0 ** rng.uniform(-11.5, -8)
+        tiles = [Tile(t.src, t.dst, t.offset, t.kind, moved(t.conj_unitary, eps))
+                 for t in spec.tiles]
+        bus = spec.block_unitaries and [moved(w, eps) for w in spec.block_unitaries]
+        if bus is None and all(t.conj_unitary is None for t in tiles):
+            continue
+        specs.append((spec.profile1, spec.profile2, tiles, bus))
+    # diag(1, 1 + delta): d = 2 delta + delta^2 and the pair residual at
+    # (E_22, E_22) is 2((1 + delta)^4 - (1 + delta)^2), so 2d(1 + d) is sharp
+    for delta in (3.5e-10, 2e-10):
+        specs.append((PROF2, PROF2, [Tile(0, 0, 0, "H", np.diag([1.0, 1.0 + delta]))], None))
+    for profile1, profile2, tiles, bus in specs:
+        try:
+            spec = JordanMorphismSpec(profile1, profile2, tiles, bus)
+        except InvalidMorphism:
+            counts["refused"] += 1
+            continue
+        counts["accepted"] += 1
+        assert jordan_defect(spec.matrix(), profile1, profile2)[0] <= JORDAN_TOL
+    assert counts["accepted"] >= 100 and counts["refused"] >= 20, counts
+
+
+def test_frames_of_one_destination_block_are_checked_together():
+    # two 1x1 tiles on one [2] block with W = [[1, eps], [0, 1]]: each
+    # column alone has norm 1 to rounding, but the two overlap by eps
+    profile1, profile2 = BlockProfile([1, 1]), BlockProfile([2])
+    tiles = [Tile(0, 0, 0, "H"), Tile(1, 0, 1, "H")]
+    with pytest.raises(InvalidMorphism, match="tile data does not define a Jordan morphism"):
+        JordanMorphismSpec(profile1, profile2, tiles, [np.array([[1.0, 5e-9], [0.0, 1.0]])])
+    spec = JordanMorphismSpec(profile1, profile2, tiles, [np.array([[1.0, 1e-10], [0.0, 1.0]])])
+    assert jordan_defect(spec.matrix(), profile1, profile2)[0] <= JORDAN_TOL
+
+
+def test_a_nan_unitary_is_refused():
+    # NaN compares false with every tolerance, so it must fail the check
+    nan = np.array([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(InvalidMorphism, match="tile data does not define a Jordan morphism"):
+        JordanMorphismSpec(PROF2, PROF2, [Tile(0, 0, 0, "H", nan)])
 
 
 def test_unitary_free_tiles_have_no_jordan_defect():
