@@ -18,7 +18,7 @@ import numpy as np
 
 from .compop import SuperOperator, build_composition
 from .errors import NoConvergence, ProfileMismatch, TooLarge
-from .exponents import Exponent, coerce, holder_complement, ratio, require_order
+from .exponents import Exponent, holder_complement, ratio, require_order
 from .jordan import JordanMorphismSpec, Tile
 from .matcore import BlockProfile, _lp_norm
 from .vnops import Weight
@@ -226,7 +226,7 @@ def build_classical(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
     q-norm of column j, and by Holder ||M|| = ||c||_rho, 1/rho = 1/q - 1/p.
     The two must agree within 1e-9 relative, or NoConvergence is raised.
     """
-    p, q = coerce(p), coerce(q)
+    p, q = Exponent(p), Exponent(q)
     require_order(p, q)
     pushed, support = pushforward(T, m1, m2)
     rows = [m2.index(y) for y, _ in T.mapping]

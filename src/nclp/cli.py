@@ -92,112 +92,6 @@ def _matrix(value, dim, path, cols=None):
     return np.array(rows, dtype=complex)
 
 
-def _profile(value, path) -> BlockProfile:
-    if not isinstance(value, list) or not value:
-        raise SpecFileError(path, "expected a non-empty list of block sizes")
-    for i, d in enumerate(value):
-        if not _is_integer(d) or d < 1:
-            raise SpecFileError(f"{path}[{i}]", "block sizes are integers >= 1")
-    return BlockProfile(value)
-
-
-def _weight(value, profile: BlockProfile, path) -> Weight:
-    if not isinstance(value, list) or len(value) != profile.block_count:
-        raise SpecFileError(path, f"expected {profile.block_count} blocks")
-    blocks = [
-        _matrix(blk, dim, f"{path}[{i}]")
-        for i, (blk, dim) in enumerate(zip(value, profile.dims))
-    ]
-    try:
-        return Weight(BlockMatrix(profile, blocks))
-    except NclpError as exc:
-        raise SpecFileError(path, f"weight rejected: {exc}") from exc
-
-
-def _morphism(value, profile1, profile2, path) -> JordanMorphismSpec:
-    if not isinstance(value, dict):
-        raise SpecFileError(path, "morphism section must be an object")
-    tiles_raw = value.get("tiles")
-    if not isinstance(tiles_raw, list):
-        raise SpecFileError(f"{path}.tiles", "expected a list of tiles")
-    tiles = []
-    for i, t in enumerate(tiles_raw):
-        tp = f"{path}.tiles[{i}]"
-        if not isinstance(t, dict):
-            raise SpecFileError(tp, "tile must be an object")
-        for key in ("src", "dst", "offset"):
-            if not _is_integer(t.get(key)):
-                raise SpecFileError(f"{tp}.{key}", "expected an integer")
-        kind = t.get("kind")
-        if kind not in ("H", "A"):
-            raise SpecFileError(f"{tp}.kind", 'expected "H" or "A"')
-        unitary = None
-        if t.get("unitary") is not None:
-            if not (0 <= t["src"] < profile1.block_count):
-                raise SpecFileError(f"{tp}.src", "source index out of range")
-            unitary = _matrix(t["unitary"], profile1.dims[t["src"]], f"{tp}.unitary")
-        tiles.append(Tile(src=t["src"], dst=t["dst"], offset=t["offset"],
-                          kind=kind, conj_unitary=unitary))
-    block_unitaries = None
-    if value.get("block_unitaries") is not None:
-        bu_raw = value["block_unitaries"]
-        if not isinstance(bu_raw, list) or len(bu_raw) != profile2.block_count:
-            raise SpecFileError(
-                f"{path}.block_unitaries",
-                f"expected {profile2.block_count} entries (null allowed)",
-            )
-        block_unitaries = [
-            None if u is None else _matrix(u, profile2.dims[d], f"{path}.block_unitaries[{d}]")
-            for d, u in enumerate(bu_raw)
-        ]
-    try:
-        return JordanMorphismSpec(profile1, profile2, tiles, block_unitaries)
-    except NclpError as exc:
-        raise SpecFileError(path, f"morphism rejected: {exc}") from exc
-
-
-def _measure_space(value, path):
-    if not isinstance(value, dict):
-        raise SpecFileError(path, "measure_space section must be an object")
-    for key in ("atoms1", "masses1", "atoms2", "masses2", "map"):
-        if key not in value:
-            raise SpecFileError(f"{path}.{key}", "missing field")
-    for key in ("atoms1", "masses1", "atoms2", "masses2"):
-        if not isinstance(value[key], list):
-            raise SpecFileError(f"{path}.{key}", "expected a list")
-        for i, item in enumerate(value[key]):
-            # JSON object keys are strings, and true == 1 in Python
-            if key == "atoms2" and not isinstance(item, str):
-                raise SpecFileError(f"{path}.{key}[{i}]",
-                                    "atoms2 labels are strings: they are the keys of map")
-            if key == "atoms1" and isinstance(item, (list, dict, bool)):
-                raise SpecFileError(f"{path}.{key}[{i}]",
-                                    "atoms1 labels are strings or numbers, not booleans")
-            if key.startswith("masses") and not _is_finite_number(item):
-                raise SpecFileError(f"{path}.{key}[{i}]", "masses are finite numbers")
-    try:
-        m1 = FiniteMeasureSpace(value["atoms1"], value["masses1"])
-        m2 = FiniteMeasureSpace(value["atoms2"], value["masses2"])
-    except NclpError as exc:
-        raise SpecFileError(path, str(exc)) from exc
-    mapping = value["map"]
-    if not isinstance(mapping, dict):
-        raise SpecFileError(f"{path}.map", "expected an object atom2 -> atom1")
-    T = PointMap(mapping.items())
-    try:
-        T.validate(m1, m2)
-    except NclpError as exc:
-        raise SpecFileError(f"{path}.map", str(exc)) from exc
-    return m1, m2, T
-
-
-def _superoperator(value, profile1, profile2, p, q, path) -> SuperOperator:
-    if not isinstance(value, dict) or "matrix" not in value:
-        raise SpecFileError(path, "superoperator section needs a matrix field")
-    mat = _matrix(value["matrix"], profile2.coord_dim, f"{path}.matrix", profile1.coord_dim)
-    return SuperOperator.from_matrix(profile1, profile2, p, q, mat)
-
-
 class SpecDocument:
     """Parsed spec file with lazy section accessors."""
 
@@ -230,22 +124,115 @@ class SpecDocument:
         return self.raw[key]
 
     def profile(self, which: int) -> BlockProfile:
-        key = f"algebra{which}"
-        return _profile(self._require(key), key)
+        path = f"algebra{which}"
+        value = self._require(path)
+        if not isinstance(value, list) or not value:
+            raise SpecFileError(path, "expected a non-empty list of block sizes")
+        for i, d in enumerate(value):
+            if not _is_integer(d) or d < 1:
+                raise SpecFileError(f"{path}[{i}]", "block sizes are integers >= 1")
+        return BlockProfile(value)
 
     def weight(self, which: int, profile: BlockProfile) -> Weight:
-        key = f"weight{which}"
-        return _weight(self._require(key), profile, key)
+        path = f"weight{which}"
+        value = self._require(path)
+        if not isinstance(value, list) or len(value) != profile.block_count:
+            raise SpecFileError(path, f"expected {profile.block_count} blocks")
+        blocks = [
+            _matrix(blk, dim, f"{path}[{i}]")
+            for i, (blk, dim) in enumerate(zip(value, profile.dims))
+        ]
+        try:
+            return Weight(BlockMatrix(profile, blocks))
+        except NclpError as exc:
+            raise SpecFileError(path, f"weight rejected: {exc}") from exc
 
     def morphism(self, profile1, profile2) -> JordanMorphismSpec:
-        return _morphism(self._require("morphism"), profile1, profile2, "morphism")
+        path = "morphism"
+        value = self._require(path)
+        if not isinstance(value, dict):
+            raise SpecFileError(path, "morphism section must be an object")
+        tiles_raw = value.get("tiles")
+        if not isinstance(tiles_raw, list):
+            raise SpecFileError(f"{path}.tiles", "expected a list of tiles")
+        tiles = []
+        for i, t in enumerate(tiles_raw):
+            tp = f"{path}.tiles[{i}]"
+            if not isinstance(t, dict):
+                raise SpecFileError(tp, "tile must be an object")
+            for key in ("src", "dst", "offset"):
+                if not _is_integer(t.get(key)):
+                    raise SpecFileError(f"{tp}.{key}", "expected an integer")
+            kind = t.get("kind")
+            if kind not in ("H", "A"):
+                raise SpecFileError(f"{tp}.kind", 'expected "H" or "A"')
+            unitary = None
+            if t.get("unitary") is not None:
+                if not (0 <= t["src"] < profile1.block_count):
+                    raise SpecFileError(f"{tp}.src", "source index out of range")
+                unitary = _matrix(t["unitary"], profile1.dims[t["src"]], f"{tp}.unitary")
+            tiles.append(Tile(src=t["src"], dst=t["dst"], offset=t["offset"],
+                              kind=kind, conj_unitary=unitary))
+        block_unitaries = None
+        if value.get("block_unitaries") is not None:
+            bu_raw = value["block_unitaries"]
+            if not isinstance(bu_raw, list) or len(bu_raw) != profile2.block_count:
+                raise SpecFileError(
+                    f"{path}.block_unitaries",
+                    f"expected {profile2.block_count} entries (null allowed)",
+                )
+            block_unitaries = [
+                None if u is None else _matrix(u, profile2.dims[d], f"{path}.block_unitaries[{d}]")
+                for d, u in enumerate(bu_raw)
+            ]
+        try:
+            return JordanMorphismSpec(profile1, profile2, tiles, block_unitaries)
+        except NclpError as exc:
+            raise SpecFileError(path, f"morphism rejected: {exc}") from exc
 
     def measure_space(self):
-        return _measure_space(self._require("measure_space"), "measure_space")
+        path = "measure_space"
+        value = self._require(path)
+        if not isinstance(value, dict):
+            raise SpecFileError(path, "measure_space section must be an object")
+        for key in ("atoms1", "masses1", "atoms2", "masses2", "map"):
+            if key not in value:
+                raise SpecFileError(f"{path}.{key}", "missing field")
+        for key in ("atoms1", "masses1", "atoms2", "masses2"):
+            if not isinstance(value[key], list):
+                raise SpecFileError(f"{path}.{key}", "expected a list")
+            for i, item in enumerate(value[key]):
+                # JSON object keys are strings, and true == 1 in Python
+                if key == "atoms2" and not isinstance(item, str):
+                    raise SpecFileError(f"{path}.{key}[{i}]",
+                                        "atoms2 labels are strings: they are the keys of map")
+                if key == "atoms1" and isinstance(item, (list, dict, bool)):
+                    raise SpecFileError(f"{path}.{key}[{i}]",
+                                        "atoms1 labels are strings or numbers, not booleans")
+                if key.startswith("masses") and not _is_finite_number(item):
+                    raise SpecFileError(f"{path}.{key}[{i}]", "masses are finite numbers")
+        try:
+            m1 = FiniteMeasureSpace(value["atoms1"], value["masses1"])
+            m2 = FiniteMeasureSpace(value["atoms2"], value["masses2"])
+        except NclpError as exc:
+            raise SpecFileError(path, str(exc)) from exc
+        mapping = value["map"]
+        if not isinstance(mapping, dict):
+            raise SpecFileError(f"{path}.map", "expected an object atom2 -> atom1")
+        T = PointMap(mapping.items())
+        try:
+            T.validate(m1, m2)
+        except NclpError as exc:
+            raise SpecFileError(f"{path}.map", str(exc)) from exc
+        return m1, m2, T
 
     def superoperator(self, profile1, profile2, p, q) -> SuperOperator:
-        return _superoperator(self._require("superoperator"), profile1, profile2,
-                              p, q, "superoperator")
+        path = "superoperator"
+        value = self._require(path)
+        if not isinstance(value, dict) or "matrix" not in value:
+            raise SpecFileError(path, "superoperator section needs a matrix field")
+        mat = _matrix(value["matrix"], profile2.coord_dim, f"{path}.matrix", profile1.coord_dim)
+        return SuperOperator.from_matrix(profile1, profile2, p, q, mat)
 
     def exponent(self, name: str, override) -> Exponent:
         if override is not None:
@@ -443,7 +430,7 @@ def cmd_norm(spec: SpecDocument, args) -> tuple[Report, int]:
     report.put("norm_upper_bound",
                None if math.isinf(estimate.upper_bound) else estimate.upper_bound)
     report.put("status", estimate.status)
-    report.put("certified", estimate.certified)
+    report.put("certified", estimate.status == "exact")
     report.put("restarts_capped", estimate.capped)
     # C_J is compression to the covered blocks, the change of weights from w1
     # to the pushforward of w2, then a contractive Jordan embedding

@@ -34,7 +34,7 @@ from .errors import (
     ProfileMismatch,
     RatioMismatch,
 )
-from .exponents import Exponent, coerce, holder_complement, ratio, require_order
+from .exponents import Exponent, holder_complement, ratio, require_order
 from .haagerup import ExponentTriple
 from .jordan import (
     JordanMorphismSpec,
@@ -120,8 +120,8 @@ class SuperOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "domain_profile", domain_profile)
         object.__setattr__(self, "codomain_profile", codomain_profile)
-        object.__setattr__(self, "p", coerce(p))
-        object.__setattr__(self, "q", coerce(q))
+        object.__setattr__(self, "p", Exponent(p))
+        object.__setattr__(self, "q", Exponent(q))
         object.__setattr__(self, "_matrix", mat)
 
     def __setattr__(self, name, value):
@@ -168,12 +168,14 @@ class SuperOperator:
 class NormEstimate:
     """Bounds on an operator norm, labelled by `status`.
 
-    `upper_bound` is a proved upper bound, math.inf when there is none.  A
-    norm is `exact` when the bounds agree within NORM_RTOL (the (2,2)
-    oracle, the p = inf closed form, the Holder closed form ||C#(1)||_rho,
-    with a witness except at q = 1, and a cone iteration whose gap closed),
-    `interval` when they do not, and `lower-only` with no upper bound (the alternating
-    maximiser).
+    Fields: `lower_bound`, a value the norm attains or exceeds;
+    `upper_bound`, a proved upper bound, math.inf when there is none; and
+    the work counts `iterations`, `restarts` and `capped`.  A norm is
+    `exact` when the bounds agree within NORM_RTOL (the (2,2) oracle, the
+    p = inf closed form, the Holder closed form ||C#(1)||_rho, with a
+    witness except at q = 1, and a cone iteration whose gap closed),
+    `interval` when they do not, and `lower-only` with no upper bound (the
+    alternating maximiser).
 
     The maximiser's `iterations` is summed over the restarts, so it equals
     restarts * max_iter exactly when every restart hit the cap, and
@@ -186,7 +188,6 @@ class NormEstimate:
     lower_bound: float
     iterations: int
     restarts: int
-    seed: int
     capped: int = 0
     upper_bound: float = math.inf
 
@@ -197,10 +198,6 @@ class NormEstimate:
         if self.upper_bound <= self.lower_bound * (1.0 + NORM_RTOL):
             return "exact"
         return "interval"
-
-    @property
-    def certified(self) -> bool:
-        return self.status == "exact"
 
 
 def identity_operator(profile: BlockProfile, p, q=None) -> SuperOperator:
@@ -229,7 +226,7 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
     post = k^{1/(2q)} and pre = h^{-1/(2p)}, and J is `J.matrix()`; no
     closure is called.
     """
-    p, q = coerce(p), coerce(q)
+    p, q = Exponent(p), Exponent(q)
     require_order(p, q)
     w1.require_faithful("composition operator (domain weight)")
     w2.require_faithful("composition operator (codomain weight)")
@@ -533,8 +530,7 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     p, q = C.p, C.q
     if method == "auto" and p == _TWO and q == _TWO:
         top = float(np.linalg.svd(C.matrix(), compute_uv=False)[0])
-        return NormEstimate(lower_bound=top, iterations=0, restarts=0, seed=seed,
-                            upper_bound=top)
+        return NormEstimate(lower_bound=top, iterations=0, restarts=0, upper_bound=top)
     dom, cod = C.domain_profile, C.codomain_profile
     positive = _completely_positive_matrix(C) if method == "auto" and q <= p else None
     if positive is not None:
@@ -542,20 +538,18 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
         if p.is_inf:
             image = mat @ BlockMatrix.identity(dom).flat()
             value = schatten_norm(BlockMatrix.unflat(cod, image), q)
-            return NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=seed,
-                                upper_bound=value)
+            return NormEstimate(lower_bound=value, iterations=0, restarts=0, upper_bound=value)
         unit = eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
         if q == _ONE:
             value = _holder_form(unit, p, holder_complement(p, q))[0]
-            return NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=seed,
-                                upper_bound=value)
+            return NormEstimate(lower_bound=value, iterations=0, restarts=0, upper_bound=value)
         bounds = _single_kraus_norm(mat, dom, cod, p, q, stacks, unit)
         if bounds is not None:
-            return NormEstimate(lower_bound=bounds[0], iterations=0, restarts=0, seed=seed,
+            return NormEstimate(lower_bound=bounds[0], iterations=0, restarts=0,
                                 upper_bound=bounds[1])
         if _ONE < q <= _TWO <= p:
             lower, upper, steps, closed = _cone_norm(mat, dom, cod, p, q, unit, max_iter)
-            return NormEstimate(lower_bound=lower, iterations=steps, restarts=0, seed=seed,
+            return NormEstimate(lower_bound=lower, iterations=steps, restarts=0,
                                 capped=int(not closed), upper_bound=upper)
     mat = C.matrix()
     mat_h = mat.conj().T
@@ -581,7 +575,7 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
         going = (val2 != 0.0) & ~(gain < 1e-10)
         active, X = active[going], X[:, going]
     return NormEstimate(lower_bound=float(np.max(current)), iterations=total_iters,
-                        restarts=restarts, seed=seed, capped=int(active.size))
+                        restarts=restarts, capped=int(active.size))
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +618,7 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     NoConvergence if the witness's value ||d x d*||_q / ||x||_p falls 1e-9
     relative below the bound or 1e-6 relative above it.
     """
-    p, q = coerce(p), coerce(q)
+    p, q = Exponent(p), Exponent(q)
     require_order(p, q)
     w.require_faithful("change of weights")
     if w.profile != w0.profile:
@@ -639,7 +633,7 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     value = schatten_norm(d @ witness @ d.adjoint(), q) / x_norm if bound else 0.0
     if not bound * (1.0 - 1e-9) <= value <= bound * (1.0 + 1e-6):
         raise NoConvergence(f"witness attains {value:.15g}, the bound is {bound:.15g}")
-    est = NormEstimate(lower_bound=value, iterations=0, restarts=0, seed=0, upper_bound=bound)
+    est = NormEstimate(lower_bound=value, iterations=0, restarts=0, upper_bound=bound)
     return ChangeOfWeights(d=d, bound=bound, norm_estimate=est, witness=witness, triple=triple)
 
 
@@ -669,10 +663,10 @@ def change_of_weights_scale(w: Weight, w0: Weight, r, sample_pairs) -> ScaleRepo
     and the value its witness attains, so `measured` equals `bound` to
     rounding (finite bounds are automatic here).
     """
-    r = coerce(r)
+    r = Exponent(r)
     entries = []
     for p, q in sample_pairs:
-        p, q = coerce(p), coerce(q)
+        p, q = Exponent(p), Exponent(q)
         if ratio(p, q) != r:
             raise RatioMismatch(f"pair ({p}, {q}) does not realise ratio {r}")
         cw = change_of_weights(w, w0, p, q)
@@ -964,7 +958,7 @@ def contraction_inclusion(wB: Weight, w2: Weight, inclusion: JordanMorphismSpec,
     eigenvalue otherwise.  The map is bounded with norm controlled by C^{1/p}
     (up to a dimension-level constant).
     """
-    p = coerce(p)
+    p = Exponent(p)
     wB.require_faithful("inclusion domain weight")
     w2.require_faithful("inclusion codomain weight")
     if inclusion.profile1 != wB.profile or inclusion.profile2 != w2.profile:
@@ -1002,7 +996,7 @@ def splitting_inequality_check(hJ: Weight, hz: Weight, h1z: Weight, q) -> Splitt
     Valid for commuting summands; checked as the smallest eigenvalue of the
     gap hz^{1/q} + h1z^{1/q} - hJ^{1/q} being >= -1e-9.
     """
-    q = coerce(q)
+    q = Exponent(q)
     if not weights_commute(hz, h1z):
         raise NotCommuting("the density summands do not commute")
     gap_sum = (hJ.rho - hz.rho - h1z.rho).fro_norm()

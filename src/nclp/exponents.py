@@ -148,11 +148,6 @@ _parse_cached = lru_cache(maxsize=64, typed=True)(_parse)
 INF = Exponent("inf")
 
 
-def coerce(value) -> Exponent:
-    """Accept Exponent, number or string and return an Exponent."""
-    return value if isinstance(value, Exponent) else Exponent(value)
-
-
 def require_order(p: Exponent, q: Exponent) -> None:
     """Enforce q <= p (the only regime where composition operators behave)."""
     if q > p:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ExponentMismatch, ProfileMismatch
-from .exponents import Exponent, coerce, holder_complement, require_order
+from .exponents import Exponent, holder_complement, require_order
 from .matcore import BlockMatrix, schatten_norm
 from .vnops import Weight
 
@@ -43,7 +43,7 @@ class ExponentTriple:
 
     @classmethod
     def from_pq(cls, p, q) -> "ExponentTriple":
-        p, q = coerce(p), coerce(q)
+        p, q = Exponent(p), Exponent(q)
         require_order(p, q)
         return cls(p=p, q=q, r=holder_complement(p, q), p_conj=p.conjugate())
 
@@ -59,7 +59,7 @@ def embed(w: Weight, a: BlockMatrix, p) -> LpElement:
 
     Positivity preserving: a >= 0 lands on a positive element.
     """
-    p = coerce(p)
+    p = Exponent(p)
     if a.profile != w.profile:
         raise ProfileMismatch("element and weight profiles differ")
     if p.is_inf:

@@ -23,7 +23,7 @@ from .errors import (
     ProfileMismatch,
     SingularNegativePower,
 )
-from .exponents import coerce as coerce_exponent
+from .exponents import Exponent
 
 SUPPORT_CUTOFF = 1e-12
 PSD_TOL = 1e-10
@@ -209,9 +209,6 @@ class BlockMatrix:
 
     # -- scalars -------------------------------------------------------
 
-    def block(self, i) -> np.ndarray:
-        return self.blocks[i]
-
     def trace(self) -> complex:
         return complex(np.sum(self._flat[_diagonal_index(self.profile)]))
 
@@ -373,7 +370,7 @@ def _lp_norm(values: np.ndarray, p):
 
 def schatten_norm(x: BlockMatrix, p) -> float:
     """Schatten p-norm: the l^p norm of all singular values across blocks."""
-    return float(_lp_norm(np.concatenate(singular_values(x)), coerce_exponent(p)))
+    return float(_lp_norm(np.concatenate(singular_values(x)), Exponent(p)))
 
 
 def polar(x: BlockMatrix):

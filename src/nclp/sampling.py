@@ -23,16 +23,17 @@ def _ginibre(n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
-def element(profile: BlockProfile, rng: np.random.Generator, scale: float = 1.0) -> BlockMatrix:
-    """Complex Gaussian block matrix."""
-    return BlockMatrix(profile, [scale * _ginibre(d, rng) for d in profile])
+def element(profile: BlockProfile, rng: np.random.Generator) -> BlockMatrix:
+    """Complex Gaussian block matrix: each block a Ginibre matrix g."""
+    return BlockMatrix(profile, [_ginibre(d, rng) for d in profile])
 
 
-def hermitian(profile: BlockProfile, rng: np.random.Generator, scale: float = 1.0) -> BlockMatrix:
+def hermitian(profile: BlockProfile, rng: np.random.Generator) -> BlockMatrix:
+    """Hermitian block matrix: each block (g + g*)/2 for a Ginibre matrix g."""
     blocks = []
     for d in profile:
         g = _ginibre(d, rng)
-        blocks.append(scale * (g + g.conj().T) / 2)
+        blocks.append((g + g.conj().T) / 2)
     return BlockMatrix(profile, blocks)
 
 

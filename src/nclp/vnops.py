@@ -41,13 +41,6 @@ class Projection:
         if (e - e.adjoint()).fro_norm() > 1e-8 or (e @ e - e).fro_norm() > 1e-8:
             raise NotPSD("matrix is not a projection within 1e-8")
 
-    @property
-    def profile(self) -> BlockProfile:
-        return self.matrix.profile
-
-    def complement(self) -> "Projection":
-        return Projection(BlockMatrix.identity(self.profile) - self.matrix)
-
     def leq(self, other: "Projection", tol: float = 1e-8) -> bool:
         """e <= f, tested as e f e = e."""
         e, f = self.matrix, other.matrix
@@ -56,9 +49,6 @@ class Projection:
     def join(self, other: "Projection") -> "Projection":
         """e v f, computed as the support of e + f."""
         return Projection(support_of(self.matrix + other.matrix))
-
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
 
 
 class Weight:

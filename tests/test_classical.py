@@ -479,3 +479,15 @@ def test_point_map_morphism_structure():
     a = BlockMatrix.diagonal(m1.profile(), [2.0, 5.0])
     out = spec.apply(a)
     assert np.allclose([b[0, 0].real for b in out.blocks], [2.0, 2.0, 5.0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FiniteMeasureSpace(["a", "b"], [1.0]), ProfileMismatch, "one mass per atom required"),
+    (lambda: PointMap({"x": "a"}).image_of("y"), KeyError, "'y'"),
+    (lambda: eps_delta_modulus([1.0, 2.0], [1.0], 0.5),
+     ProfileMismatch, "weight vectors differ in length"),
+], ids=["mass-short", "unmapped-atom", "unequal-lengths"])
+def test_classical_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -496,6 +496,99 @@ def test_bad_exponents_are_input_errors(tmp_path, capsys, args, spec, where):
     assert capsys.readouterr().err.startswith(f"input error: {where}: ")
 
 
+_DROP = object()
+
+
+def _edited(*keys, value):
+    """A copy of BASE_SPEC with the entry at `keys` set to `value`, or removed for _DROP."""
+    spec = json.loads(json.dumps(BASE_SPEC))
+    *head, last = keys
+    node = spec
+    for key in head:
+        node = node[key]
+    if value is _DROP:
+        del node[last]
+    else:
+        node[last] = value
+    return spec
+
+
+_TILE = {"src": 0, "dst": 0, "offset": 0, "kind": "H"}
+_PQ = ["--p", "2", "--q", "1"]
+
+
+@pytest.mark.parametrize("args, spec, where", [
+    (["check-jordan"], [BASE_SPEC], "$"),
+    (["check-jordan"], None, None),
+    (["check-jordan"], _edited("algebra2", value=_DROP), "algebra2"),
+    (["norm", *_PQ], _edited("algebra1", value=[]), "algebra1"),
+    (["norm", *_PQ], _edited("weight1", value=diag_weight_json([0.5, 0.5]) * 2), "weight1"),
+    (["check-jordan"], _edited("morphism", value=[_TILE]), "morphism"),
+    (["check-jordan"], _edited("morphism", "tiles", value=_TILE), "morphism.tiles"),
+    (["check-jordan"], _edited("morphism", "tiles", value=[[0, 0, 0, "H"]]), "morphism.tiles[0]"),
+    (["check-jordan"], _edited("morphism", "tiles", 0, "kind", value="X"),
+     "morphism.tiles[0].kind"),
+    (["check-jordan"], _edited("morphism", "tiles", 0, value=dict(
+        _TILE, src=1, unitary=[[[1, 0], [0, 0]], [[0, 0], [1, 0]]])), "morphism.tiles[0].src"),
+    (["check-jordan"], _edited("morphism", "block_unitaries", value=[None, None]),
+     "morphism.block_unitaries"),
+    (["classical", *_PQ], _edited("measure_space", value=[]), "measure_space"),
+    (["classical", *_PQ], _edited("measure_space", "masses2", value=_DROP),
+     "measure_space.masses2"),
+    (["classical", *_PQ], _edited("measure_space", "masses1", value=[0.5]), "measure_space"),
+    (["classical", *_PQ], _edited("measure_space", "map", value=[["x", "a"]]),
+     "measure_space.map"),
+    (["classical", *_PQ], _edited("measure_space", "map", "x", value="c"), "measure_space.map"),
+    (["classify", *_PQ], dict(BASE_SPEC, superoperator={"rows": []}), "superoperator"),
+    (["norm"], _edited("exponents", "p", value=_DROP), "exponents.p"),
+    (["norm"], _edited("exponents", "p", value=2), "exponents.p"),
+    (["classical", *_PQ], _edited("measure_space", "masses1", value=[10 ** 400, 0.5]),
+     "measure_space.masses1[0]"),
+], ids=["top-level-list", "unreadable-path", "missing-section", "empty-algebra",
+        "weight-block-count", "morphism-list", "tiles-object", "tile-list", "tile-kind",
+        "unitary-src-range", "block-unitaries-length", "measure-space-list",
+        "measure-field-missing", "mass-short", "map-list", "map-target", "no-matrix",
+        "exponent-missing", "exponent-number", "huge-integer-mass"])
+def test_spec_refusals_name_their_path(tmp_path, capsys, args, spec, where):
+    # every refusal is exit 1 with the JSON path (or the spec path itself),
+    # no traceback and no report file
+    path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    if spec is not None:
+        path.write_text(json.dumps(spec))
+    where = str(path) if where is None else where
+    assert main(args[:1] + [str(path)] + args[1:] + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {where}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_modular_with_a_singular_first_weight(tmp_path):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(dict(BASE_SPEC, weight1=diag_weight_json([1.0, 0.0]))))
+    code, report = machine_report(tmp_path, ["modular", str(path)])
+    assert code == 0
+    assert report["results"]["other_density_in_centralizer"] == "weight1 is not faithful"
+    assert "modular_orbit" not in report["results"]
+
+
+def test_change_of_weights_scale_mode_at_infinite_ratio(spec_path, tmp_path):
+    code, report = machine_report(tmp_path, ["change-of-weights", spec_path, "--r", "inf"])
+    assert code == 0
+    assert report["results"]["ratio"] == "inf"
+    assert [(e["p"], e["q"]) for e in report["results"]["entries"]] == [("inf", "1"), ("inf", "2")]
+    assert report["results"]["all_ok"] is True
+
+
+def test_human_report_abbreviates_long_nested_lists(tmp_path, capsys):
+    # a [13] block: d is one block of 13 rows, shown as a count
+    spec = dict(BASE_SPEC, algebra1=[13], weight1=diag_weight_json([0.5] * 13),
+                weight2=diag_weight_json([1.0 + k for k in range(13)]))
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    assert main(["change-of-weights", str(path), "--p", "2", "--q", "1"]) == 0
+    assert "d: [[13 entries]]\n" in capsys.readouterr().out
+
+
 def test_classical_accepts_infinite_p(spec_path, tmp_path):
     # at (inf, q) the criterion exponent is r = 1: every reported number exists
     for q in ("2", "1", "inf"):

@@ -194,7 +194,7 @@ def test_identity_composition_cancels():
     x = element(PROF23, rng)
     assert (C.apply(x) - x).fro_norm() < 1e-10 * (1 + x.fro_norm())
     est = operator_norm(C)
-    assert est.certified
+    assert est.status == "exact"
     assert est.lower_bound == pytest.approx(1.0, abs=1e-9)
 
 
@@ -228,7 +228,7 @@ def test_infinity_domain_bound():
 def test_norm_left_multiplication_certified():
     c = BlockMatrix.diagonal(PROF2, [2.0, 3.0])
     est = operator_norm(left_multiplication(PROF2, c, 2, 2))
-    assert est.certified
+    assert est.status == "exact"
     assert est.lower_bound == pytest.approx(3.0, abs=1e-10)
 
 
@@ -450,7 +450,7 @@ def test_change_of_weights_witness_attains_bound():
                 if h is tracial and np.isinf(r):
                     # d*d is a multiple of 1: its top eigenprojection is 1
                     assert cw.witness.allclose(BlockMatrix.identity(profile), 1e-12)
-                assert cw.norm_estimate.certified
+                assert cw.norm_estimate.status == "exact"
                 if target.total() == 0.0:
                     assert cw.bound == 0.0 and cw.norm_estimate.lower_bound == 0.0
                     continue
@@ -783,7 +783,7 @@ def _cone(C, max_iter=200):
     mat, dom, cod = C.matrix(), C.domain_profile, C.codomain_profile
     unit = eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
     lower, upper, steps, closed = compop._cone_norm(mat, dom, cod, C.p, C.q, unit, max_iter)
-    return NormEstimate(lower_bound=lower, iterations=steps, restarts=0, seed=0,
+    return NormEstimate(lower_bound=lower, iterations=steps, restarts=0,
                         capped=int(not closed), upper_bound=upper)
 
 
@@ -819,7 +819,7 @@ def test_cone_reports_an_open_gap():
     rng = generator(65)
     h, k = faithful(PROF23, rng), faithful(PROF23, rng)
     est = _cone(change_of_weights(h, k, 3, "3/2").operator, max_iter=1)
-    assert est.status == "interval" and not est.certified
+    assert est.status == "interval"
     assert est.capped == 1 and est.iterations == 1
     assert 0.0 < est.lower_bound < est.upper_bound < np.inf
 
@@ -1001,7 +1001,7 @@ def test_maps_that_are_not_positive_go_to_the_maximiser():
     for p, q in ((3, "3/2"), ("inf", 2), (2, 1)):
         for C in (left_multiplication(PROF23, c, p, q), build_composition(mixed, w1, w2, p, q)):
             est = operator_norm(C, restarts=4, seed=0)
-            assert est.status == "lower-only" and not est.certified
+            assert est.status == "lower-only"
             assert est.upper_bound == np.inf and est.restarts == 4
 
 
@@ -1602,3 +1602,27 @@ def test_splitting_preconditions():
         splitting_inequality_check(hz, hz, rotated, 2)
     with pytest.raises(NotSummable):
         splitting_inequality_check(hz, hz, hz, 2)
+
+
+PROF11 = BlockProfile([1, 1])
+W2, W11 = Weight.diagonal(PROF2, [0.5, 0.5]), Weight.diagonal(PROF11, [0.5, 0.5])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: build_composition(identity_morphism(PROF2), W11, W2, 2, 1),
+     ProfileMismatch, "weights do not match the morphism profiles"),
+    (lambda: change_of_weights(W2, W11, 2, 1), ProfileMismatch, "weights live on different profiles"),
+    (lambda: identity_operator(PROF2, 2).apply(BlockMatrix.zeros(PROF11)),
+     ProfileMismatch, "input does not match the domain profile"),
+    (lambda: identity_operator(PROF2, 2).compose(identity_operator(PROF11, 2)),
+     ProfileMismatch, "composition profiles do not chain"),
+    (lambda: SuperOperator.from_matrix(PROF2, PROF2, 2, 2, np.eye(3)),
+     ProfileMismatch, "matrix shape (3, 3), expected (4, 4)"),
+    (lambda: operator_norm(identity_operator(PROF2, 2), method="other"),
+     ValueError, "unknown method 'other'"),
+], ids=["composition-weights", "change-of-weights", "apply", "compose", "matrix-shape",
+        "norm-method"])
+def test_compop_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message

@@ -135,3 +135,14 @@ def test_warm_exponent_arithmetic_is_cached(monkeypatch):
         operator_norm(cw.operator)
         counts.append(len(made) - counts[-1])
     assert counts[:2] == counts[2:] and counts[0] <= 6 and counts[1] <= 1
+
+
+def test_exponent_refusals():
+    with pytest.raises(ExponentOrder) as info:
+        ratio(Exponent(3), INF)
+    assert str(info.value) == "ratio p/q undefined for finite p = 3, q = inf"
+    with pytest.raises(BadExponent) as info:
+        Exponent("inf").fraction
+    assert str(info.value) == "infinite exponent has no finite value"
+    # a string that is no exponent compares unequal, it does not raise
+    assert (Exponent(2) == "abc") is False

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nclp.errors import ExponentMismatch, NotFaithful
+from nclp.errors import ExponentMismatch, NotFaithful, ProfileMismatch
 from nclp.exponents import Exponent, INF
 from nclp.haagerup import (
     ExponentTriple,
@@ -12,7 +12,6 @@ from nclp.haagerup import (
     tr,
     unembed,
 )
-from nclp.exponents import coerce
 from nclp.matcore import BlockMatrix, BlockProfile, frac_power, polar, schatten_norm
 from nclp.sampling import element, generator, hermitian, psd
 from nclp.vnops import Weight
@@ -155,7 +154,7 @@ def norming_candidate(b, r, t):
     satisfies ||b g||_s = ||b||_r; random sampling of the unit ball only ever
     approaches this value from below.
     """
-    r, t = coerce(r), coerce(t)
+    r, t = Exponent(r), Exponent(t)
     if schatten_norm(b, r) == 0.0:
         return BlockMatrix.zeros(b.profile)
     _, absb = polar(b)
@@ -181,3 +180,9 @@ def test_dual_norm_attainment():
         best = max(best, schatten_norm(b @ g_star, s))
         assert best == pytest.approx(target, rel=1e-6)
         assert best <= target + 1e-9
+
+
+def test_embed_refuses_another_profile():
+    with pytest.raises(ProfileMismatch) as info:
+        embed(Weight.tracial(PROF2), BlockMatrix.zeros(PROF23), 2)
+    assert str(info.value) == "element and weight profiles differ"

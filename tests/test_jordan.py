@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nclp import jordan
 from nclp.classical import FiniteMeasureSpace, PointMap, point_map_morphism
 from nclp.compop import SuperOperator, build_composition
 from nclp.errors import InvalidMorphism, NotFaithful, ProfileMismatch
@@ -20,7 +21,7 @@ from nclp.jordan import (
     transpose_morphism,
     verify_jordan,
 )
-from nclp.matcore import BlockMatrix, BlockProfile
+from nclp.matcore import BlockMatrix, BlockProfile, block_stacks
 from nclp.sampling import element, generator, hermitian, psd, unitary
 from nclp.vnops import Weight, generate_algebra, modular_conjugate, weights_commute
 
@@ -382,6 +383,64 @@ def test_unitary_free_tiles_have_no_jordan_defect():
         assert jordan_defect(spec.matrix(), spec.profile1, spec.profile2)[0] == 0.0
 
 
+def _reference_jordan_defect(M, profile1, profile2):
+    """jordan_defect as a plain loop: adjoint defects, then the pairs u <= v of matrix units."""
+    units = [(b, i, j) for b, n in enumerate(profile1.dims) for i in range(n) for j in range(n)]
+    index = {unit: u for u, unit in enumerate(units)}
+
+    def product(u, v):
+        """Flat index of E_u E_v, or None when the product is 0."""
+        (b, i, j), (c, k, l) = units[u], units[v]
+        return index[b, i, l] if b == c and j == k else None
+
+    worst, where = 0.0, (0, 0)
+    for X in block_stacks(profile2, M):
+        for u, (b, i, j) in enumerate(units):
+            gap = np.abs(X[index[b, j, i]] - X[u].conj().T).max()
+            if gap > worst:
+                worst, where = gap, (u, u)
+        for u in range(len(units)):
+            for v in range(u, len(units)):
+                defect = X[u] @ X[v] + X[v] @ X[u]
+                for t in (product(u, v), product(v, u)):
+                    if t is not None:
+                        defect = defect - X[t]
+                gap = np.abs(defect).max()
+                if gap > worst:
+                    worst, where = gap, (u, v)
+    return worst, where
+
+
+def test_jordan_defect_matches_a_plain_loop_over_unit_pairs():
+    rng = generator(83)
+    cases = []
+    for _ in range(12):
+        spec = random_morphism(rng)
+        shape = spec.matrix().shape
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cases.append((spec.matrix() + 1e-3 * noise, spec.profile1, spec.profile2))
+    # [4, 4] into one 8-wide block: N = 32 units, m = 8, so each row chunk
+    # holds _PAIR_BUDGET // (N m^2) = 8 rows and the check spans 4 chunks
+    wide1, wide8 = BlockProfile([4, 4]), BlockProfile([8])
+    assert jordan._PAIR_BUDGET // (32 * 8 * 8) < 32
+    framed = JordanMorphismSpec(wide1, wide8, [Tile(0, 0, 0, "H", unitary(4, rng)),
+                                               Tile(1, 0, 4, "A", unitary(4, rng))],
+                                [unitary(8, rng)])
+    for scale in (1e-6, 1e-2):
+        noise = rng.standard_normal((64, 32)) + 1j * rng.standard_normal((64, 32))
+        cases.append((framed.matrix() + scale * noise, wide1, wide8))
+    for profile1, profile2 in ((wide1, wide8), (PROF23, BlockProfile([3, 2])),
+                               (BlockProfile([1, 2]), BlockProfile([2, 3, 1]))):
+        shape = (profile2.coord_dim, profile1.coord_dim)
+        cases.append((rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                      profile1, profile2))
+    for M, profile1, profile2 in cases:
+        worst, where = jordan_defect(M, profile1, profile2)
+        ref_worst, ref_where = _reference_jordan_defect(M, profile1, profile2)
+        assert abs(worst - ref_worst) <= 1e-12 * ref_worst
+        assert where == ref_where, (profile1.dims, profile2.dims)
+
+
 def test_block_unitary_count_must_match_destination_blocks():
     with pytest.raises(ProfileMismatch, match="one block unitary slot"):
         JordanMorphismSpec(PROF2, PROF2, [Tile(0, 0, 0, "H")], [None, np.eye(2)])
@@ -539,3 +598,19 @@ def test_verify_jordan_refuses_conjugate_linear_superoperator():
     with pytest.raises(ProfileMismatch):
         SuperOperator(PROF23, spec.profile2, 2, 2,
                       lambda x: spec.apply(BlockMatrix(x.profile, [b.conj() for b in x.blocks])))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: identity_morphism(PROF2).apply(BlockMatrix.zeros(PROF23)),
+     "element does not match the source profile"),
+    (lambda: JordanMorphismSpec(PROF2, PROF2, [Tile(0, 0, 0, "H", np.eye(3))]),
+     "tile unitary has shape (3, 3), expected (2, 2)"),
+    (lambda: JordanMorphismSpec(PROF2, PROF2, [Tile(1, 0, 0, "H")]),
+     "tile source index 1 out of range"),
+    (lambda: JordanMorphismSpec(PROF2, PROF2, [Tile(0, 1, 0, "H")]),
+     "tile destination index 1 out of range"),
+], ids=["apply", "unitary-shape", "src-range", "dst-range"])
+def test_jordan_refusals(call, message):
+    with pytest.raises(ProfileMismatch) as info:
+        call()
+    assert str(info.value) == message

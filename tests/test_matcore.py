@@ -359,3 +359,18 @@ def test_frac_power_matches_per_block_eigh():
         frac_power(singular, -0.5)
     with pytest.raises(NotPSD):
         frac_power(full - BlockMatrix.identity(MIXED) * 10.0, 0.5)
+
+
+PROF2 = BlockProfile([2])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: BlockMatrix(PROF2, [np.eye(2), np.eye(2)]), "expected 1 blocks, got 2"),
+    (lambda: BlockMatrix(PROF2, [np.eye(3)]), "block of shape (3, 3) does not match size 2"),
+    (lambda: BlockMatrix.diagonal(PROF2, [1.0, 2.0, 3.0]), "need 2 diagonal entries, got (3,)"),
+    (lambda: BlockMatrix.unflat(PROF2, np.zeros(3)), "need 4 coordinates, got 3"),
+], ids=["block-count", "block-shape", "diagonal-length", "unflat-length"])
+def test_block_matrix_refusals(call, message):
+    with pytest.raises(ProfileMismatch) as info:
+        call()
+    assert str(info.value) == message

@@ -272,3 +272,28 @@ def test_weight_power_matches_per_block_eigh():
         singular.power(-0.5)
     with pytest.raises(NotPSD):
         Weight(rho - BlockMatrix.identity(mixed) * 10.0)
+
+
+PROF11 = BlockProfile([1, 1])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: locally_absolutely_continuous(Weight.tracial(PROF2), Weight.tracial(PROF11)),
+     ProfileMismatch, "weights live on different profiles"),
+    (lambda: weights_commute(Weight.tracial(PROF2), Weight.tracial(PROF11)),
+     ProfileMismatch, "weights live on different profiles"),
+    (lambda: generate_algebra([]), ValueError, "need at least one generator"),
+    (lambda: generate_algebra([BlockMatrix.identity(PROF2), BlockMatrix.identity(PROF11)]),
+     ProfileMismatch, "generators live on different profiles"),
+], ids=["continuity-profiles", "commute-profiles", "no-generators", "mixed-generators"])
+def test_vnops_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_weights_with_noncommuting_supports_do_not_commute():
+    # supports e = E_11 and f = the projection onto (e_1 + e_2)/sqrt(2)
+    w = Weight(BlockMatrix(PROF2, [np.diag([1.0, 0.0])]))
+    v = Weight(BlockMatrix(PROF2, [np.full((2, 2), 0.5)]))
+    assert weights_commute(w, v) is False
