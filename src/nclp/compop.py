@@ -316,9 +316,9 @@ def _random_start(profile: BlockProfile, stream) -> np.ndarray:
     return z[real] + 1j * z[imag]
 
 
-def _choi_stacks(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> list | None:
-    """The Choi matrices of the map with matrix `mat` as (n, m, stack) per size pair, if the map
-    is completely positive, tested exactly; None if it is not.
+def _choi_stacks(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> tuple | None:
+    """(||mat||_F, the Choi matrices of the map with matrix `mat` as (n, m, stack) per size pair)
+    if the map is completely positive, tested exactly; None if it is not.
 
     For a source block s of size n and a destination block t of size m, with
     B = mat[rows of t, cols of s], the Choi matrix sum_ij E_ij (x) C(E_ij) is
@@ -333,7 +333,7 @@ def _choi_stacks(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> list 
     """
     scale = float(np.linalg.norm(mat))
     if scale == 0.0:
-        return []
+        return scale, []
     tol, stacks = _CHOI_TOL * scale, []
     for n, ks, src in size_groups(dom):
         for m, kt, dst in size_groups(cod):
@@ -346,20 +346,20 @@ def _choi_stacks(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> list 
             except np.linalg.LinAlgError:
                 return None
             stacks.append((n, m, choi))
-    return stacks
+    return scale, stacks
 
 
 def _completely_positive_matrix(C: SuperOperator):
-    """(matrix, Choi stacks) of C if C is completely positive, else of C o transpose if so.
+    """(matrix, `_choi_stacks`) of C if C is completely positive, else of C o transpose if so.
 
     Transposition is a Schatten isometry, so C o transpose has C's norms;
     this covers the composition operators of A-only morphisms.
     """
     mat, dom, cod = C.matrix(), C.domain_profile, C.codomain_profile
     for candidate in (mat, mat[:, _transpose_permutation(dom)]):
-        stacks = _choi_stacks(candidate, dom, cod)
-        if stacks is not None:
-            return candidate, stacks
+        choi = _choi_stacks(candidate, dom, cod)
+        if choi is not None:
+            return candidate, choi
     return None
 
 
@@ -378,7 +378,8 @@ def _holder_form(unit: tuple, p: Exponent, rho: Exponent) -> tuple:
     rho/p (p just above q) cannot overflow, and every value scales with P.
     """
     lams = [np.maximum(lam, 0.0) for lam in unit[0]]
-    top = max(float(np.max(lam)) for lam in lams)
+    spectrum = np.concatenate([lam.ravel() for lam in lams])
+    top = float(spectrum.max())
     if top == 0.0:
         return 0.0, lams, 0.0
     if rho.is_inf:
@@ -386,27 +387,27 @@ def _holder_form(unit: tuple, p: Exponent, rho: Exponent) -> tuple:
     else:
         power = float(rho.fraction * p.reciprocal())
         f = [np.where(lam > SUPPORT_CUTOFF * top, (lam / top) ** power, 0.0) for lam in lams]
-    return (float(_lp_norm(np.concatenate([lam.ravel() for lam in lams]), rho)), f,
+    return (float(_lp_norm(spectrum, rho)), f,
             float(_lp_norm(np.concatenate([v.ravel() for v in f]), p)))
 
 
 def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
-                       p: Exponent, q: Exponent, stacks: list, unit: tuple) -> tuple | None:
+                       p: Exponent, q: Exponent, cp: tuple, unit: tuple) -> tuple | None:
     """(lower, upper) for a completely positive map with one Kraus map per block pair over a
     matching of blocks, q <= p; None for any other map.
 
-    `unit` is the eigensystem of C#(1) and the bound and witness are
-    `_holder_form`'s.  With tol = _CHOI_TOL ||mat||_F, a pair of
-    `_choi_stacks` is live when tr Choi > tol; the map qualifies when no
-    block is in two live pairs and each live Choi is rank one up to
-    tr - ||Choi||_F^2/tr <= tol, a bound on its trace beyond the top
-    eigenvalue.  The lower value is the witness's ||Cx||_q / ||x||_p; the
-    upper bound (1 + _CONE_ROUNDING) ||C#(1)||_rho adds those defects and
-    the traces of the other pairs, as a completely positive map with Choi
-    matrix R has norm at most tr R.
+    `cp` is `_choi_stacks(mat, dom, cod)`, `unit` the eigensystem of
+    C#(1), and the bound and witness are `_holder_form`'s.  With tol =
+    _CHOI_TOL ||mat||_F, a pair of the Choi stacks is live when tr Choi >
+    tol; the map qualifies when no block is in two live pairs and each live
+    Choi is rank one up to tr - ||Choi||_F^2/tr <= tol, a bound on its trace
+    beyond the top eigenvalue.  The lower value is the witness's
+    ||Cx||_q / ||x||_p; the upper bound (1 + _CONE_ROUNDING) ||C#(1)||_rho
+    adds those defects and the traces of the other pairs, as a completely
+    positive map with Choi matrix R has norm at most tr R.
     """
-    tol = _CHOI_TOL * float(np.linalg.norm(mat))
-    slack, src, dst = 0.0, [], []
+    scale, stacks = cp
+    tol, slack, src, dst = _CHOI_TOL * scale, 0.0, [], []
     for n, m, choi in stacks:
         trace = choi.diagonal(axis1=1, axis2=2).sum(axis=-1).real
         on = trace > tol
@@ -420,7 +421,7 @@ def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
         return None
     bound, f, x_norm = _holder_form(unit, p, holder_complement(p, q))
     x = from_eig_groups(dom, unit[1], f).flat()
-    lower = schatten_norm(BlockMatrix.unflat(cod, mat @ x), q) / x_norm if bound else 0.0
+    lower = schatten_norm(BlockMatrix._of_flat(cod, mat @ x), q) / x_norm if bound else 0.0
     return lower, (1.0 + _CONE_ROUNDING) * bound + slack
 
 
@@ -534,16 +535,16 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     dom, cod = C.domain_profile, C.codomain_profile
     positive = _completely_positive_matrix(C) if method == "auto" and q <= p else None
     if positive is not None:
-        mat, stacks = positive
+        mat, cp = positive
         if p.is_inf:
             image = mat @ BlockMatrix.identity(dom).flat()
-            value = schatten_norm(BlockMatrix.unflat(cod, image), q)
+            value = schatten_norm(BlockMatrix._of_flat(cod, image), q)
             return NormEstimate(lower_bound=value, iterations=0, restarts=0, upper_bound=value)
         unit = eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
         if q == _ONE:
             value = _holder_form(unit, p, holder_complement(p, q))[0]
             return NormEstimate(lower_bound=value, iterations=0, restarts=0, upper_bound=value)
-        bounds = _single_kraus_norm(mat, dom, cod, p, q, stacks, unit)
+        bounds = _single_kraus_norm(mat, dom, cod, p, q, cp, unit)
         if bounds is not None:
             return NormEstimate(lower_bound=bounds[0], iterations=0, restarts=0,
                                 upper_bound=bounds[1])
@@ -627,10 +628,11 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     half_out = w0.power(q.reciprocal() / 2)   # k^{1/(2q)}; support proj at q = inf
     half_in = w.power(-p.reciprocal() / 2)    # h^{-1/(2p)}; identity at p = inf
     d = half_out @ half_in
-    unit = eigh_groups(w.profile, (d.adjoint() @ d).flat())
+    d_star = d.adjoint()
+    unit = eigh_groups(w.profile, (d_star @ d).flat())
     bound, f, x_norm = _holder_form(unit, p, triple.r)
     witness = from_eig_groups(w.profile, unit[1], f)
-    value = schatten_norm(d @ witness @ d.adjoint(), q) / x_norm if bound else 0.0
+    value = schatten_norm(d @ witness @ d_star, q) / x_norm if bound else 0.0
     if not bound * (1.0 - 1e-9) <= value <= bound * (1.0 + 1e-6):
         raise NoConvergence(f"witness attains {value:.15g}, the bound is {bound:.15g}")
     est = NormEstimate(lower_bound=value, iterations=0, restarts=0, upper_bound=bound)

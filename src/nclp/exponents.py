@@ -155,8 +155,9 @@ def require_order(p: Exponent, q: Exponent) -> None:
 
 
 @lru_cache(maxsize=64, typed=True)
-def holder_complement(p: Exponent, q: Exponent) -> Exponent:
+def holder_complement(p, q) -> Exponent:
     """The exponent r with 1/q = 1/p + 1/r; r = inf when p = q."""
+    p, q = Exponent(p), Exponent(q)
     require_order(p, q)
     inv_r = q.reciprocal() - p.reciprocal()
     if inv_r == 0:
@@ -165,8 +166,9 @@ def holder_complement(p: Exponent, q: Exponent) -> Exponent:
 
 
 @lru_cache(maxsize=64, typed=True)
-def ratio(p: Exponent, q: Exponent) -> Exponent:
+def ratio(p, q) -> Exponent:
     """p/q with the convention inf/inf = 1."""
+    p, q = Exponent(p), Exponent(q)
     if p.is_inf and q.is_inf:
         return Exponent(1)
     if p.is_inf:

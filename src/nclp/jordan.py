@@ -271,8 +271,10 @@ def linearity_defect(fn, M: np.ndarray, profile: BlockProfile, seed: int) -> flo
 
 # Source matrix units per row chunk of the pair check, as a budget of complex
 # entries: a chunk of c units makes (c m, N m) products on an m x m
-# destination block.
-_PAIR_BUDGET = 1 << 14
+# destination block.  4096 entries (64 KiB) stay below glibc's default
+# 128 KiB mmap threshold, so the chunks are reused heap memory, not pages
+# mapped and faulted in afresh on every call.
+_PAIR_BUDGET = 1 << 12
 
 
 @lru_cache(maxsize=64)

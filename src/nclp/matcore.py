@@ -13,7 +13,7 @@ norms and polar decomposition (numpy.linalg.svd) also take one call per size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,30 +33,36 @@ HERMITIAN_TOL = 1e-8
 
 @dataclass(frozen=True)
 class BlockProfile:
-    """Block sizes n_1..n_k of a direct sum of full matrix algebras."""
+    """Block sizes n_1..n_k of a direct sum of full matrix algebras.
+
+    A cache key compared on every BlockMatrix operation: equal profiles are
+    mostly one object, so identity is tested before the dims, and total_dim
+    and coord_dim (sum of n_i^2) are set here.
+    """
 
     dims: tuple
 
     def __init__(self, dims):
-        dims = tuple(int(d) for d in dims)
+        dims = tuple(map(int, dims))
         if not dims:
             raise ValueError("profile needs at least one block")
-        if any(d < 1 for d in dims):
+        if min(dims) < 1:
             raise ValueError(f"block sizes must be >= 1, got {dims}")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "total_dim", sum(dims))
+        object.__setattr__(self, "coord_dim", sum([d * d for d in dims]))
+
+    def __eq__(self, other):
+        if other.__class__ is not BlockProfile:
+            return NotImplemented
+        return self is other or self.dims == other.dims
+
+    def __hash__(self):
+        return hash(self.dims)
 
     @property
     def block_count(self) -> int:
         return len(self.dims)
-
-    @cached_property
-    def total_dim(self) -> int:
-        return sum(self.dims)
-
-    @cached_property
-    def coord_dim(self) -> int:
-        """Dimension of the block-diagonal carrier, sum of n_i^2."""
-        return sum(d * d for d in self.dims)
 
     def __iter__(self):
         return iter(self.dims)
@@ -234,10 +240,16 @@ class BlockMatrix:
         return f"BlockMatrix(profile={self.profile.dims})"
 
 
+@lru_cache(maxsize=64)
+def _block_slots(profile: BlockProfile) -> tuple:
+    """(size group, row) of each block in block order: its place in the `size_groups` stacks."""
+    sizes = [d for d, _, _ in size_groups(profile)]
+    return tuple((sizes.index(d), profile.dims[:j].count(d)) for j, d in enumerate(profile.dims))
+
+
 def _per_block(profile: BlockProfile, grouped) -> list:
     """The rows of per-size-group arrays (one row per block of the group), in block order."""
-    rows = {d: iter(arr) for (d, _, _), arr in zip(size_groups(profile), grouped)}
-    return [next(rows[d]) for d in profile.dims]
+    return [grouped[g][k] for g, k in _block_slots(profile)]
 
 
 def eigh_groups(profile: BlockProfile, flat: np.ndarray) -> tuple:
@@ -360,16 +372,18 @@ def _lp_norm(values: np.ndarray, p):
 
     The largest value is factored out so large p cannot overflow.
     """
-    top = np.max(values, axis=-1, initial=0.0)
+    top = values.max(axis=-1, initial=0.0)
     if p.is_inf:
         return top
     pf = float(p)
+    if values.ndim == 1:
+        return top * ((values / top) ** pf).sum() ** (1.0 / pf) if top else top
     scale = np.where(top == 0.0, 1.0, top)[..., None]
-    return top * np.sum((values / scale) ** pf, axis=-1) ** (1.0 / pf)
+    return top * ((values / scale) ** pf).sum(axis=-1) ** (1.0 / pf)
 
 
 def schatten_norm(x: BlockMatrix, p) -> float:
-    """Schatten p-norm: the l^p norm of all singular values across blocks."""
+    """Schatten p-norm: the l^p norm of all singular values across blocks, in block order."""
     return float(_lp_norm(np.concatenate(singular_values(x)), Exponent(p)))
 
 

@@ -112,6 +112,18 @@ def test_derived_exponents_follow_the_pair():
         ExponentTriple.from_pq("3/2", "3")
 
 
+def test_derived_exponents_take_any_exponent_value():
+    # numbers and strings are read as Exponent(value), as everywhere else
+    assert ratio("inf", 3) == INF and ratio("inf", "inf") == Exponent(1)
+    assert ratio(3, "3/2") == Exponent(2) and holder_complement(3, 2) == Exponent(6)
+    with pytest.raises(ExponentOrder):
+        ratio(3, "inf")
+    with pytest.raises(BadExponent):
+        holder_complement("abc", 2)
+    with pytest.raises(ExponentOrder):
+        holder_complement(2, 3)
+
+
 def _diagonal_weight(values):
     return Weight(BlockMatrix(BlockProfile((len(values),)), [np.diag(values).astype(complex)]))
 

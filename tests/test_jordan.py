@@ -420,7 +420,7 @@ def test_jordan_defect_matches_a_plain_loop_over_unit_pairs():
         noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         cases.append((spec.matrix() + 1e-3 * noise, spec.profile1, spec.profile2))
     # [4, 4] into one 8-wide block: N = 32 units, m = 8, so each row chunk
-    # holds _PAIR_BUDGET // (N m^2) = 8 rows and the check spans 4 chunks
+    # holds _PAIR_BUDGET // (N m^2) = 2 rows and the check spans 16 chunks
     wide1, wide8 = BlockProfile([4, 4]), BlockProfile([8])
     assert jordan._PAIR_BUDGET // (32 * 8 * 8) < 32
     framed = JordanMorphismSpec(wide1, wide8, [Tile(0, 0, 0, "H", unitary(4, rng)),

@@ -1,12 +1,16 @@
 import dataclasses
+import math
+import pickle
 
 import numpy as np
 import pytest
 
 from nclp.errors import BadExponent, NotHermitian, NotPSD, ProfileMismatch, SingularNegativePower
+from nclp.exponents import Exponent
 from nclp.matcore import (
     BlockMatrix,
     BlockProfile,
+    _lp_norm,
     block_stacks,
     flat_columns,
     frac_power,
@@ -14,6 +18,7 @@ from nclp.matcore import (
     polar,
     schatten_norm,
     singular_values,
+    size_groups,
     support_of,
 )
 from nclp.sampling import element, generator, hermitian, psd, unitary
@@ -48,6 +53,16 @@ def test_profile_sizes_are_computed_once():
     assert [f.name for f in dataclasses.fields(BlockProfile)] == ["dims"]
     assert read == fresh and hash(read) == hash(fresh)
     assert read != BlockProfile([3, 2])
+
+
+def test_profiles_built_apart_are_one_key():
+    a, b = BlockProfile([2, 1, 2]), BlockProfile((2, 1, 2))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert size_groups(a) is size_groups(b)
+    assert BlockProfile([2]) != (2,) and (2,) != BlockProfile([2])
+    assert BlockProfile([2, 3]) != BlockProfile([3, 2])
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy == a and hash(copy) == hash(a) and (copy.coord_dim, copy.total_dim) == (9, 5)
 
 
 def test_eig_diagonal_input():
@@ -179,6 +194,48 @@ def test_schatten_against_svd_oracle():
         for p in (1, 1.5, 2, 3, "inf"):
             expected = svals.max() if p == "inf" else (svals ** float(p)).sum() ** (1 / float(p))
             assert schatten_norm(x, p) == pytest.approx(expected, rel=1e-12)
+
+
+SUM_ORDER_PROFILES = [BlockProfile(dims) for dims in ([2], [8], [3, 2], [2, 1, 2], [1] * 6)]
+
+
+@pytest.mark.parametrize("profile", SUM_ORDER_PROFILES, ids=lambda prof: str(list(prof.dims)))
+def test_schatten_sums_in_block_order(profile):
+    # exactly the l^p norm of the singular values of one svd per block, in
+    # block order and ascending within a block, whatever the order of the
+    # size groups
+    rng = generator(16)
+    for x in (element(profile, rng), element(profile, rng) * 1e-3, BlockMatrix.zeros(profile)):
+        per_block = [np.linalg.svd(b, compute_uv=False)[::-1] for b in x.blocks]
+        for got, expected in zip(singular_values(x), per_block, strict=True):
+            np.testing.assert_array_equal(got, expected)
+        for p in (1, "3/2", 2, 3, 1e300, "inf"):
+            expected = float(_lp_norm(np.concatenate(per_block), Exponent(p)))
+            assert schatten_norm(x, p) == expected, (p, schatten_norm(x, p), expected)
+    assert schatten_norm(BlockMatrix.zeros(profile), 2) == 0.0
+
+
+def _lp_reference(values, p):
+    values = [float(v) for v in values]
+    top = max(values, default=0.0)
+    if p == math.inf or top == 0.0:
+        return top
+    return top * math.fsum((v / top) ** p for v in values) ** (1.0 / p)
+
+
+def test_lp_norm_matches_a_plain_reference():
+    rng = generator(17)
+    rows = np.abs(rng.standard_normal((4, 5))) * [[1.0], [1e-200], [1e200], [3.0]]
+    rows[3] = 0.0
+    for p in (1, "3/2", 2, 3, 7, 1e300, "inf"):
+        pf = float(Exponent(p))
+        got = _lp_norm(rows, Exponent(p))
+        for row, value in zip(rows, got):
+            expected = _lp_reference(row, pf)
+            assert abs(value - expected) <= 1e-15 * expected
+            assert float(_lp_norm(row, Exponent(p))) == pytest.approx(expected, rel=1e-15, abs=0.0)
+        assert got[3] == 0.0 and _lp_norm(rows[3], Exponent(p)) == 0.0
+        assert _lp_norm(np.zeros(0), Exponent(p)) == 0.0
 
 
 def test_norm_monotonicity():
