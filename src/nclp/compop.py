@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -210,8 +211,9 @@ def _sandwich_matrix(left: BlockMatrix, right: BlockMatrix) -> np.ndarray:
     profile = left.profile
     mat = np.zeros((profile.coord_dim, profile.coord_dim), dtype=complex)
     for d, m, rows in size_groups(profile):
-        lb = left.flat()[rows].reshape(m, d, 1, d, 1)
-        rb = right.flat()[rows].reshape(m, 1, d, 1, d).swapaxes(2, 4)
+        lb = left.flat()[rows]
+        rb = lb if right is left else right.flat()[rows]   # x -> b x b gathers once
+        lb, rb = lb.reshape(m, d, 1, d, 1), rb.reshape(m, 1, d, 1, d).swapaxes(2, 4)
         mat[rows[:, :, None], rows[:, None, :]] = (lb * rb).reshape(m, d * d, d * d)
     return mat
 
@@ -233,8 +235,8 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
     if w1.profile != J.profile1 or w2.profile != J.profile2:
         raise ProfileMismatch("weights do not match the morphism profiles")
     # h^0 = identity for faithful weights, so the p or q = inf cases need no branch
-    pre = w1.power(-p.reciprocal() / 2)
-    post = w2.power(q.reciprocal() / 2)
+    pre = w1.power(-float(p.reciprocal()) / 2)
+    post = w2.power(float(q.reciprocal()) / 2)
     mat = _sandwich_matrix(post, post) @ J.matrix() @ _sandwich_matrix(pre, pre)
     return SuperOperator.from_matrix(J.profile1, J.profile2, p, q, mat)
 
@@ -617,7 +619,9 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     x = (d*d/t)^{r/p}, t the top eigenvalue (support convention: the
     support projection at p = inf), the top eigenprojection at r = inf.
     NoConvergence if the witness's value ||d x d*||_q / ||x||_p falls 1e-9
-    relative below the bound or 1e-6 relative above it.
+    relative below the bound or 1e-6 relative above it.  `bound` is the
+    closed form's float value, with no allowance for rounding: it can lie
+    a few ulps below the norm of the float operator.
     """
     p, q = Exponent(p), Exponent(q)
     require_order(p, q)
@@ -625,8 +629,8 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     if w.profile != w0.profile:
         raise ProfileMismatch("weights live on different profiles")
     triple = ExponentTriple.from_pq(p, q)
-    half_out = w0.power(q.reciprocal() / 2)   # k^{1/(2q)}; support proj at q = inf
-    half_in = w.power(-p.reciprocal() / 2)    # h^{-1/(2p)}; identity at p = inf
+    half_out = w0.power(float(q.reciprocal()) / 2)   # k^{1/(2q)}; support proj at q = inf
+    half_in = w.power(-float(p.reciprocal()) / 2)    # h^{-1/(2p)}; identity at p = inf
     d = half_out @ half_in
     d_star = d.adjoint()
     unit = eigh_groups(w.profile, (d_star @ d).flat())
@@ -753,12 +757,13 @@ class ClassifyResult:
 
     `max_projection_residual` holds the worst residual of the Jordan laws
     over the pairs of source matrix units (`jordan_defect`), on accepts and
-    rejects alike.  `basis_pairs_checked` counts those pairs, N(N+1)/2 for
-    N source matrix units; 0 when not recorded.  A reject's `witness` is
-    (projection e, image, residual): e is a projection of the source algebra
-    whose image is farthest from a projection (`_projection_witness`), and
-    the residual is max(||f - f*||_2, ||f^2 - f||_2) / max(1, ||f||_2) for
-    that image f.
+    rejects alike; its last digits depend on that check's row chunk size
+    and on the BLAS build.  `basis_pairs_checked` counts those pairs,
+    N(N+1)/2 for N source matrix units; 0 when not recorded.  A reject's
+    `witness` is (projection e, image, residual): e is a projection of the
+    source algebra whose image is farthest from a projection
+    (`_projection_witness`), and the residual is
+    max(||f - f*||_2, ||f^2 - f||_2) / max(1, ||f||_2) for that image f.
     """
 
     accepted: bool
@@ -821,20 +826,23 @@ def _projection_witness(J0: np.ndarray, profile1: BlockProfile, profile2: BlockP
 def _pivot_columns(P: np.ndarray) -> np.ndarray:
     """Columns of a (numerical) projection P that span its range, fixed by P alone.
 
-    The rank is the rounded trace.  Pivoted Cholesky picks that many
-    columns of P, each time the first index within 1e-9 of the largest
-    remaining diagonal.  Each step is a function of P, so a rounding-level
-    change of P moves the columns at rounding level only; eigenvectors
-    would carry phases, and a basis of the degenerate eigenspace, chosen by
-    the rounding noise.
+    The rank is the rounded trace (rank 0: an (m, 0) array).  Pivoted
+    Cholesky picks that many columns of P, each time the first index within
+    1e-9 of the largest remaining diagonal.  Each step is a function of P,
+    so a rounding-level change of P moves the columns at rounding level
+    only; eigenvectors would carry phases, and a basis of the degenerate
+    eigenspace, chosen by the rounding noise.
     """
+    rank = int(round(P.trace().real))   # the trace of P's Hermitian part H, exactly
+    if not rank:
+        return np.zeros((len(P), 0), dtype=complex)
     H = (P + P.conj().T) / 2
     R, picked = H, []
-    for _ in range(int(round(np.trace(H).real))):
+    for _ in range(rank):
         diag = R.diagonal().real
-        j = int(np.argmax(diag >= diag.max() - 1e-9))
+        j = int((diag >= diag.max() - 1e-9).argmax())
         picked.append(j)
-        R = R - np.outer(R[:, j], R[j]) / diag[j]
+        R = R - R[:, j, None] * R[j] / diag[j]
     return H[:, picked]
 
 
@@ -853,10 +861,11 @@ def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockPr
     extractor is Y* Y, Y the A part of J(E_12), and its maps are the A
     parts of J(E_1l).  A 1x1 source is the H case with extractor J(E_11)
     and no maps.  Each `_pivot_columns` column x of an extractor gives one
-    tile, with columns x and the maps applied to x.  Block d's tile columns
-    are stacked and orthonormalised once, W = `polar(stack)`, and its
-    unitary is W followed by `polar(_pivot_columns(1 - W W*))`: unitary to
-    rounding also for a J0 a hair off a Jordan map, and for an exact one
+    tile, with columns x and the maps applied to x (one stacked product
+    over all x).  Block d's tile columns are stacked and orthonormalised
+    once, W = `polar(stack)`; when they do not fill the block, its unitary
+    is W followed by `polar(_pivot_columns(1 - W W*))`: unitary to rounding
+    also for a J0 a hair off a Jordan map, and for an exact one
     (block-diagonal Gram) each tile's frame is that of its own extractor.
     It depends on J0 only, not on the rounding inside an eigensolver or a QR.
     """
@@ -864,8 +873,8 @@ def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockPr
         lam, v = np.linalg.eigh(X.conj().T @ X)
         return X @ (v / np.sqrt(lam)) @ v.conj().T
 
-    src_at = np.cumsum([0] + [n * n for n in profile1.dims])
-    dst_at = np.cumsum([0] + [m * m for m in profile2.dims])
+    src_at = list(accumulate([n * n for n in profile1.dims], initial=0))
+    dst_at = list(accumulate([m * m for m in profile2.dims], initial=0))
     tiles, block_unitaries = [], []
     for d, m in enumerate(profile2.dims):
         columns, offset = [], 0
@@ -874,19 +883,23 @@ def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockPr
             if np.linalg.norm(F) <= tol:
                 continue
             if n == 1:
-                parts = [("H", F[0, 0], [])]
+                parts = [("H", F[0, 0], F[0, 1:])]   # F[0, 1:] is empty: no maps
             else:
                 X, Y = F[0, 0] @ F[0, 1], F[0, 1] @ F[0, 0]
-                parts = [("H", X @ X.conj().T, [F[i, i] @ F[i, 0] for i in range(1, n)]),
-                         ("A", Y.conj().T @ Y, [F[0, l] @ F[0, 0] for l in range(1, n)])]
+                parts = [("H", X @ X.conj().T, F[range(1, n), range(1, n)] @ F[1:, 0]),
+                         ("A", Y.conj().T @ Y, F[0, 1:] @ F[0, 0])]
             for kind, extractor, maps in parts:
-                for x in _pivot_columns(extractor).T:
+                P = _pivot_columns(extractor)
+                for _ in range(P.shape[1]):
                     tiles.append(Tile(src=s, dst=d, offset=offset, kind=kind))
-                    columns += [x] + [g @ x for g in maps]
                     offset += n
-        W = polar(np.column_stack(columns)) if columns else np.zeros((m, 0), dtype=complex)
-        block_unitaries.append(
-            np.column_stack([W, polar(_pivot_columns(np.eye(m) - W @ W.conj().T))]))
+                # tile k's columns: x = P[:, k], then each map applied to x
+                stack = np.concatenate([P[None], maps @ P])   # (n, m, tiles)
+                columns.append(stack.transpose(1, 2, 0).reshape(m, -1))
+        W = polar(np.column_stack(columns)) if offset else np.zeros((m, 0), dtype=complex)
+        if offset < m:   # the tile columns leave part of the block uncovered
+            W = np.column_stack([W, polar(_pivot_columns(np.eye(m) - W @ W.conj().T))])
+        block_unitaries.append(W)
     return JordanMorphismSpec(profile1, profile2, tiles, block_unitaries)
 
 
@@ -916,8 +929,8 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
         raise ProfileMismatch("the weights do not match the operator's profiles")
     w1.require_faithful("classifier (domain weight)")
     w2.require_faithful("classifier (codomain weight)")
-    pre = w1.power(S.p.reciprocal() / 2)
-    post = w2.power(-S.q.reciprocal() / 2)
+    pre = w1.power(float(S.p.reciprocal()) / 2)
+    post = w2.power(-float(S.q.reciprocal()) / 2)
     tol = 1e-7
     J0 = _sandwich_matrix(post, post) @ S.matrix() @ _sandwich_matrix(pre, pre)
     worst, (u, v) = jordan_defect(J0, w1.profile, w2.profile)

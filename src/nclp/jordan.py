@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -54,6 +55,7 @@ def _as_unitary(u, dim, what):
     defect = np.linalg.norm(arr @ arr.conj().T - np.eye(dim))
     if defect > 1e-8 * dim:
         raise InvalidMorphism(f"{what} is not unitary (defect {defect:.3e})")
+    arr.setflags(write=False)
     return arr
 
 
@@ -93,14 +95,12 @@ class JordanMorphismSpec:
                     f"tile at offset {t.offset} (size {size}) overflows "
                     f"destination block of size {profile2.dims[t.dst]}"
                 )
-            u = None
-            if t.conj_unitary is not None:
-                u = _as_unitary(t.conj_unitary, size, "tile unitary")
-                u.setflags(write=False)
-            kind = t.kind
-            if size == 1:
-                kind = "H"  # 1x1 sources: H and A coincide, stored as H
-            norm_tiles.append(Tile(t.src, t.dst, t.offset, kind, u))
+            u = t.conj_unitary
+            u = None if u is None else _as_unitary(u, size, "tile unitary")
+            kind = "H" if size == 1 else t.kind  # 1x1 sources: H and A coincide, stored as H
+            # a tile already in normal form is kept, not copied
+            norm_tiles.append(t if u is None and kind == t.kind else
+                              Tile(t.src, t.dst, t.offset, kind, u))
         # tiles on one destination block must occupy disjoint diagonal ranges
         by_dst = {}
         for t in norm_tiles:
@@ -109,22 +109,13 @@ class JordanMorphismSpec:
             spans = sorted((t.offset, t.offset + profile1.dims[t.src]) for t in group)
             for (a0, a1), (b0, _) in zip(spans, spans[1:]):
                 if b0 < a1:
-                    raise ProfileMismatch(
-                        f"tiles overlap on destination block {dst}"
-                    )
+                    raise ProfileMismatch(f"tiles overlap on destination block {dst}")
         bus = None
         if block_unitaries is not None:
             if len(block_unitaries) != profile2.block_count:
                 raise ProfileMismatch("one block unitary slot per destination block")
-            bus = []
-            for d, u in enumerate(block_unitaries):
-                if u is None:
-                    bus.append(None)
-                else:
-                    w = _as_unitary(u, profile2.dims[d], f"block unitary {d}")
-                    w.setflags(write=False)
-                    bus.append(w)
-            bus = tuple(bus)
+            bus = tuple(None if u is None else _as_unitary(u, m, f"block unitary {d}")
+                        for d, (u, m) in enumerate(zip(block_unitaries, profile2.dims)))
         object.__setattr__(self, "profile1", profile1)
         object.__setattr__(self, "profile2", profile2)
         object.__setattr__(self, "tiles", tuple(norm_tiles))
@@ -154,8 +145,8 @@ class JordanMorphismSpec:
         """
         if self._matrix is None:
             p1, p2 = self.profile1, self.profile2
-            src_at = np.cumsum([0] + [d * d for d in p1.dims])
-            dst_at = np.cumsum([0] + [d * d for d in p2.dims])
+            src_at = list(accumulate([d * d for d in p1.dims], initial=0))
+            dst_at = list(accumulate([d * d for d in p2.dims], initial=0))
             mat = np.zeros((p2.coord_dim, p1.coord_dim), dtype=complex)
             for t in self.tiles:
                 n, m = p1.dims[t.src], p2.dims[t.dst]

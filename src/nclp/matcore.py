@@ -282,16 +282,17 @@ def from_eig_groups(profile: BlockProfile, vecs: list, values: list) -> BlockMat
     return BlockMatrix._of_flat(profile, flat)
 
 
-def spectral_power(profile: BlockProfile, spectrum: tuple, t: float) -> BlockMatrix:
+def spectral_power(profile: BlockProfile, spectrum: tuple, t: float, top: float) -> BlockMatrix:
     """V Lambda^t V* for a positive semidefinite `spectrum` (`eigh_groups`), with 0^t = 0.
 
-    Eigenvalues at or below SUPPORT_CUTOFF times the largest count as zero,
-    so t = 0 gives the support projection; t < 0 needs none of them.
+    Eigenvalues at or below SUPPORT_CUTOFF times the largest, `top` (from
+    `psd_range`), count as zero, so t = 0 gives the support projection;
+    t < 0 needs none of them.
     """
     lams, vecs = spectrum
-    cutoff = SUPPORT_CUTOFF * max(max(float(lam[:, -1].max()) for lam in lams), 0.0)
+    cutoff = SUPPORT_CUTOFF * max(top, 0.0)
     ons = [lam > cutoff for lam in lams]
-    if t < 0 and not all(np.all(on) for on in ons):
+    if t < 0 and not all(on.all() for on in ons):
         raise SingularNegativePower("negative power of a singular positive matrix")
     values = [np.power(lam, t, out=on.astype(float), where=on) for lam, on in zip(lams, ons)]
     return from_eig_groups(profile, vecs, values)
@@ -332,8 +333,7 @@ def frac_power(P: BlockMatrix, t) -> BlockMatrix:
     P^0 is the support projection); t < 0 requires P positive definite.
     """
     spectrum = _hermitian_spectrum(P)
-    psd_range(spectrum[0])
-    return spectral_power(P.profile, spectrum, float(t))
+    return spectral_power(P.profile, spectrum, float(t), psd_range(spectrum[0])[1])
 
 
 def singular_values(x: BlockMatrix):

@@ -57,11 +57,12 @@ class Weight:
     __slots__ = ("profile", "rho", "__dict__")
 
     def __init__(self, rho: BlockMatrix):
-        defect = (rho - rho.adjoint()).fro_norm()
+        adj = rho.adjoint()
+        defect = (rho - adj).fro_norm()
         scale = max(1.0, rho.fro_norm())
         if defect > 1e-10 * scale:
             raise NotPSD(f"density not Hermitian, defect {defect:.3e}")
-        rho = rho.hermitized()
+        rho = BlockMatrix._of_flat(rho.profile, (rho.flat() + adj.flat()) / 2)  # hermitized()
         object.__setattr__(self, "profile", rho.profile)
         object.__setattr__(self, "rho", rho)
         self._spectral = eigh_groups(rho.profile, rho.flat())
@@ -104,7 +105,7 @@ class Weight:
         t = float(t)
         if t < 0 and not self.is_faithful:
             raise NotFaithful("negative power of a non-faithful density")
-        return spectral_power(self.profile, self._spectral, t)
+        return spectral_power(self.profile, self._spectral, t, self._range[1])
 
     def log_density(self) -> BlockMatrix:
         """log rho (faithful weights only), the generator of rho^{it} = exp(it log rho)."""

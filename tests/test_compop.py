@@ -1343,6 +1343,94 @@ def test_reconstruction_gauge_is_fixed_by_the_matrix():
                 np.testing.assert_allclose(rebuilt.matrix(), J0, rtol=0.0, atol=1e-12)
 
 
+def _count_pivots(monkeypatch):
+    calls = []
+    original = compop._pivot_columns
+
+    def counted(P):
+        calls.append(P.shape)
+        return original(P)
+
+    monkeypatch.setattr(compop, "_pivot_columns", counted)
+    return calls
+
+
+def test_completion_runs_only_on_a_partly_covered_block(monkeypatch):
+    # one pivot per extractor of the [2] source (its H and its A part),
+    # plus one for the completion of 1 - W W* when W leaves the block
+    # partly uncovered
+    calls = _count_pivots(monkeypatch)
+    for dims2, tiles, completions in (([4], [Tile(0, 0, 0, "H"), Tile(0, 0, 2, "H")], 0),
+                                      ([3], [Tile(0, 0, 1, "H")], 1)):
+        spec = JordanMorphismSpec(PROF2, BlockProfile(dims2), tiles)
+        calls.clear()
+        rebuilt = _reconstruct_tiles(spec.matrix(), PROF2, spec.profile2, 1e-7)
+        assert len(calls) == 2 + completions
+        assert [(t.src, t.dst, t.kind) for t in rebuilt.tiles] == \
+            [(t.src, t.dst, t.kind) for t in spec.tiles]
+        np.testing.assert_allclose(rebuilt.matrix(), spec.matrix(), rtol=0.0, atol=1e-12)
+
+
+def test_pivot_columns_of_a_rank_zero_projection_is_empty():
+    for m in (1, 3):
+        for P in (np.zeros((m, m), dtype=complex), 1e-13 * np.eye(m, dtype=complex)):
+            cols = compop._pivot_columns(P)
+            assert cols.shape == (m, 0) and cols.dtype == complex
+
+
+def _per_column_unitaries(J0, profile1, profile2, tol):
+    """`_reconstruct_tiles`'s block unitaries, each map applied to one pivot column at a time."""
+    def polar(X):
+        lam, v = np.linalg.eigh(X.conj().T @ X)
+        return X @ (v / np.sqrt(lam)) @ v.conj().T
+
+    src_at = np.cumsum([0] + [n * n for n in profile1.dims])
+    dst_at = np.cumsum([0] + [m * m for m in profile2.dims])
+    unitaries = []
+    for d, m in enumerate(profile2.dims):
+        columns = []
+        for s, n in enumerate(profile1.dims):
+            F = J0[dst_at[d] : dst_at[d + 1], src_at[s] : src_at[s + 1]].T.reshape(n, n, m, m)
+            if np.linalg.norm(F) <= tol:
+                continue
+            if n == 1:
+                parts = [(F[0, 0], [])]
+            else:
+                X, Y = F[0, 0] @ F[0, 1], F[0, 1] @ F[0, 0]
+                parts = [(X @ X.conj().T, [F[i, i] @ F[i, 0] for i in range(1, n)]),
+                         (Y.conj().T @ Y, [F[0, l] @ F[0, 0] for l in range(1, n)])]
+            for extractor, maps in parts:
+                for x in compop._pivot_columns(extractor).T:
+                    columns += [x] + [g @ x for g in maps]
+        W = polar(np.column_stack(columns)) if columns else np.zeros((m, 0), dtype=complex)
+        rest = compop._pivot_columns(np.eye(m) - W @ W.conj().T)
+        unitaries.append(np.column_stack([W, polar(rest)]) if rest.shape[1] else W)
+    return unitaries
+
+
+def test_stacked_map_products_match_per_column_products():
+    # every source block has two copies, of one kind or of both; the last
+    # two cases mix sources of sizes 2 and 3 in one destination block
+    rng = generator(26)
+    cases = [(PROF2, [5], [(0, 0, 0, "H"), (0, 0, 2, "H")]),
+             (PROF2, [4], [(0, 0, 0, "A"), (0, 0, 2, "H")]),
+             (BlockProfile([3]), [7], [(0, 0, 0, "H"), (0, 0, 3, "A")]),
+             (PROF23, [5, 6], [(0, 0, 0, "H"), (0, 0, 2, "A"), (1, 1, 0, "H"), (1, 1, 3, "A")]),
+             (PROF23, [5, 5], [(0, 0, 0, "H"), (1, 0, 2, "H"), (0, 1, 0, "A"), (1, 1, 2, "A")])]
+    for profile, dims2, placed in cases:
+        for _ in range(5):
+            tiles = [Tile(s, d, o, kind, conj_unitary=unitary(profile.dims[s], rng))
+                     for s, d, o, kind in placed]
+            spec = JordanMorphismSpec(profile, BlockProfile(dims2), tiles,
+                                      block_unitaries=[unitary(m, rng) for m in dims2])
+            J0 = spec.matrix()
+            rebuilt = _reconstruct_tiles(J0, profile, spec.profile2, 1e-7)
+            for u, v in zip(rebuilt.block_unitaries,
+                            _per_column_unitaries(J0, profile, spec.profile2, 1e-7)):
+                np.testing.assert_allclose(u, v, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(rebuilt.matrix(), J0, rtol=0.0, atol=1e-12)
+
+
 def test_classifier_ends_in_a_verdict_a_rounding_hair_off_a_morphism():
     # a composition operator plus relative noise eps: each destination
     # block's rebuilt frames are orthonormalised together, so the rebuilt

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nclp.errors import NotFaithful, NotPSD, ProfileMismatch
+from nclp.exponents import Exponent
 from nclp.matcore import BlockMatrix, BlockProfile
 from nclp.sampling import element, generator, hermitian, psd
 from nclp.vnops import (
@@ -272,6 +273,28 @@ def test_weight_power_matches_per_block_eigh():
         singular.power(-0.5)
     with pytest.raises(NotPSD):
         Weight(rho - BlockMatrix.identity(mixed) * 10.0)
+
+
+def test_weight_density_is_the_hermitized_input_bit_for_bit():
+    rng = generator(17)
+    for dims in ([1], [2], [3, 1, 2]):
+        profile = BlockProfile(dims)
+        # a Hermitian defect at rounding level, below the 1e-10 refusal
+        noise = 1e-14 * element(profile, rng)
+        for rho in (psd(profile, rng, eps=0.1), psd(profile, rng, eps=0.1) + noise):
+            assert Weight(rho).rho.flat().tobytes() == rho.hermitized().flat().tobytes()
+
+
+def test_half_exponents_as_floats_give_the_same_powers():
+    # float(x / 2) == float(x) / 2 for a rational x: halving a double is exact
+    rng = generator(18)
+    w = Weight(psd(PROF23, rng, eps=0.1))
+    for p in ("1", "3/2", "2", "3", "1.0000001", "1e300", "inf"):
+        x = Exponent(p)
+        for sign in (1, -1):
+            exact = w.power(sign * x.reciprocal() / 2)
+            halved = w.power(sign * float(x.reciprocal()) / 2)
+            assert halved.flat().tobytes() == exact.flat().tobytes(), (p, sign)
 
 
 PROF11 = BlockProfile([1, 1])
