@@ -842,7 +842,8 @@ def _pivot_columns(P: np.ndarray) -> np.ndarray:
         diag = R.diagonal().real
         j = int((diag >= diag.max() - 1e-9).argmax())
         picked.append(j)
-        R = R - R[:, j, None] * R[j] / diag[j]
+        if len(picked) < rank:   # nothing reads R after the last pick
+            R = R - R[:, j, None] * R[j] / diag[j]
     return H[:, picked]
 
 

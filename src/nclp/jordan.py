@@ -413,13 +413,13 @@ def _unit_values(J: JordanMorphismSpec, g: BlockMatrix) -> np.ndarray:
     return g.transpose().flat() @ J.matrix()
 
 
-def _pullback_weight(J: JordanMorphismSpec, g: BlockMatrix) -> Weight:
-    """Density of the functional a -> tr(g J(a)), from one product (`_unit_values`).
+def _pullback_weight(J: JordanMorphismSpec, values: np.ndarray) -> Weight:
+    """Density of the functional a -> tr(g J(a)), given its values `_unit_values(J, g)`.
 
     tr(rho E_lk) = rho[k, l], so rho is the transpose of the values laid out
     as blocks, symmetrised.
     """
-    return Weight(BlockMatrix.unflat(J.profile1, _unit_values(J, g)).transpose().hermitized())
+    return Weight(BlockMatrix.unflat(J.profile1, values).transpose().hermitized())
 
 
 def pushforward_density(J: JordanMorphismSpec, w2: Weight) -> Weight:
@@ -430,8 +430,9 @@ def pushforward_density(J: JordanMorphismSpec, w2: Weight) -> Weight:
     the values of k being vec(k^T).
     """
     w2.require_faithful("pushforward density")
-    k = _pullback_weight(J, w2.rho)
-    worst = float(np.max(np.abs(k.rho.transpose().flat() - _unit_values(J, w2.rho))))
+    values = _unit_values(J, w2.rho)
+    k = _pullback_weight(J, values)
+    worst = float(np.max(np.abs(k.rho.transpose().flat() - values)))
     scale = max(1.0, w2.rho.max_abs())
     if worst > 1e-9 * scale:
         raise NoConvergence(f"pushforward density extraction failed (residual {worst:.3e})")
@@ -460,9 +461,9 @@ def decompose(J: JordanMorphismSpec, w2: Weight) -> ZDecomposition:
     e = _central_projection(J.profile1, set(J.covered_src_blocks()))
     e_z = _central_projection(J.profile1, set(J.covered_src_blocks("H")))
     e_1z = _central_projection(J.profile1, set(J.covered_src_blocks("A")))
-    w_total = _pullback_weight(J, w2.rho)
-    w_hom = _pullback_weight(J, w2.rho @ z)
-    w_anti = _pullback_weight(J, w2.rho @ (j1 - z))
+    w_total = _pullback_weight(J, _unit_values(J, w2.rho))
+    w_hom = _pullback_weight(J, _unit_values(J, w2.rho @ z))
+    w_anti = _pullback_weight(J, _unit_values(J, w2.rho @ (j1 - z)))
     gap = (w_total.rho - w_hom.rho - w_anti.rho).fro_norm()
     if gap > 1e-9 * max(1.0, w_total.rho.fro_norm()):
         raise NoConvergence(f"density splitting failed (residual {gap:.3e})")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -299,44 +300,59 @@ def test_pipeline_when_an_atom_label_holds_a_bar():
     assert diagonal_consistency(C).ok
 
 
-def test_isometry_residual_matches_probe_loop(monkeypatch):
-    # the third stage is a relabelling, an isometry in every l^s; scaling it
-    # by 2 makes the residual depend on the exponent it is measured in, so
-    # the batched check is compared with the old loop over probes in l^q
+def test_isometry_residual_is_exact(monkeypatch, tmp_path):
+    # stage III is a relabelling with scale 1, so every column q-norm is
+    # exactly 1 and the residual max_j |c_j - 1| is exactly 0, at q = inf too
     from nclp import classical
-
-    index_map = classical._index_map
-
-    def doubled_isometry(dom, cod, p, q, rows, cols, scale):
-        if cod.atoms == Partition.from_preimages(T).blocks:
-            scale = 2.0 * np.asarray(scale)
-        return index_map(dom, cod, p, q, rows, cols, scale)
+    from nclp.cli import main
 
     rng = generator(5)
-    checked = 0
-    for _ in range(8):
-        T, m1, m2 = random_space_pair(rng, max_atoms=6)
-        if not T.mapping:
-            continue
-        for p, q in ((2, 1), (3, "3/2"), ("inf", 2), (4, 4)):
-            # the direct map is built unscaled: build_classical checks its norm
+    bar = (PointMap({"a|b": "X", "a": "Y", "b": "Y"}),
+           FiniteMeasureSpace(["X", "Y"], [0.5, 0.7]),
+           FiniteMeasureSpace(["a|b", "a", "b"], [0.3, 0.2, 0.6]))
+    cases = [running_example(), bar]
+    while len(cases) < 22:
+        case = random_space_pair(rng, max_atoms=6)
+        if case[0].mapping:
+            cases.append(case)
+    index_map = classical._index_map
+
+    def doubled_third_stage(*args):
+        # the pipeline builds its stages in order, so the third call is stage III
+        calls.append(args)
+        if len(calls) == 3:
+            args = args[:-1] + (2.0 * np.asarray(args[-1]),)
+        return index_map(*args)
+
+    for T, m1, m2 in cases:
+        for p, q in PAIRS:
             C = build_classical(T, m1, m2, p, q)
+            res = five_step_pipeline(C)
+            assert res.isometry_residual == 0.0
+            # scaled by 2, every column norm is exactly 2 (the norm factors
+            # out the largest entry), so the residual reads exactly 1
+            calls = []
             with monkeypatch.context() as patched:
-                patched.setattr(classical, "_index_map", doubled_isometry)
-                res = five_step_pipeline(C)
-            n = res.isometry.domain_profile.block_count
-            iso_rng = np.random.default_rng(17)
-            probes = [np.eye(n)[i] for i in range(n)]
-            probes += [iso_rng.standard_normal(n) + 1j * iso_rng.standard_normal(n)
-                       for _ in range(3)]
-            ref = 0.0
-            for vec in probes:
-                x = BlockMatrix.diagonal(res.isometry.domain_profile, vec)
-                ref = max(ref, abs(schatten_norm(res.isometry.apply(x), q) - schatten_norm(x, q)))
-            assert ref > 0.5
-            assert res.isometry_residual == pytest.approx(ref, rel=1e-12)
-            checked += 1
-    assert checked >= 20
+                patched.setattr(classical, "_index_map", doubled_third_stage)
+                doubled = five_step_pipeline(C)
+            assert np.array_equal(doubled.isometry.matrix(), 2.0 * res.isometry.matrix())
+            assert doubled.isometry_residual == 1.0
+    # `nclp classical` draws no random number, whatever its --seed
+    def no_draws(*args, **kwargs):
+        raise AssertionError("nclp classical drew a random number")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    T, m1, m2 = running_example()
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"measure_space": {
+        "atoms1": list(m1.atoms), "masses1": list(m1.mass),
+        "atoms2": list(m2.atoms), "masses2": list(m2.mass), "map": dict(T.mapping)}}))
+    for p, q, seed in (("2", "1", "0"), ("inf", "2", "7"), ("inf", "inf", "23")):
+        out = tmp_path / "report.json"
+        argv = ["classical", str(path), "--p", p, "--q", q, "--seed", seed]
+        assert main(argv + ["--format", "machine", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert results["isometry_residual"] == 0.0 and results["all_ok"] is True
 
 
 def _reference_stages(T, m1, m2, p, q):
@@ -429,6 +445,40 @@ def test_eps_delta_examples():
     assert eps_delta_modulus([0.1, 0.2], [1.0, 1.0], 10.0) == np.inf
     with pytest.raises(TooLarge):
         eps_delta_modulus([0.1] * 21, [0.1] * 21, 0.5)
+
+
+def _eps_delta_loop(phi0, phi1, eps):
+    """The enumeration that eps_delta_modulus replaced: each non-empty subset in turn."""
+    n = len(phi0)
+    best = np.inf
+    for mask in range(1, 1 << n):
+        v0 = sum(phi0[i] for i in range(n) if mask >> i & 1)
+        if v0 >= eps:
+            v1 = sum(phi1[i] for i in range(n) if mask >> i & 1)
+            best = min(best, v1)
+    return float(best)
+
+
+def test_eps_delta_matches_the_subset_loop():
+    # bit for bit, with masses on a coarse grid (ties and exact subset sums),
+    # eps <= 0 (every non-empty subset reaches it, the empty one must not
+    # count) and a NaN mass in phi1, which the loop passes over
+    rng = generator(6)
+    grid = [0.1, 0.125, 0.25, 0.3, 0.5, 1 / 3]
+    for case in range(600):
+        n = int(rng.integers(1, 9))
+        if case % 3:
+            phi0, phi1 = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+        else:
+            phi0, phi1 = rng.choice(grid, n), rng.choice(grid, n)
+        if case % 25 == 0:
+            phi1[int(rng.integers(0, n))] = np.nan
+        eps = [float(rng.uniform(0.0, 1.2 * phi0.sum())), 0.0, -float(rng.uniform(0.0, 1.0)),
+               float(phi0[rng.random(n) < 0.5].sum())][case % 4]
+        got = eps_delta_modulus(phi0, phi1, eps)
+        assert got.hex() == _eps_delta_loop(phi0.tolist(), phi1.tolist(), eps).hex()
+    # 20 atoms of mass 1/16 (exact in binary): eight of them reach 1/2
+    assert eps_delta_modulus([1 / 16] * 20, [1 / 16] * 20, 0.5) == 0.5
 
 
 def test_eps_delta_monotone():
