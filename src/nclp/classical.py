@@ -69,19 +69,10 @@ class FiniteMeasureSpace:
 class PointMap:
     """A partial point transformation T : Y subset X2 -> X1."""
 
-    domain: tuple          # atoms of X2 on which T is defined
     mapping: tuple         # pairs (y, T(y))
 
     def __init__(self, mapping):
-        pairs = tuple((y, x) for y, x in dict(mapping).items())
-        object.__setattr__(self, "mapping", pairs)
-        object.__setattr__(self, "domain", tuple(y for y, _ in pairs))
-
-    def image_of(self, y):
-        for yy, x in self.mapping:
-            if yy == y:
-                return x
-        raise KeyError(y)
+        object.__setattr__(self, "mapping", tuple(dict(mapping).items()))
 
     def validate(self, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace):
         for y, x in self.mapping:

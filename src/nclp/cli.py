@@ -32,6 +32,8 @@ from .classical import (
     five_step_pipeline,
 )
 from .compop import (
+    BOUND_SLACK,
+    CLASSIFY_TOL,
     SuperOperator,
     build_composition,
     change_of_weights,
@@ -41,7 +43,7 @@ from .compop import (
 )
 from .errors import NclpError, NotFinite, SpecFileError
 from .exponents import Exponent
-from .jordan import JordanMorphismSpec, Tile, pushforward_density, verify_jordan
+from .jordan import JORDAN_TOL, JordanMorphismSpec, Tile, pushforward_density, verify_jordan
 from .matcore import BlockMatrix, BlockProfile, commutator_norm
 from .vnops import Weight, in_centralizer, modular_conjugate, weights_commute
 
@@ -402,7 +404,7 @@ def cmd_check_jordan(spec: SpecDocument, args) -> tuple[Report, int]:
     profile2 = spec.profile(2)
     morphism = spec.morphism(profile1, profile2)
     report = Report("check-jordan", spec, {"seed": args.seed},
-                    {"pass_residual": 1e-9}, args.seed)
+                    {"pass_residual": JORDAN_TOL}, args.seed)
     result = verify_jordan(morphism)
     report.put("verdict", "PASS" if result.passed else "FAIL")
     report.put("max_residual", result.max_residual)
@@ -421,7 +423,7 @@ def cmd_norm(spec: SpecDocument, args) -> tuple[Report, int]:
     report = Report("norm", spec,
                     {"p": str(p), "q": str(q), "restarts": args.restarts,
                      "seed": args.seed},
-                    {"bound_slack": 1e-6}, args.seed)
+                    {"bound_slack": BOUND_SLACK}, args.seed)
     operator = build_composition(morphism, w1, w2, p, q)
     estimate = operator_norm(operator, restarts=args.restarts, seed=args.seed)
     report.put("p", p)
@@ -430,13 +432,14 @@ def cmd_norm(spec: SpecDocument, args) -> tuple[Report, int]:
     report.put("norm_upper_bound",
                None if math.isinf(estimate.upper_bound) else estimate.upper_bound)
     report.put("status", estimate.status)
+    report.put("norm_source", estimate.source)
     report.put("certified", estimate.status == "exact")
     report.put("restarts_capped", estimate.capped)
     # C_J is compression to the covered blocks, the change of weights from w1
     # to the pushforward of w2, then a contractive Jordan embedding
     bound = change_of_weights(w1, pushforward_density(morphism, w2), p, q).bound
     report.put("change_of_weights_bound", bound)
-    report.put("within_bound", estimate.lower_bound <= bound * (1.0 + 1e-6))
+    report.put("within_bound", estimate.lower_bound <= bound * (1.0 + BOUND_SLACK))
     return report, 0
 
 
@@ -450,7 +453,7 @@ def cmd_classify(spec: SpecDocument, args) -> tuple[Report, int]:
     operator = spec.superoperator(profile1, profile2, p, q)
     report = Report("classify", spec,
                     {"p": str(p), "q": str(q), "seed": args.seed},
-                    {"projection_residual": 1e-7}, args.seed)
+                    {"projection_residual": CLASSIFY_TOL}, args.seed)
     result = classify_characteristic_preserving(operator, w1, w2, seed=args.seed)
     report.put("verdict", result.verdict)
     report.put("max_projection_residual", result.max_projection_residual)
@@ -476,7 +479,7 @@ def cmd_change_of_weights(spec: SpecDocument, args) -> tuple[Report, int]:
         doubled = r.scaled(2)
         pairs.append((doubled, Exponent(2)))
         report = Report("change-of-weights", spec,
-                        {"r": str(r), "seed": seed}, {"bound_slack": 1e-6}, seed)
+                        {"r": str(r), "seed": seed}, {"bound_slack": BOUND_SLACK}, seed)
         scale_report = change_of_weights_scale(w, w0, r, pairs)
         report.put("ratio", scale_report.ratio)
         report.put("entries", [
@@ -490,7 +493,7 @@ def cmd_change_of_weights(spec: SpecDocument, args) -> tuple[Report, int]:
     q = spec.exponent("q", args.q)
     report = Report("change-of-weights", spec,
                     {"p": str(p), "q": str(q), "seed": seed},
-                    {"bound_slack": 1e-6}, seed)
+                    {"bound_slack": BOUND_SLACK}, seed)
     cw = change_of_weights(w, w0, p, q)
     report.put("p", p)
     report.put("q", q)
@@ -498,7 +501,7 @@ def cmd_change_of_weights(spec: SpecDocument, args) -> tuple[Report, int]:
     report.put("d", cw.d)
     report.put("bound", cw.bound)
     report.put("measured_lower_bound", cw.norm_estimate.lower_bound)
-    report.put("within_bound", cw.norm_estimate.lower_bound <= cw.bound * (1.0 + 1e-6))
+    report.put("within_bound", cw.norm_estimate.lower_bound <= cw.bound * (1.0 + BOUND_SLACK))
     return report, 0
 
 

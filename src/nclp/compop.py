@@ -76,6 +76,8 @@ _CONE_ROUNDING = 64 * np.finfo(float).eps
 # -_CHOI_TOL times the Frobenius norm of the operator's matrix: room for the
 # rounding of its closed-form products.
 _CHOI_TOL = 1e-12
+BOUND_SLACK = 1e-6    # relative excess of a measured norm over a closed-form bound
+CLASSIFY_TOL = 1e-7   # looser than JORDAN_TOL: two embeddings compound their rounding
 
 
 class SuperOperator:
@@ -167,30 +169,33 @@ class SuperOperator:
 
 @dataclass(frozen=True)
 class NormEstimate:
-    """Bounds on an operator norm, labelled by `status`.
+    """Bounds on an operator norm from the theorem named by `source`, labelled by `status`.
 
-    Fields: `lower_bound`, a value the norm attains or exceeds;
-    `upper_bound`, a proved upper bound, math.inf when there is none; and
-    the work counts `iterations`, `restarts` and `capped`.  A norm is
-    `exact` when the bounds agree within NORM_RTOL (the (2,2) oracle, the
-    p = inf closed form, the Holder closed form ||C#(1)||_rho, with a
-    witness except at q = 1, and a cone iteration whose gap closed),
-    `interval` when they do not, and `lower-only` with no upper bound (the
-    alternating maximiser).
+    `lower_bound` is a value the norm attains or exceeds, `upper_bound`
+    math.inf when there is none.  A norm is `exact` when the bounds agree
+    within NORM_RTOL, `interval` when they do not, and `lower-only` with no
+    upper bound.  The sources: `svd` (p = q = 2), `positive-endpoint` (a
+    completely positive map at p = inf or q = 1), `holder` (one Kraus map
+    per matched block pair, and `change_of_weights`), `cone` and
+    `maximiser` (`lower-only`).  The upper bounds of `holder` in
+    `operator_norm` and of `cone` carry an allowance of _CONE_ROUNDING
+    (64 eps) for rounding; those of `svd`, `positive-endpoint` and
+    `change_of_weights` are the closed form's float value, which can lie a
+    few ulps below the norm of the float matrix.
 
-    The maximiser's `iterations` is summed over the restarts, so it equals
-    restarts * max_iter exactly when every restart hit the cap, and
-    `capped` counts the restarts still running after max_iter steps.  The
-    cone iteration reports its steps as `iterations`, 0 restarts, and
-    `capped` 1 when its gap did not close.  Exact closed forms report 0
-    for all three.
+    The work counts `iterations` and `capped` are 0 for `svd`,
+    `positive-endpoint` and `holder`.  The cone reports its steps and
+    `capped` 1 when its gap did not close.  The maximiser sums `iterations`
+    over its restarts (restarts * max_iter exactly when every restart hit
+    the cap) and counts in `capped` the restarts still running after
+    max_iter steps.
     """
 
     lower_bound: float
-    iterations: int
-    restarts: int
-    capped: int = 0
+    source: str
     upper_bound: float = math.inf
+    iterations: int = 0
+    capped: int = 0
 
     @property
     def status(self) -> str:
@@ -394,9 +399,9 @@ def _holder_form(unit: tuple, p: Exponent, rho: Exponent) -> tuple:
 
 
 def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
-                       p: Exponent, q: Exponent, cp: tuple, unit: tuple) -> tuple | None:
-    """(lower, upper) for a completely positive map with one Kraus map per block pair over a
-    matching of blocks, q <= p; None for any other map.
+                       p: Exponent, q: Exponent, cp: tuple, unit: tuple) -> NormEstimate | None:
+    """The `holder` estimate of a completely positive map with one Kraus map per block pair
+    over a matching of blocks, q <= p; None for any other map.
 
     `cp` is `_choi_stacks(mat, dom, cod)`, `unit` the eigensystem of
     C#(1), and the bound and witness are `_holder_form`'s.  With tol =
@@ -424,12 +429,12 @@ def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
     bound, f, x_norm = _holder_form(unit, p, holder_complement(p, q))
     x = from_eig_groups(dom, unit[1], f).flat()
     lower = schatten_norm(BlockMatrix._of_flat(cod, mat @ x), q) / x_norm if bound else 0.0
-    return lower, (1.0 + _CONE_ROUNDING) * bound + slack
+    return NormEstimate(lower, "holder", (1.0 + _CONE_ROUNDING) * bound + slack)
 
 
 def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
-               p: Exponent, q: Exponent, unit: tuple, max_iter: int):
-    """(lower, upper, steps, closed) for a completely positive map, 1 < q <= 2 <= p < inf.
+               p: Exponent, q: Exponent, unit: tuple, max_iter: int) -> NormEstimate:
+    """The `cone` estimate of a completely positive map, 1 < q <= 2 <= p < inf.
 
     The step is x <- F(x) / ||F(x)||_p with F(x) = [C#((Cx)^{q-1})]^{1/(p-1)},
     order-preserving on the positive cone and homogeneous of degree
@@ -443,9 +448,9 @@ def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
     ||C||^{q/(p-1)} x*, and comparing x* with its least multiple of x above
     it bounds ||C||.  lambda is inflated by _CONE_ROUNDING before the power.
     The iteration stops once the smallest upper bound is within NORM_RTOL
-    of the largest lower value (`closed`); after max_iter steps; or when
-    F(x) loses rank on e in floating point (ill-conditioned maps), so that
-    the next x^{-1/2} would not exist.  The last two leave the gap open.
+    of the largest lower value; after max_iter steps; or when F(x) loses
+    rank on e in floating point (ill-conditioned maps), so that the next
+    x^{-1/2} would not exist.  The last two leave the gap open (`capped` 1).
 
     One eigh per block size and spectral step: (Cx)^{q-1} (none at q = 2),
     F(x), whose eigensystem is the next x's, and lambda.
@@ -455,7 +460,7 @@ def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
     d = float((q.fraction - 1) / (p.fraction - 1))
     top = max(float(np.max(lam)) for lam in unit[0])
     if top <= 0.0:                      # C#(1) = 0, so C = 0
-        return 0.0, 0.0, 0, True
+        return NormEstimate(0.0, "cone", 0.0)
     on = [lam > SUPPORT_CUTOFF * top for lam in unit[0]]
     vecs, xi = unit[1], [mask.astype(float) for mask in on]
     x_norm = float(sum(int(np.sum(mask)) for mask in on)) ** (1.0 / pf)
@@ -481,37 +486,38 @@ def _cone_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
             lam_top = max(lam_top, float(np.max(np.linalg.eigvalsh(T @ T.conj().swapaxes(1, 2)))))
         upper = min(upper, ((1.0 + _CONE_ROUNDING) * lam_top * x_norm ** (1.0 - d))
                     ** ((pf - 1.0) / qf))
-        if upper <= lower * (1.0 + NORM_RTOL):
-            return lower, upper, step, True
+        closed = upper <= lower * (1.0 + NORM_RTOL)
         phi_top = max(float(np.max(g)) for g in phi)
-        if any(np.any(mask & (g <= SUPPORT_CUTOFF * phi_top)) for g, mask in zip(phi, on)):
-            return lower, upper, step, False
+        if closed or any(np.any(e & (g <= SUPPORT_CUTOFF * phi_top)) for g, e in zip(phi, on)):
+            break
         f_norm = float(_lp_norm(np.concatenate([g.ravel() for g in phi]), p))
         vecs, xi, x_norm = ws, [g / f_norm for g in phi], 1.0
-    return lower, upper, max_iter, False
+    return NormEstimate(lower, "cone", upper, iterations=step, capped=int(not closed))
 
 
 def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
                   seed: int = 0, method: str = "auto") -> NormEstimate:
     """Estimate the L^p -> L^q norm of C.
 
-    "auto" takes, in order:
+    "auto" takes, in order (the `source` of the estimate in brackets):
     - p = q = 2: the norm is the largest singular value of the matrix
-      (exact);
+      (exact; `svd`);
     - q <= p, when C or C o transpose is completely positive (`_choi_stacks`
       on the matrix): transposition is a Schatten isometry, and such a map
       attains its norm on positive elements (Audenaert, LAA 430, 2009).
-      At p = inf the norm is ||C(1)||_q, attained at 1.  Else one eigh per
-      block size of C#(1), C# = mat^H, serves the rest: the Holder closed
-      form ||C#(1)||_rho, 1/rho = 1/q - 1/p (`_holder_form`), is the norm
-      of every such map at q = 1, rho = p* (tr C(x) = tr(x C#(1)) for
-      x >= 0), and of one Kraus map per block pair over a matching of
-      blocks (multiplicity-free H-only or A-only composition operators, the
-      change of weights; `_single_kraus_norm` evaluates the witness), all
-      exact; then, if 1 < q <= 2 <= p, the cone iteration (`_cone_norm`):
-      a lower value and a proved upper bound, exact once they meet and an
-      interval if they have not met after max_iter steps;
-    - every other map: the alternating maximiser, a lower bound only.
+      At p = inf the norm is ||C(1)||_q, attained at 1
+      (`positive-endpoint`).  Else one eigh per block size of C#(1),
+      C# = mat^H, serves the rest: the Holder closed form ||C#(1)||_rho,
+      1/rho = 1/q - 1/p (`_holder_form`), is the norm of every such map at
+      q = 1, rho = p* (tr C(x) = tr(x C#(1)) for x >= 0;
+      `positive-endpoint`), and of one Kraus map per block pair over a
+      matching of blocks (multiplicity-free H-only or A-only composition
+      operators, the change of weights; `_single_kraus_norm` evaluates the
+      witness; `holder`), all exact; then, if 1 < q <= 2 <= p, the cone
+      iteration (`_cone_norm`; `cone`): a lower value and an upper bound,
+      exact once they meet and an interval if they have not met after
+      max_iter steps;
+    - every other map: the alternating maximiser, a lower bound only (`maximiser`).
     "alternating" is the maximiser alone.  `restarts` and `seed` serve
     the maximiser only.
 
@@ -533,7 +539,7 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     p, q = C.p, C.q
     if method == "auto" and p == _TWO and q == _TWO:
         top = float(np.linalg.svd(C.matrix(), compute_uv=False)[0])
-        return NormEstimate(lower_bound=top, iterations=0, restarts=0, upper_bound=top)
+        return NormEstimate(top, "svd", top)
     dom, cod = C.domain_profile, C.codomain_profile
     positive = _completely_positive_matrix(C) if method == "auto" and q <= p else None
     if positive is not None:
@@ -541,19 +547,16 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
         if p.is_inf:
             image = mat @ BlockMatrix.identity(dom).flat()
             value = schatten_norm(BlockMatrix._of_flat(cod, image), q)
-            return NormEstimate(lower_bound=value, iterations=0, restarts=0, upper_bound=value)
+            return NormEstimate(value, "positive-endpoint", value)
         unit = eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
         if q == _ONE:
             value = _holder_form(unit, p, holder_complement(p, q))[0]
-            return NormEstimate(lower_bound=value, iterations=0, restarts=0, upper_bound=value)
-        bounds = _single_kraus_norm(mat, dom, cod, p, q, cp, unit)
-        if bounds is not None:
-            return NormEstimate(lower_bound=bounds[0], iterations=0, restarts=0,
-                                upper_bound=bounds[1])
+            return NormEstimate(value, "positive-endpoint", value)
+        est = _single_kraus_norm(mat, dom, cod, p, q, cp, unit)
+        if est is not None:
+            return est
         if _ONE < q <= _TWO <= p:
-            lower, upper, steps, closed = _cone_norm(mat, dom, cod, p, q, unit, max_iter)
-            return NormEstimate(lower_bound=lower, iterations=steps, restarts=0,
-                                capped=int(not closed), upper_bound=upper)
+            return _cone_norm(mat, dom, cod, p, q, unit, max_iter)
     mat = C.matrix()
     mat_h = mat.conj().T
     p_star = p.conjugate()
@@ -577,8 +580,8 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
         current[active] = np.maximum(best, current[active])
         going = (val2 != 0.0) & ~(gain < 1e-10)
         active, X = active[going], X[:, going]
-    return NormEstimate(lower_bound=float(np.max(current)), iterations=total_iters,
-                        restarts=restarts, capped=int(active.size))
+    return NormEstimate(float(np.max(current)), "maximiser", iterations=total_iters,
+                        capped=int(active.size))
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +622,10 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     x = (d*d/t)^{r/p}, t the top eigenvalue (support convention: the
     support projection at p = inf), the top eigenprojection at r = inf.
     NoConvergence if the witness's value ||d x d*||_q / ||x||_p falls 1e-9
-    relative below the bound or 1e-6 relative above it.  `bound` is the
-    closed form's float value, with no allowance for rounding: it can lie
-    a few ulps below the norm of the float operator.
+    relative below the bound or BOUND_SLACK relative above it.  `bound` is
+    the closed form's float value, with no allowance for rounding: it can
+    lie a few ulps below the norm of the float operator.  `norm_estimate`
+    is the `holder` estimate with the witness's value and `bound`.
     """
     p, q = Exponent(p), Exponent(q)
     require_order(p, q)
@@ -637,10 +641,10 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     bound, f, x_norm = _holder_form(unit, p, triple.r)
     witness = from_eig_groups(w.profile, unit[1], f)
     value = schatten_norm(d @ witness @ d_star, q) / x_norm if bound else 0.0
-    if not bound * (1.0 - 1e-9) <= value <= bound * (1.0 + 1e-6):
+    if not bound * (1.0 - 1e-9) <= value <= bound * (1.0 + BOUND_SLACK):
         raise NoConvergence(f"witness attains {value:.15g}, the bound is {bound:.15g}")
-    est = NormEstimate(lower_bound=value, iterations=0, restarts=0, upper_bound=bound)
-    return ChangeOfWeights(d=d, bound=bound, norm_estimate=est, witness=witness, triple=triple)
+    return ChangeOfWeights(d=d, bound=bound, norm_estimate=NormEstimate(value, "holder", bound),
+                           witness=witness, triple=triple)
 
 
 @dataclass(frozen=True)
@@ -679,7 +683,7 @@ def change_of_weights_scale(w: Weight, w0: Weight, r, sample_pairs) -> ScaleRepo
         entries.append(ScaleEntry(
             p=p, q=q, bound=cw.bound,
             measured=cw.norm_estimate.lower_bound,
-            ok=cw.norm_estimate.lower_bound <= cw.bound * (1.0 + 1e-6),
+            ok=cw.norm_estimate.lower_bound <= cw.bound * (1.0 + BOUND_SLACK),
         ))
     return ScaleReport(ratio=r, entries=tuple(entries))
 
@@ -922,8 +926,7 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
     Every call on valid inputs ends in ACCEPT, or in REJECT with a
     projection witness from the worst pair (`_projection_witness`; after a
     reconstruction gap that pair is within tolerance and the witness is
-    still a projection).  The tolerance 1e-7 is looser than the algebra
-    tolerance because two embeddings compound their rounding.  `seed` is not
+    still a projection).  The tolerance is CLASSIFY_TOL.  `seed` is not
     used.  Weights off S's profiles (ProfileMismatch) or not faithful are refused.
     """
     if S.domain_profile != w1.profile or S.codomain_profile != w2.profile:
@@ -932,13 +935,12 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
     w2.require_faithful("classifier (codomain weight)")
     pre = w1.power(float(S.p.reciprocal()) / 2)
     post = w2.power(-float(S.q.reciprocal()) / 2)
-    tol = 1e-7
     J0 = _sandwich_matrix(post, post) @ S.matrix() @ _sandwich_matrix(pre, pre)
     worst, (u, v) = jordan_defect(J0, w1.profile, w2.profile)
     n = w1.profile.coord_dim
     result = dict(max_projection_residual=worst, basis_pairs_checked=n * (n + 1) // 2)
-    if worst <= tol:
-        spec = _reconstruct_tiles(J0, w1.profile, w2.profile, tol)
+    if worst <= CLASSIFY_TOL:
+        spec = _reconstruct_tiles(J0, w1.profile, w2.profile, CLASSIFY_TOL)
         # the reconstruction must reproduce the candidate exactly on a basis
         gaps = np.linalg.norm(spec.matrix() - J0, axis=0)
         if np.all(gaps <= 1e-8 * np.maximum(1.0, np.linalg.norm(J0, axis=0))):

@@ -214,14 +214,12 @@ def transpose_morphism(profile: BlockProfile) -> JordanMorphismSpec:
 class JordanVerification:
     """Result of checking a map for the Jordan *-morphism laws.
 
-    `failures` lists (law, residual) for each law over tolerance: "jordan"
+    `failures` lists (law, residual) for each law over JORDAN_TOL: "jordan"
     (`jordan_defect`) and, for a bare callable, "linearity".
     """
 
     passed: bool
     max_residual: float
-    tolerance: float
-    seed: int
     failures: tuple = ()
 
     def __bool__(self):
@@ -374,8 +372,6 @@ def verify_jordan(morphism, seed: int = 0,
     return JordanVerification(
         passed=all(r < JORDAN_TOL for _, r in residuals),
         max_residual=max(r for _, r in residuals),
-        tolerance=JORDAN_TOL,
-        seed=seed,
         failures=tuple((law, r) for law, r in residuals if r >= JORDAN_TOL),
     )
 

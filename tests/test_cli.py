@@ -83,6 +83,10 @@ def test_norm_prints_bound(spec_path, tmp_path):
     assert results["restarts_capped"] == 0
     assert results["status"] == "exact"
     assert results["norm_upper_bound"] == results["norm_lower_bound"]
+    assert set(results) == {
+        "p", "q", "norm_lower_bound", "norm_upper_bound", "status", "norm_source", "certified",
+        "restarts_capped", "change_of_weights_bound", "within_bound"}
+    assert results["norm_source"] == "positive-endpoint"
 
 
 def test_norm_reports_the_bound_for_a_corner_morphism(tmp_path):

@@ -6,7 +6,6 @@ import pytest
 from nclp import compop
 from nclp.compop import (
     ClassifyResult,
-    NormEstimate,
     SuperOperator,
     _dual_maximizer,
     _reconstruct_tiles,
@@ -754,7 +753,7 @@ def test_positive_norm_bounds_the_maximiser():
             est = operator_norm(C)
             alt = operator_norm(C, restarts=6, max_iter=200, seed=1, method="alternating")
             assert est.status == "exact", (label, p, q, est)
-            assert est.capped == 0 and est.restarts == 0
+            assert est.capped == 0 and est.source != "maximiser"
             assert alt.lower_bound <= est.upper_bound * (1.0 + 1e-13), (label, p, q)
             assert est.lower_bound >= (1.0 - 1e-9) * alt.lower_bound, (label, p, q)
             assert est.lower_bound <= est.upper_bound
@@ -782,9 +781,7 @@ def _cone(C, max_iter=200):
     """
     mat, dom, cod = C.matrix(), C.domain_profile, C.codomain_profile
     unit = eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
-    lower, upper, steps, closed = compop._cone_norm(mat, dom, cod, C.p, C.q, unit, max_iter)
-    return NormEstimate(lower_bound=lower, iterations=steps, restarts=0,
-                        capped=int(not closed), upper_bound=upper)
+    return compop._cone_norm(mat, dom, cod, C.p, C.q, unit, max_iter)
 
 
 def test_cone_matches_change_of_weights():
@@ -871,7 +868,8 @@ def test_single_kraus_norm_matches_change_of_weights():
             cw = change_of_weights(h, k, p, q)
             est = operator_norm(cw.operator)
             assert est.status == "exact", (dims, p, q)
-            assert est.iterations == est.restarts == est.capped == 0
+            assert est.source == ("positive-endpoint" if p == "inf" else "holder")
+            assert est.iterations == est.capped == 0
             assert est.lower_bound <= cw.bound * (1.0 + 1e-13) <= est.upper_bound * (1.0 + 2e-13)
             assert est.lower_bound == pytest.approx(cw.bound, rel=1e-12)
 
@@ -978,10 +976,10 @@ def test_single_kraus_slack_covers_a_defect_below_the_tolerance():
     stacks = compop._choi_stacks(mat, profile, profile)
     two = Exponent(2)
     unit = eigh_groups(profile, mat.conj().T @ np.eye(n).ravel())
-    lower, upper = compop._single_kraus_norm(mat, profile, profile, two, two, stacks, unit)
+    est = compop._single_kraus_norm(mat, profile, profile, two, two, stacks, unit)
     top = float(np.linalg.svd(mat, compute_uv=False)[0])
     assert top > 1.0 + 1.4 * delta
-    assert lower <= top * (1.0 + 1e-15) and top <= upper
+    assert est.lower_bound <= top * (1.0 + 1e-15) and top <= est.upper_bound
 
 
 def test_zero_operator_is_exact_on_the_positive_path():
@@ -1002,7 +1000,31 @@ def test_maps_that_are_not_positive_go_to_the_maximiser():
         for C in (left_multiplication(PROF23, c, p, q), build_composition(mixed, w1, w2, p, q)):
             est = operator_norm(C, restarts=4, seed=0)
             assert est.status == "lower-only"
-            assert est.upper_bound == np.inf and est.restarts == 4
+            assert est.upper_bound == np.inf and est.source == "maximiser"
+
+
+def test_each_theorem_names_its_source():
+    rng = generator(75)
+    h, k = faithful(PROF23, rng), faithful(PROF23, rng)
+    cw = change_of_weights(h, k, 3, "3/2")
+    K = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    two_kraus = np.kron(K, K.conj()) + np.kron(K.conj(), K)
+    c = BlockMatrix(PROF23, [unitary(2, rng) * [1.0, 2.0], unitary(3, rng) * [0.5, 1.0, 1.5]])
+    cases = [
+        ("svd", operator_norm(change_of_weights(h, k, 2, 2).operator)),
+        ("positive-endpoint", operator_norm(change_of_weights(h, k, "inf", 2).operator)),
+        ("positive-endpoint", operator_norm(change_of_weights(h, k, 3, 1).operator)),
+        ("holder", operator_norm(cw.operator)),
+        ("holder", cw.norm_estimate),
+        ("cone", operator_norm(SuperOperator.from_matrix(PROF2, BlockProfile([3]), 3, "3/2",
+                                                         two_kraus))),
+        ("cone", _cone(cw.operator, max_iter=1)),
+        ("cone", _cone(SuperOperator.from_matrix(PROF2, PROF2, 3, "3/2", np.zeros((4, 4))))),
+        ("maximiser", operator_norm(left_multiplication(PROF23, c, 3, "3/2"), restarts=2)),
+        ("maximiser", operator_norm(cw.operator, restarts=2, method="alternating")),
+    ]
+    for i, (source, est) in enumerate(cases):
+        assert est.source == source, (i, est)
 
 
 def test_change_of_weights_scale():
