@@ -221,8 +221,8 @@ def build_classical(T: PointMap, m1: FiniteMeasureSpace, m2: FiniteMeasureSpace,
     pushed, support = pushforward(T, m1, m2)
     rows = [m2.index(y) for y, _ in T.mapping]
     cols = [m1.index(x) for _, x in T.mapping]
-    w1 = np.array(m1.mass) ** float(p.reciprocal())
-    w2 = np.array(m2.mass) ** float(q.reciprocal())
+    w1 = np.array(m1.mass) ** p.float_reciprocal()
+    w2 = np.array(m2.mass) ** q.float_reciprocal()
     crit = exact_diagonal_norm(pushed, m1, p, q)
     direct = _index_map(m1.size, m2.size, p, q, rows, cols, w2[rows] * (1.0 / w1[cols]))
     columns = float(_lp_norm(_lp_norm(np.abs(direct.matrix()).T, q), holder_complement(p, q)))
@@ -273,7 +273,7 @@ def five_step_pipeline(C: ClassicalOperator) -> PipelineResult:
     block_mass = np.array([sum(m2.mass_of(y) for y in blk) for blk in part.blocks])
     y_idx = [j for j, y in enumerate(m2.atoms) if y in block_of]   # Y = the domain, in X2 order
     z_idx = [m1.index(a) for a in support]
-    inv_p, inv_q = float(p.reciprocal()), float(q.reciprocal())
+    inv_p, inv_q = p.float_reciprocal(), q.float_reciprocal()
     n, ny = len(support), len(y_idx)
 
     restriction = _index_map(m1.size, n, p, p, range(n), z_idx, 1.0)

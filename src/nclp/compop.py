@@ -50,13 +50,11 @@ from .matcore import (
     BlockMatrix,
     BlockProfile,
     _lp_norm,
-    _transpose_permutation,
     block_stacks,
     eigh_groups,
     flat_columns,
     from_eig_groups,
     schatten_norm,
-    size_groups,
 )
 from .vnops import Weight, weights_commute
 
@@ -146,8 +144,8 @@ class SuperOperator:
         that transposes every block, tr(g y) = g.flat() . Pi y.flat(), so the
         matrix is Pi_dom M^T Pi_cod.
         """
-        dom = _transpose_permutation(self.domain_profile)
-        cod = _transpose_permutation(self.codomain_profile)
+        dom = self.domain_profile.transpose_index
+        cod = self.codomain_profile.transpose_index
         return SuperOperator.from_matrix(
             self.codomain_profile, self.domain_profile,
             self.q.conjugate(), self.p.conjugate(), self._matrix.T[dom][:, cod],
@@ -215,7 +213,7 @@ def _sandwich_matrix(left: BlockMatrix, right: BlockMatrix) -> np.ndarray:
     """Matrix of x -> left x right on flat block coordinates: blockdiag(kron(L_i, R_i^T))."""
     profile = left.profile
     mat = np.zeros((profile.coord_dim, profile.coord_dim), dtype=complex)
-    for d, m, rows in size_groups(profile):
+    for d, m, rows in profile.size_groups:
         lb = left.flat()[rows]
         rb = lb if right is left else right.flat()[rows]   # x -> b x b gathers once
         lb, rb = lb.reshape(m, d, 1, d, 1), rb.reshape(m, 1, d, 1, d).swapaxes(2, 4)
@@ -240,8 +238,8 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
     if w1.profile != J.profile1 or w2.profile != J.profile2:
         raise ProfileMismatch("weights do not match the morphism profiles")
     # h^0 = identity for faithful weights, so the p or q = inf cases need no branch
-    pre = w1.power(-float(p.reciprocal()) / 2)
-    post = w2.power(float(q.reciprocal()) / 2)
+    pre = w1.power(-p.float_reciprocal() / 2)
+    post = w2.power(q.float_reciprocal() / 2)
     mat = _sandwich_matrix(post, post) @ J.matrix() @ _sandwich_matrix(pre, pre)
     return SuperOperator.from_matrix(J.profile1, J.profile2, p, q, mat)
 
@@ -268,7 +266,7 @@ def _dual_maximizer(profile: BlockProfile, cols: np.ndarray, s: Exponent):
         return norms, cols * (1.0 / np.where(norms == 0.0, 1.0, norms))
     k = cols.shape[1]
     svds = []   # (rows, W, S, V*) per size, S of shape (k, m, d); 1x1: W the phase, V* None
-    for d, m, rows in size_groups(profile):
+    for d, m, rows in profile.size_groups:
         z = cols.T[:, rows].reshape(k, m, d, d)
         if d == 1:
             sv = np.abs(z[..., 0])
@@ -342,14 +340,16 @@ def _choi_stacks(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> tuple
     if scale == 0.0:
         return scale, []
     tol, stacks = _CHOI_TOL * scale, []
-    for n, ks, src in size_groups(dom):
-        for m, kt, dst in size_groups(cod):
+    for n, ks, src in dom.size_groups:
+        for m, kt, dst in cod.size_groups:
             pairs = mat[dst[:, None, :, None], src[None, :, None, :]].reshape(kt * ks, m, m, n, n)
             choi = pairs.transpose(0, 3, 1, 4, 2).reshape(kt * ks, n * m, n * m)
             if np.linalg.norm(choi - choi.conj().swapaxes(1, 2)) > tol:
                 return None
+            shifted = choi.copy()
+            shifted.reshape(len(choi), n * m * n * m)[:, :: n * m + 1] += tol   # the diagonals
             try:
-                np.linalg.cholesky(choi + tol * np.eye(n * m))
+                np.linalg.cholesky(shifted)
             except np.linalg.LinAlgError:
                 return None
             stacks.append((n, m, choi))
@@ -363,7 +363,7 @@ def _completely_positive_matrix(C: SuperOperator):
     this covers the composition operators of A-only morphisms.
     """
     mat, dom, cod = C.matrix(), C.domain_profile, C.codomain_profile
-    for candidate in (mat, mat[:, _transpose_permutation(dom)]):
+    for candidate in (mat, mat[:, dom.transpose_index]):
         choi = _choi_stacks(candidate, dom, cod)
         if choi is not None:
             return candidate, choi
@@ -392,10 +392,14 @@ def _holder_form(unit: tuple, p: Exponent, rho: Exponent) -> tuple:
     if rho.is_inf:
         f = [(lam >= (1.0 - _CONE_ROUNDING) * top).astype(float) for lam in lams]
     else:
-        power = float(rho.fraction * p.reciprocal())
+        power = _witness_power(rho, p)
         f = [np.where(lam > SUPPORT_CUTOFF * top, (lam / top) ** power, 0.0) for lam in lams]
     return (float(_lp_norm(spectrum, rho)), f,
             float(_lp_norm(np.concatenate([v.ravel() for v in f]), p)))
+
+
+# float(rho/p), the power of the Holder witness, once per exponent pair
+_witness_power = lru_cache(maxsize=64)(lambda rho, p: float(rho.fraction * p.reciprocal()))
 
 
 def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
@@ -414,17 +418,20 @@ def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
     positive map with Choi matrix R has norm at most tr R.
     """
     scale, stacks = cp
-    tol, slack, src, dst = _CHOI_TOL * scale, 0.0, [], []
+    tol, slack, src_hits, dst_hits = _CHOI_TOL * scale, 0.0, {}, {}
     for n, m, choi in stacks:
         trace = choi.diagonal(axis1=1, axis2=2).sum(axis=-1).real
         on = trace > tol
-        defect = trace[on] - np.einsum("kij,kij->k", choi[on], choi[on].conj()).real / trace[on]
-        if np.any(defect > tol):
+        # trace - ||Choi||_F^2 / trace on the live pairs; at most trace <= tol on the others
+        defect = trace - np.einsum("kij,kij->k", choi, choi.conj()).real / np.maximum(trace, tol)
+        if (defect > tol).any():
             return None
-        slack += float(np.sum(np.maximum(defect, 0.0)) + np.sum(trace[~on]))
-        ts, ss = np.divmod(np.flatnonzero(on), dom.dims.count(n))
-        src, dst = src + [(n, k) for k in ss], dst + [(m, k) for k in ts]
-    if len(set(src)) < len(src) or len(set(dst)) < len(dst):
+        slack += float(np.add.reduce(np.where(on, np.maximum(defect, 0.0), 0.0))
+                       + np.add.reduce(np.where(on, 0.0, trace)))
+        live = on.reshape(-1, dom.dims.count(n))   # (destination, source) blocks of sizes (m, n)
+        src_hits[n] = src_hits.get(n, 0) + live.sum(axis=0)
+        dst_hits[m] = dst_hits.get(m, 0) + live.sum(axis=1)
+    if any(hits.max() > 1 for hits in (*src_hits.values(), *dst_hits.values())):
         return None
     bound, f, x_norm = _holder_form(unit, p, holder_complement(p, q))
     x = from_eig_groups(dom, unit[1], f).flat()
@@ -633,8 +640,8 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     if w.profile != w0.profile:
         raise ProfileMismatch("weights live on different profiles")
     triple = ExponentTriple.from_pq(p, q)
-    half_out = w0.power(float(q.reciprocal()) / 2)   # k^{1/(2q)}; support proj at q = inf
-    half_in = w.power(-float(p.reciprocal()) / 2)    # h^{-1/(2p)}; identity at p = inf
+    half_out = w0.power(q.float_reciprocal() / 2)   # k^{1/(2q)}; support proj at q = inf
+    half_in = w.power(-p.float_reciprocal() / 2)    # h^{-1/(2p)}; identity at p = inf
     d = half_out @ half_in
     d_star = d.adjoint()
     unit = eigh_groups(w.profile, (d_star @ d).flat())
@@ -796,7 +803,7 @@ def _projection_witness(J0: np.ndarray, profile1: BlockProfile, profile2: BlockP
     with J(c)^2 = J(c^2).  The witness is the single or pair sum whose image
     is farthest from a projection.
     """
-    adj, eye = _transpose_permutation(profile1), np.eye(profile1.coord_dim)
+    adj, eye = profile1.transpose_index, np.eye(profile1.coord_dim)
 
     def parts(k):
         e, f = eye[k], eye[adj[k]]
@@ -933,8 +940,8 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
         raise ProfileMismatch("the weights do not match the operator's profiles")
     w1.require_faithful("classifier (domain weight)")
     w2.require_faithful("classifier (codomain weight)")
-    pre = w1.power(float(S.p.reciprocal()) / 2)
-    post = w2.power(-float(S.q.reciprocal()) / 2)
+    pre = w1.power(S.p.float_reciprocal() / 2)
+    post = w2.power(-S.q.float_reciprocal() / 2)
     J0 = _sandwich_matrix(post, post) @ S.matrix() @ _sandwich_matrix(pre, pre)
     worst, (u, v) = jordan_defect(J0, w1.profile, w2.profile)
     n = w1.profile.coord_dim
@@ -992,7 +999,7 @@ def contraction_inclusion(wB: Weight, w2: Weight, inclusion: JordanMorphismSpec,
     low = min(float(lam[:, 0].min()) for lam in lams)
     if low < -1e-9 * max(1.0, schatten_norm(dominating, "inf")):
         raise DominationFails(f"C rho_B - k has eigenvalue {low:.6e} < 0")
-    bound = constant ** float(p.reciprocal())
+    bound = constant ** p.float_reciprocal()
     return ContractionInclusion(operator=build_composition(inclusion, wB, w2, p, p),
                                 constant=constant, bound=bound)
 
@@ -1020,7 +1027,7 @@ def splitting_inequality_check(hJ: Weight, hz: Weight, h1z: Weight, q) -> Splitt
     gap_sum = (hJ.rho - hz.rho - h1z.rho).fro_norm()
     if gap_sum > 1e-9 * max(1.0, hJ.rho.fro_norm()):
         raise NotSummable(f"hJ != hz + h1z (residual {gap_sum:.3e})")
-    inv_q = float(q.reciprocal())
+    inv_q = q.float_reciprocal()
     gap = hz.power(inv_q) + h1z.power(inv_q) - hJ.power(inv_q)
     lams, _ = eigh_groups(gap.profile, gap.hermitized().flat())
     min_eig = min(float(lam[:, 0].min()) for lam in lams)

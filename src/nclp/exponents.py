@@ -8,8 +8,8 @@ Infinity is a distinct case of the type, never a float sentinel.
 Exponent values repeat, so each is parsed, and each derived exponent
 formed, once per value: a bounded cache maps a str, int, float or Fraction
 to one shared (immutable) instance, and the conjugate, the Holder
-complement and the ratio are memoised.  An instance carries float(p) and
-its hash; comparisons read the exact reciprocals.
+complement and the ratio are memoised.  An instance carries float(p),
+float(1/p) and its hash; comparisons read the exact reciprocals.
 """
 
 from __future__ import annotations
@@ -25,11 +25,11 @@ class Exponent:
     """A point of [1, inf]; finite values stored as `Fraction`, inf as None.
 
     A finite value must fit in a float (BadExponent otherwise), so that
-    `float(p)` never overflows.  1/p, float(p) and the hash are kept; the
-    conjugate is kept once asked for.
+    `float(p)` never overflows.  1/p, float(p), float(1/p) and the hash are
+    kept; the conjugate is kept once asked for.
     """
 
-    __slots__ = ("_frac", "_recip", "_float", "_hash", "_conj")
+    __slots__ = ("_frac", "_recip", "_float", "_float_recip", "_hash", "_conj")
 
     def __new__(cls, value):
         if isinstance(value, Exponent):
@@ -46,6 +46,7 @@ class Exponent:
             self._recip, self._float = Fraction(0), math.inf
         else:
             self._recip, self._float = 1 / frac, float(frac)
+        self._float_recip = float(self._recip)
         return self
 
     def __reduce__(self):
@@ -64,6 +65,10 @@ class Exponent:
     def reciprocal(self) -> Fraction:
         """1/p as an exact rational; 0 for p = inf."""
         return self._recip
+
+    def float_reciprocal(self) -> float:
+        """float(1/p), kept: 0.0 for p = inf."""
+        return self._float_recip
 
     def conjugate(self) -> "Exponent":
         """The dual exponent p* with 1/p + 1/p* = 1."""

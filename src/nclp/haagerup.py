@@ -11,6 +11,7 @@ implemented here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ExponentMismatch, ProfileMismatch
 from .exponents import Exponent, holder_complement, require_order
@@ -43,15 +44,20 @@ class ExponentTriple:
 
     @classmethod
     def from_pq(cls, p, q) -> "ExponentTriple":
-        p, q = Exponent(p), Exponent(q)
-        require_order(p, q)
-        return cls(p=p, q=q, r=holder_complement(p, q), p_conj=p.conjugate())
+        """The triple of (p, q), q <= p: one shared instance per pair, checked once."""
+        return _triple(Exponent(p), Exponent(q))
 
     def __post_init__(self):
         if self.q.reciprocal() - self.p.reciprocal() - self.r.reciprocal() != 0:
             raise ExponentMismatch(
                 f"1/{self.q} != 1/{self.p} + 1/{self.r}"
             )
+
+
+@lru_cache(maxsize=64)
+def _triple(p: Exponent, q: Exponent) -> ExponentTriple:
+    require_order(p, q)
+    return ExponentTriple(p=p, q=q, r=holder_complement(p, q), p_conj=p.conjugate())
 
 
 def embed(w: Weight, a: BlockMatrix, p) -> LpElement:

@@ -21,7 +21,6 @@ from .errors import InvalidMorphism, NoConvergence, ProfileMismatch
 from .matcore import (
     BlockMatrix,
     BlockProfile,
-    _transpose_permutation,
     block_stacks,
     flat_columns,
     kron,
@@ -292,10 +291,9 @@ def _unit_products(profile: BlockProfile, rows: int) -> tuple:
         rev = (v >= c0) & (v < c1) & (u >= c0)
         chunks.append((c0, c1, (u[fwd] - c0, v[fwd] - c0, t[fwd]),
                        (v[rev] - c0, u[rev] - c0, t[rev])))
-    adj = _transpose_permutation(profile)
-    for arr in [adj] + [a for *_, fwd, rev in chunks for a in fwd + rev]:
+    for arr in [a for *_, fwd, rev in chunks for a in fwd + rev]:
         arr.setflags(write=False)
-    return adj, tuple(chunks)
+    return profile.transpose_index, tuple(chunks)
 
 
 def jordan_defect(M: np.ndarray, profile1: BlockProfile, profile2: BlockProfile):

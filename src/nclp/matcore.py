@@ -12,7 +12,9 @@ norms and polar decomposition (numpy.linalg.svd) also take one call per size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
+import threading
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -31,34 +33,45 @@ PSD_TOL = 1e-10
 HERMITIAN_TOL = 1e-8
 
 
-@dataclass(frozen=True)
 class BlockProfile:
-    """Block sizes n_1..n_k of a direct sum of full matrix algebras.
+    """Block sizes n_1..n_k of a direct sum of full matrix algebras, interned.
 
-    A cache key compared on every BlockMatrix operation: equal profiles are
-    mostly one object, so identity is tested before the dims, and total_dim
-    and coord_dim (sum of n_i^2) are set here.
+    `BlockProfile(dims)` returns the one live profile for that tuple, so `==`
+    and the hash are identity, and a pickle round-trip returns that object.
+    Sizes must be integers >= 1 (ValueError; numpy integers pass, a bool or
+    a float does not), checked before the table is read.  The profile holds
+    total_dim, coord_dim (sum of n_i^2) and its index data (`_index_data`).
     """
 
-    dims: tuple
+    __slots__ = ("dims", "total_dim", "coord_dim", "size_groups", "transpose_index",
+                 "diagonal_index", "block_slots", "__weakref__")
 
-    def __init__(self, dims):
-        dims = tuple(map(int, dims))
-        if not dims:
-            raise ValueError("profile needs at least one block")
-        if min(dims) < 1:
-            raise ValueError(f"block sizes must be >= 1, got {dims}")
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "total_dim", sum(dims))
-        object.__setattr__(self, "coord_dim", sum([d * d for d in dims]))
+    def __new__(cls, dims):
+        dims = tuple(dims)
+        try:
+            sizes = tuple(map(operator.index, dims))
+        except TypeError:
+            sizes = ()
+        if not sizes or bool in map(type, dims) or min(sizes) < 1:
+            raise ValueError(f"a profile needs block sizes that are integers >= 1, got {dims!r}")
+        with _INTERN_LOCK:   # one object per tuple, also when threads race here
+            profile = _LIVE.get(sizes)
+            if profile is None:
+                profile = object.__new__(cls)
+                values = (sizes, sum(sizes), sum([d * d for d in sizes]), *_index_data(sizes))
+                for name, value in zip(cls.__slots__, values):
+                    object.__setattr__(profile, name, value)
+                _LIVE[sizes] = profile
+        return profile
 
-    def __eq__(self, other):
-        if other.__class__ is not BlockProfile:
-            return NotImplemented
-        return self is other or self.dims == other.dims
+    def __reduce__(self):
+        return BlockProfile, (self.dims,)
 
-    def __hash__(self):
-        return hash(self.dims)
+    def __setattr__(self, name, value):
+        raise AttributeError("BlockProfile is immutable")
+
+    def __repr__(self):
+        return f"BlockProfile(dims={self.dims})"
 
     @property
     def block_count(self) -> int:
@@ -68,38 +81,27 @@ class BlockProfile:
         return iter(self.dims)
 
 
-def _index_blocks(profile: BlockProfile) -> list:
-    """The flat coordinates of each block, as (d, d) integer arrays."""
-    return [ix[0] for ix in block_stacks(profile, np.arange(profile.coord_dim)[:, None])]
+_LIVE = weakref.WeakValueDictionary()
+_INTERN_LOCK = threading.Lock()
 
 
 @lru_cache(maxsize=64)
-def size_groups(profile: BlockProfile) -> tuple:
-    """(d, m, rows) for each distinct block size d of the profile, smallest first.
-
-    m is the number of blocks of size d and rows the read-only (m, d*d)
-    array of their flat coordinates.  Computed once per profile.
-    """
-    groups = []
-    for d in sorted(set(profile.dims)):
-        rows = np.stack([ix.ravel() for ix in _index_blocks(profile) if len(ix) == d])
-        rows.setflags(write=False)
-        groups.append((d, rows.shape[0], rows))
-    return tuple(groups)
-
-
-@lru_cache(maxsize=64)
-def _transpose_permutation(profile: BlockProfile) -> np.ndarray:
-    """Read-only indices with x.transpose().flat() == x.flat()[perm]."""
-    perm = np.concatenate([ix.T.ravel() for ix in _index_blocks(profile)])
-    perm.setflags(write=False)
-    return perm
-
-
-@lru_cache(maxsize=64)
-def _diagonal_index(profile: BlockProfile) -> np.ndarray:
-    """Flat coordinates of the total_dim diagonal entries, in block order."""
-    return np.concatenate([ix.diagonal() for ix in _index_blocks(profile)])
+def _index_data(dims: tuple) -> tuple:
+    """A profile's read-only index data, once per tuple of sizes: `size_groups`,
+    (d, m, rows) per distinct size d, smallest first, rows the (m, d*d) flat
+    coordinates of its m blocks; `transpose_index`, with x.transpose().flat()
+    == x.flat()[transpose_index]; `diagonal_index`, the flat coordinates of
+    the diagonal in block order; `block_slots`, each block's (size group, row)."""
+    offsets = np.cumsum([0] + [d * d for d in dims])
+    blocks = [np.arange(at, at + d * d).reshape(d, d) for at, d in zip(offsets, dims)]
+    sizes = sorted(set(dims))
+    rows = [np.stack([ix.ravel() for ix in blocks if len(ix) == d]) for d in sizes]
+    transpose = np.concatenate([ix.T.ravel() for ix in blocks])
+    diagonal = np.concatenate([ix.diagonal() for ix in blocks])
+    for arr in [transpose, diagonal, *rows]:
+        arr.setflags(write=False)
+    slots = tuple((sizes.index(d), dims[:j].count(d)) for j, d in enumerate(dims))
+    return tuple(zip(sizes, map(len, rows), rows)), transpose, diagonal, slots
 
 
 class BlockMatrix:
@@ -153,7 +155,7 @@ class BlockMatrix:
         if values.shape != (profile.total_dim,):
             raise ProfileMismatch(f"need {profile.total_dim} diagonal entries, got {values.shape}")
         flat = np.zeros(profile.coord_dim, dtype=complex)
-        flat[_diagonal_index(profile)] = values
+        flat[profile.diagonal_index] = values
         return cls._of_flat(profile, flat)
 
     @classmethod
@@ -197,26 +199,26 @@ class BlockMatrix:
         self._check_same(other)
         a, b = self._flat, other._flat
         out = np.empty(self.profile.coord_dim, dtype=complex)
-        for d, m, rows in size_groups(self.profile):
+        for d, m, rows in self.profile.size_groups:
             out[rows] = (a[rows].reshape(m, d, d) @ b[rows].reshape(m, d, d)).reshape(m, d * d)
         return BlockMatrix._of_flat(self.profile, out)
 
     def adjoint(self) -> "BlockMatrix":
         return BlockMatrix._of_flat(self.profile,
-                                    self._flat.conj()[_transpose_permutation(self.profile)])
+                                    self._flat.conj()[self.profile.transpose_index])
 
     def transpose(self) -> "BlockMatrix":
-        return BlockMatrix._of_flat(self.profile, self._flat[_transpose_permutation(self.profile)])
+        return BlockMatrix._of_flat(self.profile, self._flat[self.profile.transpose_index])
 
     def hermitized(self) -> "BlockMatrix":
         flat = self._flat
         return BlockMatrix._of_flat(
-            self.profile, (flat + flat.conj()[_transpose_permutation(self.profile)]) / 2)
+            self.profile, (flat + flat.conj()[self.profile.transpose_index]) / 2)
 
     # -- scalars -------------------------------------------------------
 
     def trace(self) -> complex:
-        return complex(np.sum(self._flat[_diagonal_index(self.profile)]))
+        return complex(np.sum(self._flat[self.profile.diagonal_index]))
 
     def hs_inner(self, other) -> complex:
         """Hilbert-Schmidt inner product <self, other> = sum tr(self_i* other_i)."""
@@ -240,16 +242,9 @@ class BlockMatrix:
         return f"BlockMatrix(profile={self.profile.dims})"
 
 
-@lru_cache(maxsize=64)
-def _block_slots(profile: BlockProfile) -> tuple:
-    """(size group, row) of each block in block order: its place in the `size_groups` stacks."""
-    sizes = [d for d, _, _ in size_groups(profile)]
-    return tuple((sizes.index(d), profile.dims[:j].count(d)) for j, d in enumerate(profile.dims))
-
-
 def _per_block(profile: BlockProfile, grouped) -> list:
     """The rows of per-size-group arrays (one row per block of the group), in block order."""
-    return [grouped[g][k] for g, k in _block_slots(profile)]
+    return [grouped[g][k] for g, k in profile.block_slots]
 
 
 def eigh_groups(profile: BlockProfile, flat: np.ndarray) -> tuple:
@@ -260,7 +255,7 @@ def eigh_groups(profile: BlockProfile, flat: np.ndarray) -> tuple:
     block is its own eigenvalue, with eigenvector 1.
     """
     lams, vecs = [], []
-    for d, m, rows in size_groups(profile):
+    for d, m, rows in profile.size_groups:
         blocks = flat[rows].reshape(m, d, d)
         lam, V = (blocks[..., 0].real, np.ones((m, 1, 1))) if d == 1 else np.linalg.eigh(blocks)
         lams.append(lam)
@@ -274,7 +269,7 @@ def from_eig_groups(profile: BlockProfile, vecs: list, values: list) -> BlockMat
     Real values give a Hermitian element, symmetrised against rounding.
     """
     flat = np.empty(profile.coord_dim, dtype=complex)
-    for (d, m, rows), V, f in zip(size_groups(profile), vecs, values):
+    for (d, m, rows), V, f in zip(profile.size_groups, vecs, values):
         blk = (V * f[:, None, :]) @ V.conj().swapaxes(1, 2)
         if np.isrealobj(f):
             blk = (blk + blk.conj().swapaxes(1, 2)) / 2
@@ -340,7 +335,7 @@ def singular_values(x: BlockMatrix):
     """Per-block ascending singular values, from one numpy.linalg.svd per block size."""
     return _per_block(x.profile, [
         np.linalg.svd(x.flat()[rows].reshape(m, d, d), compute_uv=False)[:, ::-1]
-        for d, m, rows in size_groups(x.profile)])
+        for d, m, rows in x.profile.size_groups])
 
 
 def block_stacks(profile: BlockProfile, cols: np.ndarray) -> list:
@@ -395,7 +390,7 @@ def polar(x: BlockMatrix):
     SUPPORT_CUTOFF times the block's largest.
     """
     u, vecs, svals = np.empty(x.profile.coord_dim, dtype=complex), [], []
-    for d, m, rows in size_groups(x.profile):
+    for d, m, rows in x.profile.size_groups:
         w, s, vh = np.linalg.svd(x.flat()[rows].reshape(m, d, d))
         u[rows] = ((w * (s > SUPPORT_CUTOFF * s[:, :1])[:, None, :]) @ vh).reshape(m, d * d)
         vecs.append(vh.conj().swapaxes(1, 2))

@@ -57,13 +57,16 @@ class Weight:
     __slots__ = ("profile", "rho", "__dict__")
 
     def __init__(self, rho: BlockMatrix):
-        adj = rho.adjoint()
-        defect = (rho - adj).fro_norm()
-        scale = max(1.0, rho.fro_norm())
-        if defect > 1e-10 * scale:
+        profile, flat = rho.profile, rho.flat()
+        size = float(np.linalg.norm(flat))
+        if not size < np.inf and not np.isfinite(flat).all():   # a finite norm can overflow
+            raise NotPSD("density has a NaN or infinite entry")
+        adj = flat.conj()[profile.transpose_index]
+        defect = float(np.linalg.norm(flat - adj))
+        if not defect <= 1e-10 * max(1.0, size):
             raise NotPSD(f"density not Hermitian, defect {defect:.3e}")
-        rho = BlockMatrix._of_flat(rho.profile, (rho.flat() + adj.flat()) / 2)  # hermitized()
-        object.__setattr__(self, "profile", rho.profile)
+        rho = BlockMatrix._of_flat(profile, (flat + adj) / 2)  # hermitized()
+        object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "rho", rho)
         self._spectral = eigh_groups(rho.profile, rho.flat())
         self._range = psd_range(self._spectral[0])

@@ -735,7 +735,7 @@ def test_complete_positivity_from_the_choi_matrices():
     ]
     for C, cp, cp_flipped in cases:
         dom, cod, mat = C.domain_profile, C.codomain_profile, C.matrix()
-        flipped = mat[:, compop._transpose_permutation(dom)]
+        flipped = mat[:, dom.transpose_index]
         assert (compop._choi_stacks(mat, dom, cod) is not None) is cp
         assert (compop._choi_stacks(flipped, dom, cod) is not None) is cp_flipped
 

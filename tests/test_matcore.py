@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import gc
 import math
 import pickle
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from nclp.errors import BadExponent, NotHermitian, NotPSD, ProfileMismatch, SingularNegativePower
+from nclp import matcore
 from nclp.exponents import Exponent
 from nclp.matcore import (
     BlockMatrix,
@@ -18,7 +20,6 @@ from nclp.matcore import (
     polar,
     schatten_norm,
     singular_values,
-    size_groups,
     support_of,
 )
 from nclp.sampling import element, generator, hermitian, psd, unitary
@@ -47,22 +48,70 @@ def test_profile_validation():
 
 
 def test_profile_sizes_are_computed_once():
-    read, fresh = BlockProfile([2, 3]), BlockProfile([2, 3])
-    assert (read.coord_dim, read.total_dim) == (13, 5)
-    assert vars(read) == {"dims": (2, 3), "coord_dim": 13, "total_dim": 5}
-    assert [f.name for f in dataclasses.fields(BlockProfile)] == ["dims"]
-    assert read == fresh and hash(read) == hash(fresh)
-    assert read != BlockProfile([3, 2])
+    # the sizes and index data are plain attributes of the one interned
+    # profile, set when it is made
+    read = BlockProfile([2, 3])
+    assert (read.coord_dim, read.total_dim, read.block_count) == (13, 5, 2)
+    assert read.__slots__ == ("dims", "total_dim", "coord_dim", "size_groups", "transpose_index",
+                              "diagonal_index", "block_slots", "__weakref__")
+    with pytest.raises(AttributeError):
+        read.dims = (3, 2)
+    for dims in ([2, 1, 2], [3, 2], [1] * 5):
+        profile = BlockProfile(dims)
+        assert profile.size_groups is BlockProfile(tuple(dims)).size_groups
+        groups, transpose, diagonal, slots = _reference_index_data(profile)
+        assert len(profile.size_groups) == len(groups)
+        for (d, m, rows), (d_ref, m_ref, rows_ref) in zip(profile.size_groups, groups):
+            assert (d, m) == (d_ref, m_ref) and not rows.flags.writeable
+            np.testing.assert_array_equal(rows, rows_ref)
+        np.testing.assert_array_equal(profile.transpose_index, transpose)
+        np.testing.assert_array_equal(profile.diagonal_index, diagonal)
+        assert profile.block_slots == slots
+        assert not any(a.flags.writeable for a in (profile.transpose_index, profile.diagonal_index))
+
+
+def _reference_index_data(profile):
+    """The per-profile index data as the separate profile-keyed caches computed it."""
+    blocks = [ix[0] for ix in block_stacks(profile, np.arange(profile.coord_dim)[:, None])]
+    groups = []
+    for d in sorted(set(profile.dims)):
+        rows = np.stack([ix.ravel() for ix in blocks if len(ix) == d])
+        groups.append((d, len(rows), rows))
+    transpose = np.concatenate([ix.T.ravel() for ix in blocks])
+    diagonal = np.concatenate([ix.diagonal() for ix in blocks])
+    sizes = [d for d, _, _ in groups]
+    slots = tuple((sizes.index(d), profile.dims[:j].count(d)) for j, d in enumerate(profile.dims))
+    return groups, transpose, diagonal, slots
 
 
 def test_profiles_built_apart_are_one_key():
-    a, b = BlockProfile([2, 1, 2]), BlockProfile((2, 1, 2))
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert size_groups(a) is size_groups(b)
+    a = BlockProfile([2, 1, 2])
+    for dims in ((2, 1, 2), np.array([2, 1, 2]), [np.int64(2), np.int32(1), np.uint8(2)]):
+        b = BlockProfile(dims)
+        assert b is a and b == a and hash(b) == hash(a) and type(b.dims[0]) is int
     assert BlockProfile([2]) != (2,) and (2,) != BlockProfile([2])
     assert BlockProfile([2, 3]) != BlockProfile([3, 2])
-    copy = pickle.loads(pickle.dumps(a))
-    assert copy == a and hash(copy) == hash(a) and (copy.coord_dim, copy.total_dim) == (9, 5)
+    assert pickle.loads(pickle.dumps(a)) is a
+    assert copy.copy(a) is a and copy.deepcopy(a) is a
+    # a profile no one holds any more leaves the table; built again, it is
+    # a new object carrying the same index data
+    dims = (5, 1, 7)
+    first = BlockProfile(dims)
+    groups = first.size_groups
+    del first
+    gc.collect()
+    assert dims not in matcore._LIVE
+    assert BlockProfile(dims).size_groups is groups
+
+
+def test_profile_refuses_sizes_that_are_not_integers():
+    # (2,) and (1, 2) are live, so a lookup keyed on the raw sizes would find them
+    held = BlockProfile([2]), BlockProfile([1, 2])
+    for dims in ([2.7], [2.0], [True, 2], [np.True_, 2], ["2"], [None], [2, 1.5],
+                 [np.int64(0)], [2, -1], []):
+        with pytest.raises(ValueError, match="integers >= 1"):
+            BlockProfile(dims)
+    assert held == (BlockProfile((2,)), BlockProfile((1, 2)))
 
 
 def test_eig_diagonal_input():

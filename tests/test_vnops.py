@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,21 @@ def test_half_exponents_as_floats_give_the_same_powers():
             exact = w.power(sign * x.reciprocal() / 2)
             halved = w.power(sign * float(x.reciprocal()) / 2)
             assert halved.flat().tobytes() == exact.flat().tobytes(), (p, sign)
+
+
+def test_weight_refuses_a_density_with_a_nan_or_infinite_entry():
+    # a NaN defect is no Hermiticity defect below the tolerance, and an
+    # infinite entry is refused before any arithmetic could warn
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        for where in ((0, 0), (0, 1)):
+            rho = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+            rho[where] = bad
+            if where != (0, 0):
+                rho[where[::-1]] = np.conj(bad)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotPSD, match="NaN or infinite"):
+                    Weight(BlockMatrix(PROF2, [rho]))
 
 
 PROF11 = BlockProfile([1, 1])
