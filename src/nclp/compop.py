@@ -20,7 +20,7 @@ user's callable is materialised, once, where it enters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate
 
@@ -92,9 +92,18 @@ class SuperOperator:
     profile and an `fn` that disagrees with that matrix on a seeded complex
     probe, so a nonlinear or conjugate-linear callable never becomes an
     operator.  `from_matrix` takes the matrix as it is.
+
+    `_positivity` records what the constructor proved: None (nothing), or
+    (transposed, single_kraus) when the map, or with transposed the map
+    after a transpose of its input, is completely positive by construction,
+    and single_kraus when it is one Kraus map per block pair over a
+    matching of blocks.  `build_composition` and `ChangeOfWeights.operator`
+    set it (`_proved`); `from_matrix`, the callable constructor, `compose`
+    and `trace_dual` leave it None, and `operator_norm` then tests the
+    matrix.
     """
 
-    __slots__ = ("domain_profile", "codomain_profile", "p", "q", "_matrix")
+    __slots__ = ("domain_profile", "codomain_profile", "p", "q", "_matrix", "_positivity")
 
     def __init__(self, domain_profile: BlockProfile, codomain_profile: BlockProfile,
                  p, q, fn):
@@ -103,17 +112,21 @@ class SuperOperator:
             raise ProfileMismatch(
                 f"images lie on {profile.dims}, the codomain profile is {codomain_profile.dims}"
             )
-        self._set(domain_profile, codomain_profile, p, q, mat)
+        self._set(domain_profile, codomain_profile, p, q, mat, None)
         if linearity_defect(fn, self._matrix, domain_profile, 5_040) > 1e-10:
             raise ProfileMismatch("the map disagrees with its matrix on a probe: it is not linear")
 
     @classmethod
     def from_matrix(cls, domain_profile, codomain_profile, p, q, mat) -> "SuperOperator":
+        return cls._proved(domain_profile, codomain_profile, p, q, mat, None)
+
+    @classmethod
+    def _proved(cls, domain_profile, codomain_profile, p, q, mat, positivity) -> "SuperOperator":
         op = cls.__new__(cls)
-        op._set(domain_profile, codomain_profile, p, q, mat)
+        op._set(domain_profile, codomain_profile, p, q, mat, positivity)
         return op
 
-    def _set(self, domain_profile, codomain_profile, p, q, mat):
+    def _set(self, domain_profile, codomain_profile, p, q, mat, positivity):
         mat = np.array(mat, dtype=complex)
         expected = (codomain_profile.coord_dim, domain_profile.coord_dim)
         if mat.shape != expected:
@@ -124,6 +137,7 @@ class SuperOperator:
         object.__setattr__(self, "p", Exponent(p))
         object.__setattr__(self, "q", Exponent(q))
         object.__setattr__(self, "_matrix", mat)
+        object.__setattr__(self, "_positivity", positivity)
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperOperator is immutable")
@@ -177,7 +191,10 @@ class NormEstimate:
     per matched block pair, and `change_of_weights`), `cone` and
     `maximiser` (`lower-only`).  The upper bounds of `holder` in
     `operator_norm` and of `cone` carry an allowance of _CONE_ROUNDING
-    (64 eps) for rounding; those of `svd`, `positive-endpoint` and
+    (64 eps) for rounding; `holder` adds the Choi defects of
+    `_single_kraus_slack` only on an operator whose positivity was tested
+    from its matrix, not on one that carries it (`SuperOperator._positivity`).
+    Those of `svd`, `positive-endpoint` and
     `change_of_weights` are the closed form's float value, which can lie a
     few ulps below the norm of the float matrix.
 
@@ -230,6 +247,14 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
     x -> post x post and x -> pre x pre are `_sandwich_matrix` for
     post = k^{1/(2q)} and pre = h^{-1/(2p)}, and J is `J.matrix()`; no
     closure is called.
+
+    Each tile is x -> E x E* (an H tile) or x -> E x^T E* (an A tile), and
+    the sandwiches are x -> h x h, so when every tile with a source block
+    larger than 1x1 has one kind the operator is completely positive, after
+    a transpose of its input for kind A.  With no block in two tiles it is
+    one Kraus map per block pair over a matching of blocks; the weights are
+    faithful, so every tile's pair is live.  The operator carries that
+    proof (`SuperOperator._positivity`); a mixed H/A morphism carries none.
     """
     p, q = Exponent(p), Exponent(q)
     require_order(p, q)
@@ -241,7 +266,12 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
     pre = w1.power(-p.float_reciprocal() / 2)
     post = w2.power(q.float_reciprocal() / 2)
     mat = _sandwich_matrix(post, post) @ J.matrix() @ _sandwich_matrix(pre, pre)
-    return SuperOperator.from_matrix(J.profile1, J.profile2, p, q, mat)
+    kinds = {t.kind for t in J.tiles if J.profile1.dims[t.src] > 1}
+    positivity = None
+    if len(kinds) <= 1:
+        srcs, dsts = {t.src for t in J.tiles}, {t.dst for t in J.tiles}
+        positivity = (kinds == {"A"}, len(srcs) == len(dsts) == len(J.tiles))
+    return SuperOperator._proved(J.profile1, J.profile2, p, q, mat, positivity)
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +390,13 @@ def _completely_positive_matrix(C: SuperOperator):
     """(matrix, `_choi_stacks`) of C if C is completely positive, else of C o transpose if so.
 
     Transposition is a Schatten isometry, so C o transpose has C's norms;
-    this covers the composition operators of A-only morphisms.
+    this covers the composition operators of A-only morphisms.  An operator
+    that carries its proof (`SuperOperator._positivity`) is not tested: its
+    matrix comes with stacks None.
     """
     mat, dom, cod = C.matrix(), C.domain_profile, C.codomain_profile
+    if C._positivity is not None:
+        return (mat[:, dom.transpose_index] if C._positivity[0] else mat), None
     for candidate in (mat, mat[:, dom.transpose_index]):
         choi = _choi_stacks(candidate, dom, cod)
         if choi is not None:
@@ -402,20 +436,17 @@ def _holder_form(unit: tuple, p: Exponent, rho: Exponent) -> tuple:
 _witness_power = lru_cache(maxsize=64)(lambda rho, p: float(rho.fraction * p.reciprocal()))
 
 
-def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
-                       p: Exponent, q: Exponent, cp: tuple, unit: tuple) -> NormEstimate | None:
-    """The `holder` estimate of a completely positive map with one Kraus map per block pair
-    over a matching of blocks, q <= p; None for any other map.
+def _single_kraus_slack(cp: tuple, dom: BlockProfile) -> float | None:
+    """The slack of `_single_kraus_norm` if the completely positive map whose
+    `_choi_stacks` are `cp` is one Kraus map per block pair over a matching
+    of blocks; None if it is not.
 
-    `cp` is `_choi_stacks(mat, dom, cod)`, `unit` the eigensystem of
-    C#(1), and the bound and witness are `_holder_form`'s.  With tol =
-    _CHOI_TOL ||mat||_F, a pair of the Choi stacks is live when tr Choi >
-    tol; the map qualifies when no block is in two live pairs and each live
-    Choi is rank one up to tr - ||Choi||_F^2/tr <= tol, a bound on its trace
-    beyond the top eigenvalue.  The lower value is the witness's
-    ||Cx||_q / ||x||_p; the upper bound (1 + _CONE_ROUNDING) ||C#(1)||_rho
-    adds those defects and the traces of the other pairs, as a completely
-    positive map with Choi matrix R has norm at most tr R.
+    With tol = _CHOI_TOL ||mat||_F, a pair of the Choi stacks is live when
+    tr Choi > tol; the map qualifies when no block is in two live pairs and
+    each live Choi is rank one up to tr - ||Choi||_F^2/tr <= tol, a bound
+    on its trace beyond the top eigenvalue.  The slack sums those defects
+    and the traces of the other pairs, as a completely positive map with
+    Choi matrix R has norm at most tr R.
     """
     scale, stacks = cp
     tol, slack, src_hits, dst_hits = _CHOI_TOL * scale, 0.0, {}, {}
@@ -433,6 +464,20 @@ def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
         dst_hits[m] = dst_hits.get(m, 0) + live.sum(axis=1)
     if any(hits.max() > 1 for hits in (*src_hits.values(), *dst_hits.values())):
         return None
+    return slack
+
+
+def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
+                       p: Exponent, q: Exponent, slack: float, unit: tuple) -> NormEstimate:
+    """The `holder` estimate of a completely positive map with one Kraus map per block pair
+    over a matching of blocks, q <= p.
+
+    `unit` is the eigensystem of C#(1), and the bound and witness are
+    `_holder_form`'s.  The lower value is the witness's ||Cx||_q / ||x||_p;
+    the upper bound is (1 + _CONE_ROUNDING) ||C#(1)||_rho plus `slack`:
+    `_single_kraus_slack` for a map tested from its matrix, 0 for one that
+    carries its proof (`SuperOperator._positivity`).
+    """
     bound, f, x_norm = _holder_form(unit, p, holder_complement(p, q))
     x = from_eig_groups(dom, unit[1], f).flat()
     lower = schatten_norm(BlockMatrix._of_flat(cod, mat @ x), q) / x_norm if bound else 0.0
@@ -509,8 +554,10 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     "auto" takes, in order (the `source` of the estimate in brackets):
     - p = q = 2: the norm is the largest singular value of the matrix
       (exact; `svd`);
-    - q <= p, when C or C o transpose is completely positive (`_choi_stacks`
-      on the matrix): transposition is a Schatten isometry, and such a map
+    - q <= p, when C or C o transpose is completely positive: C carries
+      that proof (`SuperOperator._positivity`, set by `build_composition`
+      and `ChangeOfWeights.operator`), or else `_choi_stacks` tests the
+      matrix.  Transposition is a Schatten isometry, and such a map
       attains its norm on positive elements (Audenaert, LAA 430, 2009).
       At p = inf the norm is ||C(1)||_q, attained at 1
       (`positive-endpoint`).  Else one eigh per block size of C#(1),
@@ -519,8 +566,10 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
       q = 1, rho = p* (tr C(x) = tr(x C#(1)) for x >= 0;
       `positive-endpoint`), and of one Kraus map per block pair over a
       matching of blocks (multiplicity-free H-only or A-only composition
-      operators, the change of weights; `_single_kraus_norm` evaluates the
-      witness; `holder`), all exact; then, if 1 < q <= 2 <= p, the cone
+      operators, the change of weights: read from the carried proof, or
+      else tested on the Choi stacks by `_single_kraus_slack`;
+      `_single_kraus_norm` evaluates the witness; `holder`), all exact;
+      then, if 1 < q <= 2 <= p, the cone
       iteration (`_cone_norm`; `cone`): a lower value and an upper bound,
       exact once they meet and an interval if they have not met after
       max_iter steps;
@@ -559,9 +608,12 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
         if q == _ONE:
             value = _holder_form(unit, p, holder_complement(p, q))[0]
             return NormEstimate(value, "positive-endpoint", value)
-        est = _single_kraus_norm(mat, dom, cod, p, q, cp, unit)
-        if est is not None:
-            return est
+        if cp is not None:
+            slack = _single_kraus_slack(cp, dom)
+        else:
+            slack = 0.0 if C._positivity[1] else None
+        if slack is not None:
+            return _single_kraus_norm(mat, dom, cod, p, q, slack, unit)
         if _ONE < q <= _TWO <= p:
             return _cone_norm(mat, dom, cod, p, q, unit, max_iter)
     mat = C.matrix()
@@ -601,10 +653,14 @@ class ChangeOfWeights:
     """Connecting element, exact norm, the witness attaining it and the induced map.
 
     `operator`, the map x -> d x d*, is built on first read, so a caller
-    that reads only the bound never builds its coord_dim^2 matrix.
+    that reads only the bound never builds its coord_dim^2 matrix.  It is
+    built from `d` and `d_star`, the adjoint `change_of_weights` formed, and
+    carries its proof (`SuperOperator._positivity`): completely positive,
+    one Kraus map per block.
     """
 
     d: BlockMatrix
+    d_star: BlockMatrix = field(repr=False, compare=False)
     bound: float
     norm_estimate: NormEstimate
     witness: BlockMatrix
@@ -613,8 +669,8 @@ class ChangeOfWeights:
     @cached_property
     def operator(self) -> SuperOperator:
         profile = self.d.profile
-        return SuperOperator.from_matrix(profile, profile, self.triple.p, self.triple.q,
-                                         _sandwich_matrix(self.d, self.d.adjoint()))
+        return SuperOperator._proved(profile, profile, self.triple.p, self.triple.q,
+                                     _sandwich_matrix(self.d, self.d_star), (False, True))
 
 
 def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
@@ -650,7 +706,8 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     value = schatten_norm(d @ witness @ d_star, q) / x_norm if bound else 0.0
     if not bound * (1.0 - 1e-9) <= value <= bound * (1.0 + BOUND_SLACK):
         raise NoConvergence(f"witness attains {value:.15g}, the bound is {bound:.15g}")
-    return ChangeOfWeights(d=d, bound=bound, norm_estimate=NormEstimate(value, "holder", bound),
+    return ChangeOfWeights(d=d, d_star=d_star, bound=bound,
+                           norm_estimate=NormEstimate(value, "holder", bound),
                            witness=witness, triple=triple)
 
 

@@ -9,7 +9,8 @@ Exponent values repeat, so each is parsed, and each derived exponent
 formed, once per value: a bounded cache maps a str, int, float or Fraction
 to one shared (immutable) instance, and the conjugate, the Holder
 complement and the ratio are memoised.  An instance carries float(p),
-float(1/p) and its hash; comparisons read the exact reciprocals.
+float(1/p) and its hash; comparisons read float(p) and fall back to the
+exact reciprocals only on a float tie.
 """
 
 from __future__ import annotations
@@ -90,24 +91,30 @@ class Exponent:
     def __float__(self) -> float:
         return self._float
 
+    # Comparisons read float(p) first: rounding is monotone, so floats that
+    # differ order the exact values; only a float tie reads the rationals.
     def __eq__(self, other):
+        if other is self:
+            return True
         if not isinstance(other, Exponent):
             try:
                 other = Exponent(other)
             except BadExponent:
                 return NotImplemented
-        return self._frac == other._frac
+        return self._float == other._float and self._frac == other._frac
 
     def __hash__(self):
         return self._hash
 
     def __le__(self, other):
         other = other if isinstance(other, Exponent) else Exponent(other)
-        return self._recip >= other._recip
+        a, b = self._float, other._float
+        return a < b if a != b else self._recip >= other._recip
 
     def __lt__(self, other):
         other = other if isinstance(other, Exponent) else Exponent(other)
-        return self._recip > other._recip
+        a, b = self._float, other._float
+        return a < b if a != b else self._recip > other._recip
 
     def __ge__(self, other):
         return not self < other

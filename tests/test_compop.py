@@ -976,7 +976,9 @@ def test_single_kraus_slack_covers_a_defect_below_the_tolerance():
     stacks = compop._choi_stacks(mat, profile, profile)
     two = Exponent(2)
     unit = eigh_groups(profile, mat.conj().T @ np.eye(n).ravel())
-    est = compop._single_kraus_norm(mat, profile, profile, two, two, stacks, unit)
+    slack = compop._single_kraus_slack(stacks, profile)
+    assert 0.0 < slack <= 4e-12
+    est = compop._single_kraus_norm(mat, profile, profile, two, two, slack, unit)
     top = float(np.linalg.svd(mat, compute_uv=False)[0])
     assert top > 1.0 + 1.4 * delta
     assert est.lower_bound <= top * (1.0 + 1e-15) and top <= est.upper_bound
@@ -1025,6 +1027,94 @@ def test_each_theorem_names_its_source():
     ]
     for i, (source, est) in enumerate(cases):
         assert est.source == source, (i, est)
+
+
+# -- positivity carried by construction ---------------------------------------
+
+CARRIED_PAIRS = CW_PAIRS + [(3, 3), (5, 3), (4, 2)]
+
+
+def _carrying_operators(rng, p, q):
+    """(label, operator, its `_positivity`) for change-of-weights operators and the
+    composition operators of H-only, A-only (with tile and block unitaries),
+    partial and multiplicity-2 morphisms, at (p, q)."""
+    prof1, prof3, prof4 = BlockProfile([1]), BlockProfile([3]), BlockProfile([4])
+    specs = [
+        ("H-only", identity_morphism(PROF23), (False, True)),
+        ("A-only", transpose_morphism(PROF23), (True, True)),
+        ("A-only unitaries", JordanMorphismSpec(PROF23, BlockProfile([3, 2]),
+                                                [Tile(0, 1, 0, "A", unitary(2, rng)),
+                                                 Tile(1, 0, 0, "A")],
+                                                [unitary(3, rng), None]), (True, True)),
+        ("partial", JordanMorphismSpec(PROF23, prof4, [Tile(1, 0, 1, "A")], [unitary(4, rng)]),
+         (True, True)),
+        ("corner", JordanMorphismSpec(PROF2, prof3, [Tile(0, 0, 1, "H")]), (False, True)),
+        ("doubled", JordanMorphismSpec(PROF2, prof4, [Tile(0, 0, 0, "A"), Tile(0, 0, 2, "A")]),
+         (True, False)),
+        ("doubled 1x1", JordanMorphismSpec(prof1, PROF2, [Tile(0, 0, 0, "H"), Tile(0, 0, 1, "H")]),
+         (False, False)),
+        ("two sources", JordanMorphismSpec(BlockProfile([1, 2]), prof3,
+                                           [Tile(0, 0, 0, "H"), Tile(1, 0, 1, "A")]),
+         (True, False)),
+    ]
+    out = []
+    for label, spec, positivity in specs:
+        w1, w2 = faithful(spec.profile1, rng), faithful(spec.profile2, rng)
+        out.append((label, build_composition(spec, w1, w2, p, q), positivity))
+    for dims in ([2], [3, 2]):
+        profile = BlockProfile(dims)
+        h, k = faithful(profile, rng), faithful(profile, rng)
+        out.append((f"change of weights {dims}", change_of_weights(h, k, p, q).operator,
+                    (False, True)))
+    return out
+
+
+def test_carried_positivity_gives_the_norm_the_matrix_test_gives():
+    # the same source, label, work counts and lower bound bits as the matrix
+    # tested from scratch; a carried `holder` upper bound only drops the slack
+    rng = generator(76)
+    for p, q in CARRIED_PAIRS:
+        for label, C, positivity in _carrying_operators(rng, p, q):
+            assert C._positivity == positivity, label
+            tested = SuperOperator.from_matrix(C.domain_profile, C.codomain_profile, p, q,
+                                               C.matrix())
+            assert tested._positivity is None
+            got, want = operator_norm(C, restarts=4), operator_norm(tested, restarts=4)
+            case = (label, p, q, got, want)
+            assert (got.source, got.status) == (want.source, want.status), case
+            assert (got.iterations, got.capped) == (want.iterations, want.capped), case
+            assert got.lower_bound.hex() == want.lower_bound.hex(), case
+            if got.source == "holder":
+                assert got.lower_bound <= got.upper_bound <= want.upper_bound, case
+            else:
+                assert got.upper_bound == want.upper_bound, case
+
+
+def test_carried_positivity_skips_the_choi_test(monkeypatch):
+    rng = generator(77)
+    w1, w2 = faithful(PROF23, rng), faithful(PROF23, rng)
+    mixed = JordanMorphismSpec(PROF2, BlockProfile([4]), [Tile(0, 0, 0, "H"), Tile(0, 0, 2, "A")])
+    inner = build_composition(identity_morphism(PROF23), w1, w2, 3, "3/2")
+    outer = build_composition(transpose_morphism(PROF23), w2, w2, "3/2", "3/2")
+    untested = [
+        SuperOperator.from_matrix(PROF23, PROF23, 3, "3/2", inner.matrix()),
+        SuperOperator(PROF23, PROF23, 3, "3/2", inner.apply),
+        outer.compose(inner),
+        inner.trace_dual(),
+        build_composition(mixed, faithful(PROF2, rng), faithful(BlockProfile([4]), rng), 3, "3/2"),
+    ]
+    assert all(C._positivity is None for C in untested)
+
+    def refuse(*args):
+        raise AssertionError("the Choi test ran")
+
+    monkeypatch.setattr(compop, "_choi_stacks", refuse)
+    for p, q in CARRIED_PAIRS:
+        for label, C, _ in _carrying_operators(rng, p, q):
+            operator_norm(C, restarts=2)
+    for C in untested:
+        with pytest.raises(AssertionError, match="the Choi test ran"):
+            operator_norm(C, restarts=2)
 
 
 def test_change_of_weights_scale():

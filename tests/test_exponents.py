@@ -157,3 +157,30 @@ def test_exponent_refusals():
     assert str(info.value) == "infinite exponent has no finite value"
     # a string that is no exponent compares unequal, it does not raise
     assert (Exponent(2) == "abc") is False
+
+
+def test_comparisons_match_the_exact_rationals():
+    # float(p) decides every comparison whose floats differ; pairs whose
+    # floats tie, and distinct instances of one value, read the rationals
+    from nclp.exponents import _parse
+
+    assert float(10**17 + 1) == float(10**17)
+    assert float(Fraction("1.0000000000000000001")) == 1.0
+    rng = np.random.default_rng(31)
+    values = [Fraction(10**17 + 1), Fraction(10**17), Fraction("1.0000000000000000001"),
+              Fraction(1), Fraction(2), Fraction(3, 2), None]
+    values += [Fraction(int(n), int(d)) for n, d in rng.integers(1, 40, size=(60, 2)) if n >= d]
+    values += [Fraction(v) for v in rng.uniform(1.0, 10.0, size=20)]
+    recips = [Fraction(0) if v is None else 1 / v for v in values]
+    exps = [INF if v is None else Exponent(v) for v in values]
+    twins = [_parse("inf" if v is None else str(v)) for v in values]
+    for ra, a, a2 in zip(recips, exps, twins):
+        assert a2 is not a and a2 == a and a == a2 and a2 <= a and not a2 < a
+        for rb, b in zip(recips, exps):
+            assert (a == b) == (ra == rb), (a, b)
+            assert (a != b) == (ra != rb), (a, b)
+            assert (a <= b) == (ra >= rb), (a, b)
+            assert (a < b) == (ra > rb), (a, b)
+            assert (a >= b) == (ra <= rb), (a, b)
+            assert (a > b) == (ra < rb), (a, b)
+            assert (a2 <= b) == (ra >= rb) and (a2 < b) == (ra > rb), (a, b)
