@@ -12,9 +12,11 @@ operators are composition operators, deciding exactly (on the pairs of
 matrix units) whether they preserve embedded projections.
 
 An operator is its matrix on flat block coordinates (`SuperOperator`).
-The library builds every matrix in closed form, from `_sandwich_matrix`
-(x -> L x R), the tile matrix of a morphism and matrix products; only a
-user's callable is materialised, once, where it enters.
+Composition operators and the change of weights carry their Kraus terms
+x -> K x^(T) K* (`KrausTerms`): their closed-form norms read the terms, and
+the matrix is written from them only when read.  Other matrices come in
+closed form from `_sandwich_matrix` (x -> L x R) and matrix products; only
+a user's callable is materialised, once, where it enters.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .matcore import (
     SUPPORT_CUTOFF,
     BlockMatrix,
     BlockProfile,
+    KrausTerms,
     _lp_norm,
     block_stacks,
     eigh_groups,
@@ -93,17 +96,13 @@ class SuperOperator:
     probe, so a nonlinear or conjugate-linear callable never becomes an
     operator.  `from_matrix` takes the matrix as it is.
 
-    `_positivity` records what the constructor proved: None (nothing), or
-    (transposed, single_kraus) when the map, or with transposed the map
-    after a transpose of its input, is completely positive by construction,
-    and single_kraus when it is one Kraus map per block pair over a
-    matching of blocks.  `build_composition` and `ChangeOfWeights.operator`
-    set it (`_proved`); `from_matrix`, the callable constructor, `compose`
-    and `trace_dual` leave it None, and `operator_norm` then tests the
-    matrix.
+    `build_composition` and `ChangeOfWeights.operator` give the operator
+    its Kraus terms (`_terms`, a `KrausTerms`; else None): M is written
+    from them on first read, and `operator_norm` reads its proofs and
+    closed forms from them.  Copies rebuild from the terms, or else from M.
     """
 
-    __slots__ = ("domain_profile", "codomain_profile", "p", "q", "_matrix", "_positivity")
+    __slots__ = ("domain_profile", "codomain_profile", "p", "q", "_matrix", "_terms")
 
     def __init__(self, domain_profile: BlockProfile, codomain_profile: BlockProfile,
                  p, q, fn):
@@ -118,37 +117,43 @@ class SuperOperator:
 
     @classmethod
     def from_matrix(cls, domain_profile, codomain_profile, p, q, mat) -> "SuperOperator":
-        return cls._proved(domain_profile, codomain_profile, p, q, mat, None)
+        return cls.__new__(cls)._set(domain_profile, codomain_profile, p, q, mat, None)
 
     @classmethod
-    def _proved(cls, domain_profile, codomain_profile, p, q, mat, positivity) -> "SuperOperator":
-        op = cls.__new__(cls)
-        op._set(domain_profile, codomain_profile, p, q, mat, positivity)
-        return op
+    def _of_terms(cls, p, q, terms: KrausTerms) -> "SuperOperator":
+        return cls.__new__(cls)._set(terms.dom, terms.cod, p, q, None, terms)
 
-    def _set(self, domain_profile, codomain_profile, p, q, mat, positivity):
-        mat = np.array(mat, dtype=complex)
-        expected = (codomain_profile.coord_dim, domain_profile.coord_dim)
-        if mat.shape != expected:
-            raise ProfileMismatch(f"matrix shape {mat.shape}, expected {expected}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "domain_profile", domain_profile)
-        object.__setattr__(self, "codomain_profile", codomain_profile)
-        object.__setattr__(self, "p", Exponent(p))
-        object.__setattr__(self, "q", Exponent(q))
-        object.__setattr__(self, "_matrix", mat)
-        object.__setattr__(self, "_positivity", positivity)
+    def _set(self, domain_profile, codomain_profile, p, q, mat, terms) -> "SuperOperator":
+        if mat is not None:
+            mat = np.array(mat, dtype=complex)
+            expected = (codomain_profile.coord_dim, domain_profile.coord_dim)
+            if mat.shape != expected:
+                raise ProfileMismatch(f"matrix shape {mat.shape}, expected {expected}")
+            mat.setflags(write=False)
+        values = (domain_profile, codomain_profile, Exponent(p), Exponent(q), mat, terms)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("SuperOperator is immutable")
 
+    def __reduce__(self):
+        if self._terms is not None:
+            return SuperOperator._of_terms, (self.p, self.q, self._terms)
+        return SuperOperator.from_matrix, (self.domain_profile, self.codomain_profile,
+                                           self.p, self.q, self._matrix)
+
     def apply(self, x: BlockMatrix) -> BlockMatrix:
         if x.profile != self.domain_profile:
             raise ProfileMismatch("input does not match the domain profile")
-        return BlockMatrix.unflat(self.codomain_profile, self._matrix @ x.flat())
+        return BlockMatrix.unflat(self.codomain_profile, self.matrix() @ x.flat())
 
     def matrix(self) -> np.ndarray:
-        """The read-only matrix on flat block coordinates."""
+        """The read-only matrix on flat block coordinates, written from the terms on first read."""
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix", self._terms.matrix())
+            self._matrix.setflags(write=False)
         return self._matrix
 
     def trace_dual(self) -> "SuperOperator":
@@ -162,7 +167,7 @@ class SuperOperator:
         cod = self.codomain_profile.transpose_index
         return SuperOperator.from_matrix(
             self.codomain_profile, self.domain_profile,
-            self.q.conjugate(), self.p.conjugate(), self._matrix.T[dom][:, cod],
+            self.q.conjugate(), self.p.conjugate(), self.matrix().T[dom][:, cod],
         )
 
     def compose(self, inner: "SuperOperator") -> "SuperOperator":
@@ -170,7 +175,7 @@ class SuperOperator:
         if inner.codomain_profile != self.domain_profile:
             raise ProfileMismatch("composition profiles do not chain")
         return SuperOperator.from_matrix(inner.domain_profile, self.codomain_profile,
-                                         inner.p, self.q, self._matrix @ inner.matrix())
+                                         inner.p, self.q, self.matrix() @ inner.matrix())
 
     def __repr__(self):
         return (
@@ -193,8 +198,9 @@ class NormEstimate:
     `operator_norm` and of `cone` carry an allowance of _CONE_ROUNDING
     (64 eps) for rounding; `holder` adds the Choi defects of
     `_single_kraus_slack` only on an operator whose positivity was tested
-    from its matrix, not on one that carries it (`SuperOperator._positivity`).
-    Those of `svd`, `positive-endpoint` and
+    from its matrix, not on one that carries its terms (`SuperOperator._terms`),
+    whose closed forms come from the terms and agree with the matrix route
+    to rounding.  Those of `svd`, `positive-endpoint` and
     `change_of_weights` are the closed form's float value, which can lie a
     few ulps below the norm of the float matrix.
 
@@ -243,18 +249,9 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
 
     Exact at finite dimension because the symmetric embedding is bijective
     for a faithful weight.  Requires q <= p; the reversed regime is refused.
-    The operator is built from its matrix, a product of closed forms:
-    x -> post x post and x -> pre x pre are `_sandwich_matrix` for
-    post = k^{1/(2q)} and pre = h^{-1/(2p)}, and J is `J.matrix()`; no
-    closure is called.
-
-    Each tile is x -> E x E* (an H tile) or x -> E x^T E* (an A tile), and
-    the sandwiches are x -> h x h, so when every tile with a source block
-    larger than 1x1 has one kind the operator is completely positive, after
-    a transpose of its input for kind A.  With no block in two tiles it is
-    one Kraus map per block pair over a matching of blocks; the weights are
-    faithful, so every tile's pair is live.  The operator carries that
-    proof (`SuperOperator._positivity`); a mixed H/A morphism carries none.
+    With post = k^{1/(2q)} and pre = h^{-1/(2p)}, each tile (frame E) is
+    one Kraus term K = post_t E pre_s (post_t E pre_s^T for an A tile), at
+    O(n^3) a tile; the operator carries them and writes its matrix on read.
     """
     p, q = Exponent(p), Exponent(q)
     require_order(p, q)
@@ -265,13 +262,7 @@ def build_composition(J: JordanMorphismSpec, w1: Weight, w2: Weight, p, q) -> Su
     # h^0 = identity for faithful weights, so the p or q = inf cases need no branch
     pre = w1.power(-p.float_reciprocal() / 2)
     post = w2.power(q.float_reciprocal() / 2)
-    mat = _sandwich_matrix(post, post) @ J.matrix() @ _sandwich_matrix(pre, pre)
-    kinds = {t.kind for t in J.tiles if J.profile1.dims[t.src] > 1}
-    positivity = None
-    if len(kinds) <= 1:
-        srcs, dsts = {t.src for t in J.tiles}, {t.dst for t in J.tiles}
-        positivity = (kinds == {"A"}, len(srcs) == len(dsts) == len(J.tiles))
-    return SuperOperator._proved(J.profile1, J.profile2, p, q, mat, positivity)
+    return SuperOperator._of_terms(p, q, J.kraus_terms().sandwich(post, pre))
 
 
 # ---------------------------------------------------------------------------
@@ -386,21 +377,42 @@ def _choi_stacks(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile) -> tuple
     return scale, stacks
 
 
-def _completely_positive_matrix(C: SuperOperator):
-    """(matrix, `_choi_stacks`) of C if C is completely positive, else of C o transpose if so.
+def _completely_positive_map(C: SuperOperator):
+    """Callables (image, unit, matrix, slack) of C, else of C o transpose, if completely positive.
 
     Transposition is a Schatten isometry, so C o transpose has C's norms;
-    this covers the composition operators of A-only morphisms.  An operator
-    that carries its proof (`SuperOperator._positivity`) is not tested: its
-    matrix comes with stacks None.
+    None if neither is.  `unit(adjoint)` gives C(1), or C#(1).  Carried
+    terms x -> K x^(T) K* prove it when every term on a source block
+    larger than 1x1 has one kind (C o transpose, every kind flipped, for
+    kind A); `slack()` is then 0.0 if no block is in two terms (one Kraus
+    map per block pair over a matching), else None.  Any other operator's
+    matrix is tested (`_choi_stacks`; `_single_kraus_slack`).
     """
+    terms = C._terms
+    if terms is not None:
+        kinds, srcs, dsts = set(), [], []
+        for kind, src, dst, K in terms.groups:
+            if K.shape[2] > 1:
+                kinds.add(kind)
+            srcs += src[:, 0].tolist()   # a block's first flat coordinate names it
+            dsts += dst[:, 0].tolist()
+        if len(kinds) > 1:
+            return None
+        flip = kinds == {"A"}
+        if flip:
+            terms = KrausTerms(terms.dom, terms.cod, [("H" if kind == "A" else "A", *rest)
+                                                      for kind, *rest in terms.groups])
+        single = len(set(srcs)) == len(srcs) and len(set(dsts)) == len(dsts)
+        return (terms.image, terms.unit_image,
+                lambda: C.matrix()[:, terms.dom.transpose_index] if flip else C.matrix(),
+                lambda: 0.0 if single else None)
     mat, dom, cod = C.matrix(), C.domain_profile, C.codomain_profile
-    if C._positivity is not None:
-        return (mat[:, dom.transpose_index] if C._positivity[0] else mat), None
-    for candidate in (mat, mat[:, dom.transpose_index]):
-        choi = _choi_stacks(candidate, dom, cod)
+    for cand in (mat, mat[:, dom.transpose_index]):
+        choi = _choi_stacks(cand, dom, cod)
         if choi is not None:
-            return candidate, choi
+            return (cand.__matmul__, lambda adjoint: (cand.conj().T if adjoint else cand)
+                    @ BlockMatrix.identity(cod if adjoint else dom).flat(),
+                    lambda: cand, lambda: _single_kraus_slack(choi, dom))
     return None
 
 
@@ -467,20 +479,20 @@ def _single_kraus_slack(cp: tuple, dom: BlockProfile) -> float | None:
     return slack
 
 
-def _single_kraus_norm(mat: np.ndarray, dom: BlockProfile, cod: BlockProfile,
+def _single_kraus_norm(image, dom: BlockProfile, cod: BlockProfile,
                        p: Exponent, q: Exponent, slack: float, unit: tuple) -> NormEstimate:
     """The `holder` estimate of a completely positive map with one Kraus map per block pair
     over a matching of blocks, q <= p.
 
     `unit` is the eigensystem of C#(1), and the bound and witness are
-    `_holder_form`'s.  The lower value is the witness's ||Cx||_q / ||x||_p;
-    the upper bound is (1 + _CONE_ROUNDING) ||C#(1)||_rho plus `slack`:
-    `_single_kraus_slack` for a map tested from its matrix, 0 for one that
-    carries its proof (`SuperOperator._positivity`).
+    `_holder_form`'s.  The lower value is the witness's ||Cx||_q / ||x||_p,
+    Cx = image(x.flat()); the upper bound is (1 + _CONE_ROUNDING)
+    ||C#(1)||_rho plus `slack`: `_single_kraus_slack` for a map tested
+    from its matrix, 0 for one that carries its terms.
     """
     bound, f, x_norm = _holder_form(unit, p, holder_complement(p, q))
     x = from_eig_groups(dom, unit[1], f).flat()
-    lower = schatten_norm(BlockMatrix._of_flat(cod, mat @ x), q) / x_norm if bound else 0.0
+    lower = schatten_norm(BlockMatrix._of_flat(cod, image(x)), q) / x_norm if bound else 0.0
     return NormEstimate(lower, "holder", (1.0 + _CONE_ROUNDING) * bound + slack)
 
 
@@ -554,20 +566,21 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
     "auto" takes, in order (the `source` of the estimate in brackets):
     - p = q = 2: the norm is the largest singular value of the matrix
       (exact; `svd`);
-    - q <= p, when C or C o transpose is completely positive: C carries
-      that proof (`SuperOperator._positivity`, set by `build_composition`
-      and `ChangeOfWeights.operator`), or else `_choi_stacks` tests the
-      matrix.  Transposition is a Schatten isometry, and such a map
-      attains its norm on positive elements (Audenaert, LAA 430, 2009).
+    - q <= p, when C or C o transpose is completely positive, as C's
+      Kraus terms prove or else `_choi_stacks` tests on the matrix
+      (`_completely_positive_map`).  Transposition is a Schatten isometry,
+      and such a map attains its norm on positive elements (Audenaert, LAA
+      430, 2009).  C(1), C#(1) and the witness's image come from the terms
+      when C carries them, else from the matrix (C# = mat^H).
       At p = inf the norm is ||C(1)||_q, attained at 1
-      (`positive-endpoint`).  Else one eigh per block size of C#(1),
-      C# = mat^H, serves the rest: the Holder closed form ||C#(1)||_rho,
+      (`positive-endpoint`).  Else one eigh per block size of C#(1)
+      serves the rest: the Holder closed form ||C#(1)||_rho,
       1/rho = 1/q - 1/p (`_holder_form`), is the norm of every such map at
       q = 1, rho = p* (tr C(x) = tr(x C#(1)) for x >= 0;
       `positive-endpoint`), and of one Kraus map per block pair over a
       matching of blocks (multiplicity-free H-only or A-only composition
-      operators, the change of weights: read from the carried proof, or
-      else tested on the Choi stacks by `_single_kraus_slack`;
+      operators, the change of weights: read from the terms, or else
+      tested on the Choi stacks by `_single_kraus_slack`;
       `_single_kraus_norm` evaluates the witness; `holder`), all exact;
       then, if 1 < q <= 2 <= p, the cone
       iteration (`_cone_norm`; `cone`): a lower value and an upper bound,
@@ -597,25 +610,20 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
         top = float(np.linalg.svd(C.matrix(), compute_uv=False)[0])
         return NormEstimate(top, "svd", top)
     dom, cod = C.domain_profile, C.codomain_profile
-    positive = _completely_positive_matrix(C) if method == "auto" and q <= p else None
+    positive = _completely_positive_map(C) if method == "auto" and q <= p else None
     if positive is not None:
-        mat, cp = positive
+        image, unit_image, matrix, slack = positive
         if p.is_inf:
-            image = mat @ BlockMatrix.identity(dom).flat()
-            value = schatten_norm(BlockMatrix._of_flat(cod, image), q)
+            value = schatten_norm(BlockMatrix._of_flat(cod, unit_image(False)), q)
             return NormEstimate(value, "positive-endpoint", value)
-        unit = eigh_groups(dom, mat.conj().T @ BlockMatrix.identity(cod).flat())
+        unit = eigh_groups(dom, unit_image(True))
         if q == _ONE:
             value = _holder_form(unit, p, holder_complement(p, q))[0]
             return NormEstimate(value, "positive-endpoint", value)
-        if cp is not None:
-            slack = _single_kraus_slack(cp, dom)
-        else:
-            slack = 0.0 if C._positivity[1] else None
-        if slack is not None:
-            return _single_kraus_norm(mat, dom, cod, p, q, slack, unit)
+        if (slack := slack()) is not None:
+            return _single_kraus_norm(image, dom, cod, p, q, slack, unit)
         if _ONE < q <= _TWO <= p:
-            return _cone_norm(mat, dom, cod, p, q, unit, max_iter)
+            return _cone_norm(matrix(), dom, cod, p, q, unit, max_iter)
     mat = C.matrix()
     mat_h = mat.conj().T
     p_star = p.conjugate()
@@ -652,15 +660,11 @@ def operator_norm(C: SuperOperator, restarts: int = 16, max_iter: int = 200,
 class ChangeOfWeights:
     """Connecting element, exact norm, the witness attaining it and the induced map.
 
-    `operator`, the map x -> d x d*, is built on first read, so a caller
-    that reads only the bound never builds its coord_dim^2 matrix.  It is
-    built from `d` and `d_star`, the adjoint `change_of_weights` formed, and
-    carries its proof (`SuperOperator._positivity`): completely positive,
-    one Kraus map per block.
+    `operator`, x -> d x d*, is built on first read from `terms` (K = d_s).
     """
 
     d: BlockMatrix
-    d_star: BlockMatrix = field(repr=False, compare=False)
+    terms: KrausTerms = field(repr=False, compare=False)
     bound: float
     norm_estimate: NormEstimate
     witness: BlockMatrix
@@ -668,9 +672,7 @@ class ChangeOfWeights:
 
     @cached_property
     def operator(self) -> SuperOperator:
-        profile = self.d.profile
-        return SuperOperator._proved(profile, profile, self.triple.p, self.triple.q,
-                                     _sandwich_matrix(self.d, self.d_star), (False, True))
+        return SuperOperator._of_terms(self.triple.p, self.triple.q, self.terms)
 
 
 def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
@@ -680,8 +682,8 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     |d h^{1/(2p)}|^2 = k^{1/q} exactly, and the induced map
     x -> d x d* (embed_p(w, a) -> embed_q(w0, eae), e the support of w0)
     has norm ||  |d|^2 ||_r = ||d||_{2r}^2 for the Holder complement r: the
-    Holder closed form of this single-Kraus map, C#(1) = d*d.  Bound and
-    witness come from one eigh per block size of d*d (`_holder_form`):
+    Holder closed form of this single-Kraus map (terms K = d_s), C#(1) = d*d.
+    Bound and witness come from one eigh per block size of d*d (`_holder_form`):
     x = (d*d/t)^{r/p}, t the top eigenvalue (support convention: the
     support projection at p = inf), the top eigenprojection at r = inf.
     NoConvergence if the witness's value ||d x d*||_q / ||x||_p falls 1e-9
@@ -698,15 +700,17 @@ def change_of_weights(w: Weight, w0: Weight, p, q) -> ChangeOfWeights:
     triple = ExponentTriple.from_pq(p, q)
     half_out = w0.power(q.float_reciprocal() / 2)   # k^{1/(2q)}; support proj at q = inf
     half_in = w.power(-p.float_reciprocal() / 2)    # h^{-1/(2p)}; identity at p = inf
-    d = half_out @ half_in
-    d_star = d.adjoint()
-    unit = eigh_groups(w.profile, (d_star @ d).flat())
+    d, profile = half_out @ half_in, w.profile
+    terms = KrausTerms(profile, profile, [("H", rows, rows, d.flat()[rows].reshape(m, n, n))
+                                          for n, m, rows in profile.size_groups])
+    unit = eigh_groups(profile, terms.unit_image(adjoint=True))
     bound, f, x_norm = _holder_form(unit, p, triple.r)
-    witness = from_eig_groups(w.profile, unit[1], f)
-    value = schatten_norm(d @ witness @ d_star, q) / x_norm if bound else 0.0
+    witness = from_eig_groups(profile, unit[1], f)
+    image = BlockMatrix._of_flat(profile, terms.image(witness.flat()))
+    value = schatten_norm(image, q) / x_norm if bound else 0.0
     if not bound * (1.0 - 1e-9) <= value <= bound * (1.0 + BOUND_SLACK):
         raise NoConvergence(f"witness attains {value:.15g}, the bound is {bound:.15g}")
-    return ChangeOfWeights(d=d, d_star=d_star, bound=bound,
+    return ChangeOfWeights(d=d, terms=terms, bound=bound,
                            norm_estimate=NormEstimate(value, "holder", bound),
                            witness=witness, triple=triple)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 
 import numpy as np
 
@@ -21,9 +20,9 @@ from .errors import InvalidMorphism, NoConvergence, ProfileMismatch
 from .matcore import (
     BlockMatrix,
     BlockProfile,
+    KrausTerms,
     block_stacks,
     flat_columns,
-    kron,
 )
 from .sampling import generator, hermitian
 from .vnops import Projection, SubalgebraBasis, Weight
@@ -62,8 +61,9 @@ class JordanMorphismSpec:
     """A normal Jordan *-morphism between block profiles, stored as tiles.
 
     Each tile has a frame E (`_frame`) and sends x to E x E* (E x^T E* for
-    an A tile).  `matrix()` writes that action down in closed form, and
-    `apply` and `unit_image` act through it; `hom_projection` sums E E*.
+    an A tile): one Kraus term (`kraus_terms`).  `matrix()` writes that
+    action down in closed form, and `apply` and `unit_image` act through
+    it; `hom_projection` sums E E*.
 
     The constructor refuses tile data that is not a Jordan morphism by one
     Gram test per destination block.  With F = [E_t ...] the block's tile
@@ -134,28 +134,16 @@ class JordanMorphismSpec:
 
     # -- action ---------------------------------------------------------
 
-    def matrix(self) -> np.ndarray:
-        """Read-only matrix of J on flat block coordinates (cached).
+    def kraus_terms(self) -> KrausTerms:
+        """J as Kraus terms: one (src, dst, kind, E) per tile, E its frame (`_frame`)."""
+        return KrausTerms.of(self.profile1, self.profile2,
+                             [(t.src, t.dst, t.kind, self._frame(t)) for t in self.tiles])
 
-        Built in closed form from the tile frames E, not by calling `apply`:
-        in C-order flat coordinates a tile is kron(E, conj E), with the
-        columns permuted (i, j) -> (j, i) for an A tile; the tiles' terms are
-        summed into the (destination, source) block of the matrix.
-        """
+    def matrix(self) -> np.ndarray:
+        """Read-only matrix of J on flat block coordinates, written from `kraus_terms` (cached)."""
         if self._matrix is None:
-            p1, p2 = self.profile1, self.profile2
-            src_at = list(accumulate([d * d for d in p1.dims], initial=0))
-            dst_at = list(accumulate([d * d for d in p2.dims], initial=0))
-            mat = np.zeros((p2.coord_dim, p1.coord_dim), dtype=complex)
-            for t in self.tiles:
-                n, m = p1.dims[t.src], p2.dims[t.dst]
-                e = self._frame(t)
-                k = kron(e, e.conj())
-                if t.kind == "A":
-                    k = k.reshape(m * m, n, n).swapaxes(1, 2).reshape(m * m, n * n)
-                mat[dst_at[t.dst] : dst_at[t.dst + 1], src_at[t.src] : src_at[t.src + 1]] += k
-            mat.setflags(write=False)
-            object.__setattr__(self, "_matrix", mat)
+            object.__setattr__(self, "_matrix", self.kraus_terms().matrix())
+            self._matrix.setflags(write=False)
         return self._matrix
 
     def apply(self, a: BlockMatrix) -> BlockMatrix:
@@ -178,14 +166,12 @@ class JordanMorphismSpec:
     def hom_projection(self) -> BlockMatrix:
         """The central projection z of the image algebra under which J is multiplicative.
 
-        z is the unit image of the H tiles: per destination block, the sum of
-        E E* over its H tiles, E = `_frame`.
+        z is the unit image of the H tiles' terms: per destination block, the
+        sum of E E* over its H tiles, E = `_frame`.
         """
-        blocks = [np.zeros((m, m), dtype=complex) for m in self.profile2.dims]
-        for t in (t for t in self.tiles if t.kind == "H"):
-            e = self._frame(t)
-            blocks[t.dst] += e @ e.conj().T
-        return BlockMatrix(self.profile2, blocks)
+        hom = [group for group in self.kraus_terms().groups if group[0] == "H"]
+        return BlockMatrix._of_flat(self.profile2, KrausTerms(self.profile1, self.profile2,
+                                                              hom).unit_image())
 
     def covered_src_blocks(self, kind=None):
         if kind is None:
@@ -399,38 +385,20 @@ def _central_projection(profile: BlockProfile, blocks_on) -> Projection:
     return Projection(BlockMatrix.diagonal(profile, np.repeat(on, profile.dims)))
 
 
-def _unit_values(J: JordanMorphismSpec, g: BlockMatrix) -> np.ndarray:
-    """Values of a -> tr(g J(a)) on the matrix units, in flat order.
-
-    tr(g y) = vec(g^T) . vec(y), so they are the row vec(g^T)^T J.matrix().
-    """
-    return g.transpose().flat() @ J.matrix()
-
-
-def _pullback_weight(J: JordanMorphismSpec, values: np.ndarray) -> Weight:
-    """Density of the functional a -> tr(g J(a)), given its values `_unit_values(J, g)`.
-
-    tr(rho E_lk) = rho[k, l], so rho is the transpose of the values laid out
-    as blocks, symmetrised.
-    """
-    return Weight(BlockMatrix.unflat(J.profile1, values).transpose().hermitized())
+def _pullback_weight(J: JordanMorphismSpec, g: BlockMatrix) -> Weight:
+    """Density of a -> tr(g J(a)): J#(g) = sum E* g E over the tiles (transposed for kind A)."""
+    flat = J.kraus_terms().adjoint().image(g.flat())
+    return Weight(BlockMatrix._of_flat(J.profile1, flat).hermitized())
 
 
 def pushforward_density(J: JordanMorphismSpec, w2: Weight) -> Weight:
     """The weight k on the source algebra with k(a) = w2(J(a)) for all a.
 
-    Jordan morphisms keep trace-form weights trace-form, so k always exists;
-    the extraction is verified on every matrix unit: k(E) against w2(J(E)),
-    the values of k being vec(k^T).
+    Jordan morphisms keep trace-form weights trace-form, so k always exists:
+    it is J#(rho2) (`_pullback_weight`), read from the terms, not the matrix.
     """
     w2.require_faithful("pushforward density")
-    values = _unit_values(J, w2.rho)
-    k = _pullback_weight(J, values)
-    worst = float(np.max(np.abs(k.rho.transpose().flat() - values)))
-    scale = max(1.0, w2.rho.max_abs())
-    if worst > 1e-9 * scale:
-        raise NoConvergence(f"pushforward density extraction failed (residual {worst:.3e})")
-    return k
+    return _pullback_weight(J, w2.rho)
 
 
 def decompose(J: JordanMorphismSpec, w2: Weight) -> ZDecomposition:
@@ -455,9 +423,9 @@ def decompose(J: JordanMorphismSpec, w2: Weight) -> ZDecomposition:
     e = _central_projection(J.profile1, set(J.covered_src_blocks()))
     e_z = _central_projection(J.profile1, set(J.covered_src_blocks("H")))
     e_1z = _central_projection(J.profile1, set(J.covered_src_blocks("A")))
-    w_total = _pullback_weight(J, _unit_values(J, w2.rho))
-    w_hom = _pullback_weight(J, _unit_values(J, w2.rho @ z))
-    w_anti = _pullback_weight(J, _unit_values(J, w2.rho @ (j1 - z)))
+    w_total = _pullback_weight(J, w2.rho)
+    w_hom = _pullback_weight(J, w2.rho @ z)
+    w_anti = _pullback_weight(J, w2.rho @ (j1 - z))
     gap = (w_total.rho - w_hom.rho - w_anti.rho).fro_norm()
     if gap > 1e-9 * max(1.0, w_total.rho.fro_norm()):
         raise NoConvergence(f"density splitting failed (residual {gap:.3e})")

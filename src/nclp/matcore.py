@@ -356,10 +356,78 @@ def flat_columns(stacks) -> np.ndarray:
     return np.concatenate([s.reshape(s.shape[0], s.shape[1] * s.shape[2]).T for s in stacks])
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two 2-D arrays as one broadcast product, without np.kron's generic set-up."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+class KrausTerms:
+    """The map x -> sum_k K_k x_(s_k) K_k* (x_(s_k)^T for kind "A") into blocks t_k of `cod`.
+
+    `groups`: (kind, src, dst, K) per (source size n, destination size m,
+    kind), the terms' (k, n*n) and (k, m*m) flat block coordinates and (k,
+    m, n) stack; a term on a block already in its group opens another, so
+    results add by one fancy-indexed sum.  `matrix` writes kron(K, conj K)
+    per term (columns (i, j) -> (j, i) for kind A), one product per group.
+    """
+
+    __slots__ = ("dom", "cod", "groups")
+
+    def __init__(self, dom: BlockProfile, cod: BlockProfile, groups):
+        self.dom, self.cod, self.groups = dom, cod, tuple(groups)
+
+    @classmethod
+    def of(cls, dom: BlockProfile, cod: BlockProfile, terms) -> "KrausTerms":
+        """Grouped from (source block, destination block, kind, K) terms."""
+        by, hits = {}, {}
+        for s, t, kind, K in terms:
+            j = max(hits.get((0, s), 0), hits.get((1, t), 0))   # earlier terms on s or t
+            hits[0, s] = hits[1, t] = j + 1
+            by.setdefault((dom.dims[s], cod.dims[t], kind, j), []).append((s, t, K))
+        return cls(dom, cod, [(kind, _block_rows(dom, s), _block_rows(cod, t), np.array(K, complex))
+                              for (_, _, kind, _), g in by.items() for s, t, K in [zip(*g)]])
+
+    def sandwich(self, left: BlockMatrix, right: BlockMatrix) -> "KrausTerms":
+        """The terms of x -> L C(R x R*) L*: K -> L_t K R_s (L_t K conj(R_s) for kind A)."""
+        groups = []
+        for kind, src, dst, K in self.groups:
+            L = left.flat()[dst].reshape(len(K), K.shape[1], -1)
+            R = right.flat()[src].reshape(len(K), K.shape[2], -1)
+            groups.append((kind, src, dst, L @ K @ (R.conj() if kind == "A" else R)))
+        return KrausTerms(self.dom, self.cod, groups)
+
+    def adjoint(self) -> "KrausTerms":
+        """The Hilbert-Schmidt adjoint C#: y -> K* y K, and y -> (K* y K)^T = K^T y^T conj(K)."""
+        return KrausTerms(self.cod, self.dom, [
+            (kind, dst, src, K.swapaxes(1, 2) if kind == "A" else K.conj().swapaxes(1, 2))
+            for kind, src, dst, K in self.groups])
+
+    def matrix(self) -> np.ndarray:
+        mat = np.zeros((self.cod.coord_dim, self.dom.coord_dim), dtype=complex)
+        for kind, src, dst, K in self.groups:
+            blk = K[:, :, None, :, None] * K.conj()[:, None, :, None, :]   # (k, m, m, n, n)
+            blk = blk.swapaxes(3, 4) if kind == "A" else blk
+            mat[dst[:, :, None], src[:, None, :]] += blk.reshape(len(K), dst.shape[1], -1)
+        return mat
+
+    def image(self, flat: np.ndarray) -> np.ndarray:
+        """Flat coordinates of C(x) from those of x."""
+        out = np.zeros(self.cod.coord_dim, dtype=complex)
+        for kind, src, dst, K in self.groups:
+            x = flat[src].reshape(len(K), K.shape[2], -1)
+            x = K @ (x.swapaxes(1, 2) if kind == "A" else x) @ K.conj().swapaxes(1, 2)
+            out[dst] += x.reshape(dst.shape)
+        return out
+
+    def unit_image(self, adjoint: bool = False) -> np.ndarray:
+        """Flat coordinates of C(1) = sum K K*, or of C#(1) = sum K* K (transposed for kind A)."""
+        out = np.zeros((self.dom if adjoint else self.cod).coord_dim, dtype=complex)
+        for kind, src, dst, K in self.groups:
+            x = K.conj().swapaxes(1, 2) @ K if adjoint else K @ K.conj().swapaxes(1, 2)
+            at, x = (src, x.swapaxes(1, 2) if kind == "A" else x) if adjoint else (dst, x)
+            out[at] += x.reshape(at.shape)
+        return out
+
+
+def _block_rows(profile: BlockProfile, blocks: list) -> np.ndarray:
+    """The (k, d*d) flat coordinates of k blocks of one size d."""
+    group = profile.block_slots[blocks[0]][0]
+    return profile.size_groups[group][2][[profile.block_slots[b][1] for b in blocks]]
 
 
 def _lp_norm(values: np.ndarray, p):
