@@ -13,10 +13,11 @@ matrix units) whether they preserve embedded projections.
 
 An operator is its matrix on flat block coordinates (`SuperOperator`).
 Composition operators and the change of weights carry their Kraus terms
-x -> K x^(T) K* (`KrausTerms`): their closed-form norms read the terms, and
-the matrix is written from them only when read.  Other matrices come in
-closed form from `_sandwich_matrix` (x -> L x R) and matrix products; only
-a user's callable is materialised, once, where it enters.
+x -> K x^(T) K* (`KrausTerms`): their closed-form norms and the classifier's
+candidate read the terms, and the matrix is written from them only when
+read.  Other matrices come in closed form from `_sandwich_matrix`
+(x -> L x R) and matrix products; only a user's callable is materialised,
+once, where it enters.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ NORM_RTOL = 1e-12
 # allowance grows with that power, as the rounding does; a fixed relative
 # inflation of the bound would not cover it once (p-1)/q is large.  Holder
 # witnesses treat eigenvalues this close to the top as tied.
-_CONE_ROUNDING = 64 * np.finfo(float).eps
+_CONE_ROUNDING = 64 * float(np.finfo(float).eps)
 # A Choi matrix passes as positive semidefinite down to an eigenvalue of
 # -_CHOI_TOL times the Frobenius norm of the operator's matrix: room for the
 # rounding of its closed-form products.
@@ -829,11 +830,13 @@ class ClassifyResult:
 
     `max_projection_residual` holds the worst residual of the Jordan laws
     over the pairs of source matrix units (`jordan_defect`), on accepts and
-    rejects alike; its last digits depend on that check's row chunk size
-    and on the BLAS build.  `basis_pairs_checked` counts those pairs,
-    N(N+1)/2 for N source matrix units; 0 when not recorded.  A reject's
-    `witness` is (projection e, image, residual): e is a projection of the
-    source algebra whose image is farthest from a projection
+    rejects alike; its last digits depend on that check's row chunk size,
+    on the BLAS build and on the route to J0 (from the terms of an operator
+    that carries them, else from its matrix), which also moves the rebuilt
+    block unitaries at rounding level.  `basis_pairs_checked` counts those
+    pairs, N(N+1)/2 for N source matrix units; 0 when not recorded.  A
+    reject's `witness` is (projection e, image, residual): e is a projection
+    of the source algebra whose image is farthest from a projection
     (`_projection_witness`), and the residual is
     max(||f - f*||_2, ||f^2 - f||_2) / max(1, ||f||_2) for that image f.
     """
@@ -952,9 +955,10 @@ def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockPr
     for d, m in enumerate(profile2.dims):
         columns, offset = [], 0
         for s, n in enumerate(profile1.dims):
-            F = J0[dst_at[d] : dst_at[d + 1], src_at[s] : src_at[s + 1]].T.reshape(n, n, m, m)
+            F = J0[dst_at[d] : dst_at[d + 1], src_at[s] : src_at[s + 1]]
             if np.linalg.norm(F) <= tol:
                 continue
+            F = F.T.reshape(n, n, m, m)
             if n == 1:
                 parts = [("H", F[0, 0], F[0, 1:])]   # F[0, 1:] is empty: no maps
             else:
@@ -963,6 +967,8 @@ def _reconstruct_tiles(J0: np.ndarray, profile1: BlockProfile, profile2: BlockPr
                          ("A", Y.conj().T @ Y, F[0, 1:] @ F[0, 0])]
             for kind, extractor, maps in parts:
                 P = _pivot_columns(extractor)
+                if not P.shape[1]:   # the empty half of a one-kind pair
+                    continue
                 for _ in range(P.shape[1]):
                     tiles.append(Tile(src=s, dst=d, offset=offset, kind=kind))
                     offset += n
@@ -984,12 +990,13 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
     projections; in finite dimension that holds exactly when the candidate
     J0(a) = unembed(w2, S(embed(w1, a))), at S's own exponents, is a Jordan
     *-morphism.  That is decided exactly on the pairs of source matrix
-    units (`jordan_defect`), with no sampling.  J0 is one closed-form
-    product, sandwich(post) S.matrix() sandwich(pre) with pre = h^{1/(2p)}
-    and post = k^{-1/(2q)} (`_sandwich_matrix`); no map is called.  A
-    survivor is factored back into a tile morphism (`_reconstruct_tiles`,
-    valid for every survivor), whose `matrix()` must reproduce J0 on every
-    matrix unit.
+    units (`jordan_defect`), with no sampling.  With pre = h^{1/(2p)} and
+    post = k^{-1/(2q)}, J0 is written once from the terms post_t K pre_s of
+    an S that carries Kraus terms (S's matrix is never written), else it is
+    sandwich(post) S.matrix() sandwich(pre) (`_sandwich_matrix`); no map is
+    called.  A survivor is factored back into a tile morphism
+    (`_reconstruct_tiles`, valid for every survivor), whose `matrix()` must
+    reproduce J0 on every matrix unit.
 
     Every call on valid inputs ends in ACCEPT, or in REJECT with a
     projection witness from the worst pair (`_projection_witness`; after a
@@ -1003,7 +1010,10 @@ def classify_characteristic_preserving(S: SuperOperator, w1: Weight, w2: Weight,
     w2.require_faithful("classifier (codomain weight)")
     pre = w1.power(S.p.float_reciprocal() / 2)
     post = w2.power(-S.q.float_reciprocal() / 2)
-    J0 = _sandwich_matrix(post, post) @ S.matrix() @ _sandwich_matrix(pre, pre)
+    if S._terms is not None:   # J0's terms are post K pre: S's matrix is never written
+        J0 = S._terms.sandwich(post, pre).matrix()
+    else:
+        J0 = _sandwich_matrix(post, post) @ S.matrix() @ _sandwich_matrix(pre, pre)
     worst, (u, v) = jordan_defect(J0, w1.profile, w2.profile)
     n = w1.profile.coord_dim
     result = dict(max_projection_residual=worst, basis_pairs_checked=n * (n + 1) // 2)

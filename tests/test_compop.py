@@ -1038,6 +1038,30 @@ def test_each_theorem_names_its_source():
         assert est.source == source, (i, est)
 
 
+def test_every_bound_is_a_python_float():
+    # from every source, on operators that carry their terms and on
+    # `from_matrix` ones, and from `change_of_weights`: float, not numpy.float64
+    rng = generator(79)
+    h, k = faithful(PROF2, rng), faithful(PROF2, rng)
+    doubled = JordanMorphismSpec(PROF2, BlockProfile([4]),
+                                 [Tile(0, 0, 0, "A"), Tile(0, 0, 2, "A")])
+    w4 = faithful(doubled.profile2, rng)
+    ests = []
+    for p, q in ((2, 2), ("inf", 2), (3, 1), (3, "3/2")):
+        cw = change_of_weights(h, k, p, q)
+        assert type(cw.bound) is float, (p, q)
+        ests.append(cw.norm_estimate)
+        for C in (cw.operator, build_composition(doubled, h, w4, p, q)):
+            tested = SuperOperator.from_matrix(C.domain_profile, C.codomain_profile, p, q,
+                                               C.matrix())
+            for op in (C, tested):
+                ests += [operator_norm(op), operator_norm(op, restarts=2, method="alternating")]
+    assert {est.source for est in ests} == {"svd", "positive-endpoint", "holder", "cone",
+                                            "maximiser"}
+    for est in ests:
+        assert type(est.lower_bound) is float and type(est.upper_bound) is float, est
+
+
 # -- positivity carried by construction ---------------------------------------
 
 CARRIED_PAIRS = CW_PAIRS + [(3, 3), (5, 3), (4, 2)]
@@ -1191,6 +1215,21 @@ def _reference_tile_matrix(J):
     return mat
 
 
+DRAW_CLASSES = {"partial", "onto", "multiplicity 2", "multiplicity 1", "mixed", "one kind",
+                "unitaries", "no unitaries"}
+
+
+def _draw_classes(J):
+    """The classes of DRAW_CLASSES that the morphism J falls in."""
+    per_src = [t.src for t in J.tiles]
+    return {"partial" if len(set(per_src)) < J.profile1.block_count else "onto",
+            "multiplicity 2" if len(set(per_src)) < len(per_src) else "multiplicity 1",
+            "mixed" if len({t.kind for t in J.tiles if J.profile1.dims[t.src] > 1}) > 1
+            else "one kind",
+            "unitaries" if J.block_unitaries is not None
+            or any(t.conj_unitary is not None for t in J.tiles) else "no unitaries"}
+
+
 def test_term_written_matrix_matches_the_sandwiched_tile_matrix():
     # the matrix written from the Kraus terms against the product of the two
     # sandwich matrices and J's matrix built tile by tile
@@ -1198,13 +1237,7 @@ def test_term_written_matrix_matches_the_sandwiched_tile_matrix():
     seen = set()
     for _ in range(40):
         J = random_morphism(rng)
-        per_src = [t.src for t in J.tiles]
-        seen |= {"partial" if len(set(per_src)) < J.profile1.block_count else "onto",
-                 "multiplicity 2" if len(set(per_src)) < len(per_src) else "multiplicity 1",
-                 "mixed" if len({t.kind for t in J.tiles if J.profile1.dims[t.src] > 1}) > 1
-                 else "one kind",
-                 "unitaries" if J.block_unitaries is not None
-                 or any(t.conj_unitary is not None for t in J.tiles) else "no unitaries"}
+        seen |= _draw_classes(J)
         w1, w2 = faithful(J.profile1, rng), faithful(J.profile2, rng)
         tiles = _reference_tile_matrix(J)
         for p, q in ((3, "3/2"), (2, 1), ("inf", 2), (4, 4)):
@@ -1213,8 +1246,7 @@ def test_term_written_matrix_matches_the_sandwiched_tile_matrix():
             ref = compop._sandwich_matrix(post, post) @ tiles @ compop._sandwich_matrix(pre, pre)
             got = build_composition(J, w1, w2, p, q).matrix()
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (J, p, q)
-    assert seen == {"partial", "onto", "multiplicity 2", "multiplicity 1", "mixed", "one kind",
-                    "unitaries", "no unitaries"}
+    assert seen == DRAW_CLASSES
 
 
 def test_term_norms_match_the_matrix_route_up_to_8():
@@ -1821,6 +1853,97 @@ def test_classifier_runs_the_pair_check_once_on_an_accept(monkeypatch):
     res = classify_characteristic_preserving(S, w1, w2)
     assert res.accepted and res.morphism.block_unitaries is not None
     assert len(calls) == 1
+
+
+def _classifier_candidate(monkeypatch, S, w1, w2):
+    """The J0 that `classify_characteristic_preserving` hands to `jordan_defect`."""
+    seen, original = [], compop.jordan_defect
+
+    def capture(J0, *args):
+        seen.append(J0)
+        return original(J0, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(compop, "jordan_defect", capture)
+        classify_characteristic_preserving(S, w1, w2)
+    return seen[0]
+
+
+def test_carried_candidate_matches_the_sandwiched_matrix(monkeypatch):
+    # J0 from the Kraus terms (post K pre) against the product of the two
+    # sandwich matrices and the operator's matrix
+    rng = generator(95)
+    seen = set()
+    for _ in range(40):
+        J = random_morphism(rng)
+        seen |= _draw_classes(J)
+        w1, w2 = faithful(J.profile1, rng), faithful(J.profile2, rng)
+        for p, q in ((2, 2), (2, 1), (3, "3/2"), ("inf", 2)):
+            S = build_composition(J, w1, w2, p, q)
+            got = _classifier_candidate(monkeypatch, S, w1, w2)
+            pre = w1.power(S.p.float_reciprocal() / 2)
+            post = w2.power(-S.q.float_reciprocal() / 2)
+            ref = (compop._sandwich_matrix(post, post) @ S.matrix()
+                   @ compop._sandwich_matrix(pre, pre))
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max(), (J, p, q)
+    assert seen == DRAW_CLASSES
+
+
+def _classified_carriers(rng):
+    """(operator, w1, w2, accepted) for composition operators of random
+    morphisms at four exponent pairs, and a change-of-weights operator
+    classified under other weights than its own (no Jordan map: rejected)."""
+    cases = []
+    for _ in range(10):
+        J = random_morphism(rng)
+        w1, w2 = faithful(J.profile1, rng), faithful(J.profile2, rng)
+        for p, q in ((2, 2), (2, 1), (3, "3/2"), ("inf", 2)):
+            cases.append((build_composition(J, w1, w2, p, q), w1, w2, True))
+    h, k = faithful(PROF23, rng), faithful(PROF23, rng)
+    cases.append((change_of_weights(h, k, 3, "3/2").operator, faithful(PROF23, rng),
+                  faithful(PROF23, rng), False))
+    return cases
+
+
+def test_carried_classification_reads_no_matrix(monkeypatch):
+    rng = generator(96)
+    cases = _classified_carriers(rng)
+    J = random_morphism(rng)
+    w1, w2 = faithful(J.profile1, rng), faithful(J.profile2, rng)
+    tested = SuperOperator.from_matrix(J.profile1, J.profile2, 2, 1,
+                                       build_composition(J, w1, w2, 2, 1).matrix())
+
+    def refuse(self):
+        raise AssertionError("the matrix was read")
+
+    monkeypatch.setattr(SuperOperator, "matrix", refuse)
+    for S, v1, v2, accepted in cases:
+        assert classify_characteristic_preserving(S, v1, v2).accepted is accepted
+        assert S._matrix is None
+    with pytest.raises(AssertionError, match="the matrix was read"):
+        classify_characteristic_preserving(tested, w1, w2)
+
+
+def test_carried_and_matrix_tested_classifications_agree():
+    # the carried J0 comes from the Kraus terms, the tested one from the
+    # operator's matrix: same verdict and tiles, unitaries to rounding
+    for S, w1, w2, accepted in _classified_carriers(generator(97)):
+        tested = SuperOperator.from_matrix(S.domain_profile, S.codomain_profile, S.p, S.q,
+                                           S.matrix())
+        got = classify_characteristic_preserving(S, w1, w2)
+        want = classify_characteristic_preserving(tested, w1, w2)
+        assert got.accepted is want.accepted is accepted
+        assert got.basis_pairs_checked == want.basis_pairs_checked
+        for res in (got, want):
+            if accepted:
+                assert res.max_projection_residual <= 1e-12
+            else:
+                assert res.max_projection_residual > compop.CLASSIFY_TOL
+        if accepted:
+            assert [(t.src, t.dst, t.offset, t.kind) for t in got.morphism.tiles] == \
+                [(t.src, t.dst, t.offset, t.kind) for t in want.morphism.tiles]
+            for u, v in zip(got.morphism.block_unitaries, want.morphism.block_unitaries):
+                np.testing.assert_allclose(u, v, rtol=0.0, atol=1e-12)
 
 
 def test_norm_refuses_a_negative_seed():
